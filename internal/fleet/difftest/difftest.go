@@ -164,11 +164,20 @@ func runScalar(c Case) ([]scalarTenant, error) {
 
 // runBatched runs the whole case through the fleet engine.
 func runBatched(c Case) ([]fleet.TenantResult, error) {
+	spec, err := c.spec()
+	if err != nil {
+		return nil, err
+	}
+	return fleet.New(spec).Run(), nil
+}
+
+// spec is the fleet.Spec of the case's batched run.
+func (c Case) spec() (fleet.Spec, error) {
 	var art *core.Design
 	if c.maya() {
 		var err error
 		if art, err = DesignFor(c.Config); err != nil {
-			return nil, err
+			return fleet.Spec{}, err
 		}
 	}
 	spec := fleet.Spec{
@@ -187,7 +196,7 @@ func runBatched(c Case) ([]fleet.TenantResult, error) {
 	if c.Scale > 0 {
 		spec.NewWorkload = c.newWorkload
 	}
-	return fleet.New(spec).Run(), nil
+	return spec, nil
 }
 
 // Diff runs both paths and returns nil only if every tenant is bit-for-bit

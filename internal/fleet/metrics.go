@@ -19,9 +19,11 @@ type Metrics struct {
 	// Tenants records the fleet size of the current run.
 	Tenants *telemetry.Gauge
 	// MachineNs, SenseNs, ControlNs, ActuateNs accumulate host wall time
-	// per fleet tick phase: the batched machine step, the per-tenant
-	// sensor reads, the batched control decision, and the batched
-	// actuator commit.
+	// per control-period phase, one clock read per phase: the machine
+	// phase (every tenant's ticks of the period with their sensor
+	// observations and trace recording; wall time, however many
+	// goroutines share it), the per-tenant sensor reads, the batched
+	// control decision, and the batched actuator commit.
 	MachineNs *telemetry.Counter
 	SenseNs   *telemetry.Counter
 	ControlNs *telemetry.Counter
@@ -39,7 +41,7 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		Ticks:     reg.Counter("maya_fleet_ticks_total", "machine ticks stepped across all tenants"),
 		Periods:   reg.Counter("maya_fleet_periods_total", "fleet control periods executed"),
 		Tenants:   reg.Gauge("maya_fleet_tenants", "tenant count of the current fleet run"),
-		MachineNs: reg.Counter("maya_fleet_machine_ns_total", "host ns in the batched machine step"),
+		MachineNs: reg.Counter("maya_fleet_machine_ns_total", "host wall ns in the per-period machine phase"),
 		SenseNs:   reg.Counter("maya_fleet_sense_ns_total", "host ns in per-tenant sensor reads"),
 		ControlNs: reg.Counter("maya_fleet_control_ns_total", "host ns in the batched control decision"),
 		ActuateNs: reg.Counter("maya_fleet_actuate_ns_total", "host ns in the batched actuator commit"),

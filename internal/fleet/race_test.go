@@ -2,6 +2,7 @@ package fleet_test
 
 import (
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -16,11 +17,17 @@ import (
 
 // TestFleetConcurrentObserver steps a fleet on one goroutine while a reader
 // on another continuously drains the spill buffer and snapshots/exports the
-// telemetry registry. Under -race (the CI race job runs the whole tree)
-// this proves the engine's concurrency contract: the spill mutex and the
-// registry's internal synchronization are the only cross-goroutine seams,
-// and the state slabs never leak across them.
+// telemetry registry. The bank is large enough, and GOMAXPROCS at least 2,
+// that every period's machine ticks run on worker goroutines beside the
+// reader. Under -race (the CI race job runs the whole tree) this proves
+// the engine's concurrency contract: the workers touch only their own
+// tenants' columns and are joined before the period goes on, the spill
+// mutex and the registry's internal synchronization are the only seams
+// with an outside goroutine, and the state slabs never leak across them.
+// It sets GOMAXPROCS, so it must not run in parallel.
 func TestFleetConcurrentObserver(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	const tenants, ticks = 4 * fleet.MinTenantsPerWorker, 1000
 	cfg := sim.Sys1()
 	art, err := difftest.DesignFor(cfg)
 	if err != nil {
@@ -32,11 +39,11 @@ func TestFleetConcurrentObserver(t *testing.T) {
 		Kind:        defense.MayaGS,
 		Art:         art,
 		PeriodTicks: 20,
-		Tenants:     32,
+		Tenants:     tenants,
 		BaseSeed:    0xace,
 		NewWorkload: func() workload.Workload { return workload.NewApp("blackscholes").Scale(0.02) },
 		Guard:       &g,
-		MaxTicks:    4000,
+		MaxTicks:    ticks,
 	})
 	reg := telemetry.NewRegistry()
 	eng.SetMetrics(fleet.NewMetrics(reg))
@@ -68,12 +75,12 @@ func TestFleetConcurrentObserver(t *testing.T) {
 	close(done)
 	wg.Wait()
 
-	if len(results) != 32 {
-		t.Fatalf("got %d tenant results, want 32", len(results))
+	if len(results) != tenants {
+		t.Fatalf("got %d tenant results, want %d", len(results), tenants)
 	}
-	// One sample per tenant per control period: 4000 ticks / 20 = 200
-	// periods, all drained between pushes or in the final sweep.
-	if want := 32 * (4000 / 20); drained != want {
+	// One sample per tenant per control period, all drained between
+	// pushes or in the final sweep.
+	if want := tenants * (ticks / 20); drained != want {
 		t.Fatalf("drained %d samples, want %d", drained, want)
 	}
 }

@@ -14,13 +14,15 @@ type Sample struct {
 	PowerW float64
 }
 
-// Spill is the fleet's only concurrent seam: a mutex-guarded buffer the
-// engine pushes one Sample per tenant into at every control period, for a
-// reader on another goroutine to Drain while the fleet runs. Everything
-// else in the engine — the state slabs, the flight recorders, the result
-// accumulators — is single-goroutine by design; the race test drives a
-// fleet and a draining reader together under -race to prove the slabs are
-// never shared mutably across that boundary.
+// Spill is the fleet's data seam with outside goroutines: a mutex-guarded
+// buffer the engine pushes one Sample per tenant into at every control
+// period, for a reader on another goroutine to Drain while the fleet runs.
+// Everything else in the engine — the state slabs, the flight recorders,
+// the result accumulators — belongs to the engine's caller; the machine
+// phase's workers borrow disjoint tenant columns of it and are joined
+// before StepPeriod goes on. The race test drives a fanned-out fleet and a
+// draining reader together under -race to prove the slabs are never
+// shared mutably across either boundary.
 //
 // The zero value is unbounded: correct when a reader is guaranteed to
 // drain (tests, mayactl). A long-running daemon with *optional*

@@ -23,8 +23,12 @@ import (
 // this.
 //
 // All tenants share one clock: a bank models a homogeneous fleet stepped in
-// lockstep, which is what the fleet engine needs. Per-tenant fault hooks
-// (input filter, lag scale, energy wrap) remain independent.
+// lockstep, which is what the fleet engine needs. Only SetInputsAll (through
+// the fault filters) and the sensors read that clock, so between those
+// calls the tenants need not move together: StepRange steps one tenant
+// range at a time, and AdvanceClock catches the clock up once every tenant
+// has taken the same number of steps. Per-tenant fault hooks (input
+// filter, lag scale, energy wrap) remain independent.
 type MachineBank struct {
 	cfg   Config
 	knobs actuator.Set
@@ -134,16 +138,28 @@ func (b *MachineBank) SetInputsAll(ins []Inputs) {
 }
 
 // StepAll advances every tenant by one tick, tenant t running ws[t], and
-// writes each tenant's StepResult into out. It is Machine.Step transcribed
-// over the slabs: per-tenant statement order is identical, so every power,
-// energy, and RNG value matches the scalar machine bit for bit.
+// writes each tenant's StepResult into out: StepRange over the whole bank,
+// then one tick of the shared clock.
 //
 //maya:hotpath
 func (b *MachineBank) StepAll(ws []workload.Workload, out []StepResult) {
-	checkBankLens(len(ws) == b.len && len(out) == b.len)
+	b.StepRange(0, b.len, ws, out)
+	b.tick++
+}
+
+// StepRange advances tenants [lo, hi) by one tick, tenant t running ws[t]
+// and writing out[t]; ws and out span the whole bank. It is Machine.Step
+// transcribed over the slabs: per-tenant statement order is identical, so
+// every power, energy, and RNG value matches the scalar machine bit for
+// bit. It leaves the shared clock alone (see AdvanceClock) and touches
+// only the range's columns, so disjoint ranges may step concurrently.
+//
+//maya:hotpath
+func (b *MachineBank) StepRange(lo, hi int, ws []workload.Workload, out []StepResult) {
+	checkBankLens(len(ws) == b.len && len(out) == b.len && 0 <= lo && lo <= hi && hi <= b.len)
 	dt := b.cfg.TickSeconds
 
-	for t := 0; t < b.len; t++ {
+	for t := lo; t < hi; t++ {
 		// Actuation lags: first-order approach to the commanded values. The
 		// lag scale is a fault hook (extra actuation latency); nominal is 1.
 		ls := b.lagScale[t]
@@ -218,8 +234,11 @@ func (b *MachineBank) StepAll(ws []workload.Workload, out []StepResult) {
 
 		out[t] = StepResult{PowerW: power, WallW: b.wallW[t], WorkDone: workDone, Finished: finished, TempC: b.tempC[t]}
 	}
-	b.tick++
 }
+
+// AdvanceClock moves the shared clock forward n ticks, once StepRange has
+// stepped every tenant n times: the clock StepAll would show after n calls.
+func (b *MachineBank) AdvanceClock(n int) { b.tick += int64(n) }
 
 // Sensor returns tenant t's RAPL-style defense sensor, reading the same
 // quantized counter and computing the same watt estimate as a NewRAPLSensor
@@ -280,11 +299,12 @@ func (m *BankMachine) SetLagScale(scale float64) { m.b.lagScale[m.t] = scale }
 // SetEnergyWrap makes tenant t's energy counter wrap modulo wrapJ joules.
 func (m *BankMachine) SetEnergyWrap(wrapJ float64) { m.b.wrapJ[m.t] = wrapJ }
 
-// checkBankLens panics when StepAll's per-tenant slices do not match the
-// bank width. It lives outside StepAll so the panic's string boxing stays
-// off the //maya:hotpath allocation budget.
+// checkBankLens panics when StepRange's per-tenant slices do not match the
+// bank width or its range falls outside the bank. It lives outside
+// StepRange so the panic's string boxing stays off the //maya:hotpath
+// allocation budget.
 func checkBankLens(ok bool) {
 	if !ok {
-		panic("sim: StepAll length mismatch")
+		panic("sim: StepRange length or range mismatch")
 	}
 }
