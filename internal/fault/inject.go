@@ -117,33 +117,22 @@ func (in *Injector) Stats() Stats { return in.stats }
 // SetMetrics attaches telemetry counters (nil detaches).
 func (in *Injector) SetMetrics(m *Metrics) { in.metrics = m }
 
-// MachineHooks is the fault-hook surface of a simulated machine: the three
-// seams the counter and actuator fault channels install into. *sim.Machine
-// satisfies it, and so does one tenant column of a sim.MachineBank
-// (*sim.BankMachine), which is how the fleet engine attaches per-tenant
-// plans without scalar machines.
-type MachineHooks interface {
-	SetInputFilter(sim.InputFilter)
-	SetLagScale(float64)
-	SetEnergyWrap(float64)
-}
-
 // Attach installs the plan's counter and actuator faults on the machine:
 // energy-counter wraparound, actuation lag scaling, and the SetInputs
 // filter for command drops and stuck knobs. An empty plan installs nothing.
-func (in *Injector) Attach(m *sim.Machine) { in.AttachHooks(m) }
-
-// AttachHooks is Attach over any MachineHooks implementation.
-func (in *Injector) AttachHooks(h MachineHooks) {
+// The machine may stand alone or be one tenant of a sim.MachineBank
+// (MachineBank.Machine), which is how the fleet engine attaches
+// per-tenant plans.
+func (in *Injector) Attach(m *sim.Machine) {
 	if in.plan.Counter.WrapJ > 0 {
-		h.SetEnergyWrap(in.plan.Counter.WrapJ)
+		m.SetEnergyWrap(in.plan.Counter.WrapJ)
 	}
 	if s := in.plan.Actuator.LagScale; s > 0 && s != 1 { //nolint:maya/floateq LagScale is an exact config value; 1 means disabled
-		h.SetLagScale(s)
+		m.SetLagScale(s)
 	}
 	a := in.plan.Actuator
 	if a.DropProb > 0 || a.StuckProb > 0 {
-		h.SetInputFilter(in.filterInputs)
+		m.SetInputFilter(in.filterInputs)
 	}
 }
 

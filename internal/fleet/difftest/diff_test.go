@@ -61,8 +61,11 @@ func TestFleetMatchesScalar(t *testing.T) {
 		Name: "constant-idle", Config: cfg, Kind: defense.MayaConstant,
 		Tenants: 4, Ticks: 300, Seed: 9, Flight: 64, Guard: true,
 	})
-	// A second machine config.
+	// The other machine configs.
 	cases = append(cases, Case{
+		Name: "sys2-gs", Config: sim.Sys2(), Kind: defense.MayaGS,
+		Tenants: 4, Ticks: 300, Seed: 11, Scale: 0.02, Flight: 64, Guard: true,
+	}, Case{
 		Name: "sys3-gs", Config: sim.Sys3(), Kind: defense.MayaGS,
 		Tenants: 4, Ticks: 300, Seed: 11, Scale: 0.02, Flight: 64, Guard: true,
 	})

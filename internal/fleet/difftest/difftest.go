@@ -3,11 +3,13 @@
 // count) it runs the batched fleet and, per tenant, an independent scalar
 // core.Engine/sim.Run with the same derived seeds, and asserts the two
 // produce bit-for-bit identical traces, flight records, and guard
-// decisions. The scalar side is composed purely from the untouched
-// reference pieces (sim.Machine, sim.Run, fault wrappers), so a pass means
-// the batched kernels changed nothing but the speed — the same pinning
-// discipline as internal/nn's batch tests, extended to a whole closed-loop
-// system.
+// decisions. Both sides step the same sim.Machine; the scalar side drives
+// it through sim.Run, the scalar Controller and the fault wrappers
+// (FaultyPolicy, FaultySensor). A pass therefore pins what the fleet
+// reimplements: its tick and period loop, the batched control.Bank, and
+// its mirror of FaultyPolicy's timing faults — the same pinning
+// discipline as internal/nn's batch tests, extended to a whole
+// closed-loop system.
 package difftest
 
 import (

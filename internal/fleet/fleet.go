@@ -1,21 +1,20 @@
-// Package fleet steps many defended machines in one process: a structure-
-// of-arrays batched engine over the scalar building blocks. Per-tenant
-// state — controller vectors, integrators, machine power-model state, mask
-// RNG positions — lives column-wise in contiguous slabs (control.Bank,
-// sim.MachineBank), so one control period runs the machine model and the
-// controller as batched kernels that load each shared coefficient once per
-// fleet instead of once per machine; the period's machine ticks step in
-// contiguous tenant ranges, in parallel on a large bank.
+// Package fleet steps many defended machines in one process. The
+// controller state of every tenant lives column-wise in the structure-of-
+// arrays slabs of control.Bank, so one control period runs the whole
+// fleet's controller as one batched kernel that loads each shared gain
+// once per fleet instead of once per machine. The machines are the scalar
+// sim.Machine, held contiguously in a sim.MachineBank; a period's machine
+// ticks step in contiguous tenant ranges, in parallel on a large bank.
 //
-// The batched path is pinned bit-for-bit to the scalar reference: every
+// The fleet path is pinned bit-for-bit to the scalar reference: every
 // tenant of a fleet run produces exactly the traces, flight records, and
 // guard decisions of an independent scalar core.Engine/sim.Run with the
 // same derived seeds. The difftest subpackage is that proof, table-driven
 // across all five defenses, fault plans, and tenant counts; golden_test.go
-// pins a committed 16-tenant trace. The scalar path stays untouched as the
-// reference implementation — the fleet engine reuses its exact decision
-// code (core.Engine.BeginStep/FinishStep, fault.Injector) and batches only
-// the arithmetic between them.
+// pins a committed 16-tenant trace. The fleet engine reuses the scalar
+// path's machine model and decision code (sim.Machine,
+// core.Engine.BeginStep/FinishStep, fault.Injector) and batches only the
+// controller arithmetic between them.
 package fleet
 
 import (
@@ -225,7 +224,7 @@ func New(spec Spec) *Engine {
 		_, ws, ps, fs := seedAt(t)
 		if !spec.Plan.Empty() {
 			e.injectors[t] = fault.MustNew(spec.Plan, fs)
-			e.injectors[t].AttachHooks(e.bank.Tenant(t))
+			e.injectors[t].Attach(e.bank.Machine(t))
 		}
 		var sensor sim.PowerSensor = e.bank.Sensor(t)
 		if e.injectors[t] != nil {
@@ -388,7 +387,7 @@ func (e *Engine) Start() {
 
 	e.startEnergy = make([]float64, T)
 	for t := 0; t < T; t++ {
-		e.startEnergy[t] = e.bank.TrueEnergyJ(t)
+		e.startEnergy[t] = e.bank.Machine(t).TrueEnergyJ()
 		e.res[t].FirstStep = e.step
 		e.res[t].InputTrace = append(e.res[t].InputTrace, e.bank.Inputs(t))
 	}
@@ -486,10 +485,9 @@ type machinePhase struct {
 // set, the tick lands in the tenant's trace. The bank splits into one
 // contiguous tenant range per worker, up to GOMAXPROCS of them; the
 // calling goroutine is one worker and starts the others. A range touches
-// only its own columns (machine slabs, workload, sensor, result), and
-// every tenant keeps the statement order of sim.Run's tick loop, so the
-// split never shows in a result. The shared clock advances once, after
-// every range is done.
+// only its own tenants (machine, workload, sensor, result), and every
+// tenant keeps the statement order of sim.Run's tick loop, so the split
+// never shows in a result.
 func (e *Engine) stepMachines(ws []workload.Workload, tick, n int, rec bool) {
 	workers := max(1, min(runtime.GOMAXPROCS(0), e.spec.Tenants/minTenantsPerWorker))
 	e.phase = machinePhase{ws: ws, tick: tick, n: n, rec: rec, ranges: workers}
@@ -500,7 +498,6 @@ func (e *Engine) stepMachines(ws []workload.Workload, tick, n int, rec bool) {
 	}
 	e.stepRanges()
 	e.wg.Wait()
-	e.bank.AdvanceClock(n)
 }
 
 // stepRanges claims the phase's ranges one at a time, each claim going to
@@ -517,8 +514,8 @@ func (e *Engine) stepRanges() {
 }
 
 // blockTenants is how many tenants stepRange carries through the whole
-// phase at a time. A block's machine columns, workloads, noise streams and
-// trace tails stay in the core's first-level cache across the phase's
+// phase at a time. A block's machines, workloads, noise streams and trace
+// tails stay in the core's first-level cache across the phase's
 // ticks, where a range of hundreds of tenants would be fetched from
 // further out on every tick. On a 2-vCPU Xeon, blocks of 16 cut the
 // machine phase by 10–15 % against both single tenants (call overhead) and
@@ -565,7 +562,7 @@ func (e *Engine) Results() []TenantResult {
 		if e.dead[t] {
 			continue
 		}
-		res[t].EnergyJ = e.bank.TrueEnergyJ(t) - e.startEnergy[t]
+		res[t].EnergyJ = e.bank.Machine(t).TrueEnergyJ() - e.startEnergy[t]
 		res[t].Seconds = float64(len(res[t].TickPowerW)) * e.spec.Config.TickSeconds
 		if e.engines != nil {
 			res[t].Targets = e.engines[t].Targets
@@ -579,7 +576,7 @@ func (e *Engine) Results() []TenantResult {
 }
 
 // Evict stops recording slot t and releases its accumulated buffers. The
-// slot's machine and controller keep stepping — tenant slabs are fully
+// slot's machine and controller keep stepping — tenants are fully
 // independent, so the survivors' traces are unchanged whether an evicted
 // neighbor steps or not, and continuing to step costs no extra code path.
 // Evicting every slot leaves a bank that is pure overhead; the owner

@@ -21,7 +21,7 @@ import (
 // that every period's machine ticks run on worker goroutines beside the
 // reader. Under -race (the CI race job runs the whole tree) this proves
 // the engine's concurrency contract: the workers touch only their own
-// tenants' columns and are joined before the period goes on, the spill
+// tenants and are joined before the period goes on, the spill
 // mutex and the registry's internal synchronization are the only seams
 // with an outside goroutine, and the state slabs never leak across them.
 // It sets GOMAXPROCS, so it must not run in parallel.

@@ -19,7 +19,7 @@ type Sample struct {
 // period, for a reader on another goroutine to Drain while the fleet runs.
 // Everything else in the engine — the state slabs, the flight recorders,
 // the result accumulators — belongs to the engine's caller; the machine
-// phase's workers borrow disjoint tenant columns of it and are joined
+// phase's workers borrow disjoint tenant ranges of it and are joined
 // before StepPeriod goes on. The race test drives a fanned-out fleet and a
 // draining reader together under -race to prove the slabs are never
 // shared mutably across either boundary.

@@ -110,11 +110,11 @@ type TenantSpec struct {
 	// seed Seed.
 	Index int `json:"index,omitempty"`
 	// Seconds is the recorded duration (default 20); MaxTicks overrides
-	// it when positive.
+	// it when positive. The recorded run is at most 1<<20 ticks.
 	Seconds  float64 `json:"seconds,omitempty"`
 	MaxTicks int     `json:"max_ticks,omitempty"`
 	// WarmupTicks is the unrecorded warmup (default 2000, mayactl's
-	// value; pass a negative value for none).
+	// value; pass a negative value for none), at most 1<<20 ticks.
 	WarmupTicks int `json:"warmup_ticks,omitempty"`
 	// Faults names a canned fault plan (empty = no faults).
 	Faults string `json:"faults,omitempty"`
@@ -238,7 +238,9 @@ func (sp TenantSpec) normalize() TenantSpec {
 	if sp.Seconds <= 0 {
 		sp.Seconds = 20
 	}
-	if sp.MaxTicks <= 0 {
+	// An oversized Seconds stays unconverted, since converting it could
+	// overflow; resolve rejects it.
+	if sp.MaxTicks <= 0 && sp.Seconds*1000 <= maxSpecTicks {
 		sp.MaxTicks = int(sp.Seconds * 1000)
 	}
 	switch {
@@ -250,8 +252,23 @@ func (sp TenantSpec) normalize() TenantSpec {
 	return sp
 }
 
-// resolve validates a normalized spec against the name registries.
+// maxSpecTicks bounds both a tenant's recorded run and its warmup: the
+// run length fleet.New and sim.Run default to, about 17 simulated
+// minutes. It keeps one admission from claiming unbounded trace memory or
+// holding its shard in warmup indefinitely.
+const maxSpecTicks = 1 << 20
+
+// resolve validates a normalized spec: run lengths within maxSpecTicks,
+// names against the registries.
 func (sp TenantSpec) resolve() (sim.Config, defense.Kind, fault.Plan, error) {
+	switch {
+	case !(sp.Seconds*1000 <= maxSpecTicks): // negated so NaN fails too
+		return sim.Config{}, 0, fault.Plan{}, fmt.Errorf("seconds %g exceeds the %d-tick limit", sp.Seconds, maxSpecTicks)
+	case sp.MaxTicks > maxSpecTicks:
+		return sim.Config{}, 0, fault.Plan{}, fmt.Errorf("max_ticks %d exceeds the %d-tick limit", sp.MaxTicks, maxSpecTicks)
+	case sp.WarmupTicks > maxSpecTicks:
+		return sim.Config{}, 0, fault.Plan{}, fmt.Errorf("warmup_ticks %d exceeds the %d-tick limit", sp.WarmupTicks, maxSpecTicks)
+	}
 	cfg, ok := sim.PresetByName(sp.Machine)
 	if !ok {
 		return sim.Config{}, 0, fault.Plan{}, fmt.Errorf("unknown machine %q", sp.Machine)

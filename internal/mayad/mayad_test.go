@@ -476,3 +476,45 @@ func TestBadSpecsRejected(t *testing.T) {
 		t.Fatalf("unknown tenant: status %d, want 404", code)
 	}
 }
+
+// TestOversizedRunsRejected covers the run-length bound: a duration past
+// 1<<20 ticks, recorded or warmup, is a 400 that admits nothing and sheds
+// nothing, while a run exactly at the bound is admitted. The shards are
+// never started, so the admitted run only queues.
+func TestOversizedRunsRejected(t *testing.T) {
+	srv := mayad.New(testConfig(1), nil)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for _, body := range []string{
+		`{"seconds": 1e300}`,              // overflows int when converted to ticks
+		`{"max_ticks": 2000000000}`,       // ≈32 GB of per-tick traces
+		`{"warmup_ticks": 1099511627776}`, // holds the shard in warmup
+	} {
+		resp, err := http.Post(ts.URL+"/tenants", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if n := len(srv.List()); n != 0 {
+		t.Fatalf("%d tenants admitted, want none", n)
+	}
+	var metrics strings.Builder
+	if err := srv.Registry().WriteProm(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"mayad_admission_shed_total 0", "mayad_admitted_total 0"} {
+		if !strings.Contains(metrics.String(), want) {
+			t.Fatalf("want %q in metrics:\n%s", want, metrics.String())
+		}
+	}
+
+	resp, st := admit(t, ts.URL, mayad.TenantSpec{MaxTicks: 1 << 20, WarmupTicks: 1 << 20})
+	if resp.StatusCode != http.StatusCreated || st.MaxTicks != 1<<20 {
+		t.Fatalf("run at the bound: status %d, max_ticks %d", resp.StatusCode, st.MaxTicks)
+	}
+}

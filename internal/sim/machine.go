@@ -248,12 +248,18 @@ func (m *Machine) SetEnergyWrap(wrapJ float64) { m.wrapJ = wrapJ }
 // NewMachine builds a machine in its reset state. seed feeds the sensor and
 // model noise streams; two machines with the same seed behave identically.
 func NewMachine(cfg Config, seed uint64) *Machine {
+	m := new(Machine)
+	m.init(cfg, seed)
+	return m
+}
+
+// init validates cfg and puts m in its reset state, with no fault hooks.
+func (m *Machine) init(cfg Config, seed uint64) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	m := &Machine{cfg: cfg, knobs: cfg.Knobs()}
+	*m = Machine{cfg: cfg, knobs: cfg.Knobs()}
 	m.Reset(seed)
-	return m
 }
 
 // Reset returns the machine to time zero with fresh noise.
@@ -331,6 +337,8 @@ type StepResult struct {
 
 // Step advances the machine by one tick while running w. Passing a
 // completed workload (or workload.Idle{}) simulates an idle machine.
+//
+//maya:hotpath
 func (m *Machine) Step(w workload.Workload) StepResult {
 	dt := m.cfg.TickSeconds
 
