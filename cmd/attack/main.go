@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"strings"
 	"time"
 
 	"github.com/maya-defense/maya/internal/attack"
@@ -60,20 +61,9 @@ func main() {
 		log.Printf("debug server on http://%s (pprof at /debug/pprof/, metrics at /metrics)", srv.Addr())
 	}
 
-	var kind defense.Kind
-	switch *defName {
-	case "baseline":
-		kind = defense.Baseline
-	case "noisy":
-		kind = defense.NoisyBaseline
-	case "random":
-		kind = defense.RandomInputs
-	case "constant":
-		kind = defense.MayaConstant
-	case "gs":
-		kind = defense.MayaGS
-	default:
-		log.Fatalf("unknown defense %q", *defName)
+	kind, ok := defense.KindByName(*defName)
+	if !ok {
+		log.Fatalf("unknown defense %q (%s)", *defName, strings.Join(defense.KindNames, ", "))
 	}
 
 	var (

@@ -37,25 +37,24 @@ func main() {
 	loop := flag.Bool("loop", false, "loop the replayed trace")
 	flag.Parse()
 
+	var err error
 	switch {
 	case *record != "":
-		doRecord(*record, *out, *seconds, *scale, *seed)
+		err = doRecord(*record, *out, *seconds, *scale, *seed)
 	case *play != "":
-		doPlay(*play, *machine, *defName, *seconds, *seed, *loop)
+		err = doPlay(*play, *machine, *defName, *seconds, *seed, *loop)
 	default:
 		log.Fatal("need -record <workload> or -play <trace.csv>")
 	}
+	if err != nil {
+		log.Fatal(err)
+	}
 }
 
-func doRecord(name, out string, seconds, scale float64, seed uint64) {
-	var w workload.Workload
-	switch {
-	case strings.HasPrefix(name, "video/"):
-		w = workload.NewVideo(strings.TrimPrefix(name, "video/")).Scale(scale)
-	case strings.HasPrefix(name, "web/"):
-		w = workload.NewPage(strings.TrimPrefix(name, "web/")).Scale(scale)
-	default:
-		w = workload.NewApp(name).Scale(scale)
+func doRecord(name, out string, seconds, scale float64, seed uint64) error {
+	w, err := workload.New(name, scale)
+	if err != nil {
+		return err
 	}
 	w.Reset(seed)
 	// Execute on a baseline machine while recording, so work-based phase
@@ -63,58 +62,44 @@ func doRecord(name, out string, seconds, scale float64, seed uint64) {
 	demands := sim.RecordDemands(sim.Sys1(), w, int(seconds*1000), seed)
 	f, err := os.Create(out)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	defer f.Close()
 	if err := workload.WriteDemandsCSV(f, demands); err != nil {
-		log.Fatal(err)
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
 	}
 	fmt.Printf("recorded %d ticks of %s to %s\n", len(demands), name, out)
+	return nil
 }
 
-func doPlay(path, machine, defName string, seconds float64, seed uint64, loop bool) {
+func doPlay(path, machine, defName string, seconds float64, seed uint64, loop bool) error {
+	cfg, ok := sim.PresetByName(machine)
+	if !ok {
+		return fmt.Errorf("unknown machine %q (%s)", machine, strings.Join(sim.PresetNames, ", "))
+	}
+	kind, ok := defense.KindByName(defName)
+	if !ok {
+		return fmt.Errorf("unknown defense %q (%s)", defName, strings.Join(defense.KindNames, ", "))
+	}
 	f, err := os.Open(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	demands, err := workload.ReadDemandsCSV(f)
 	f.Close()
 	if err != nil {
-		log.Fatal(err)
-	}
-	var cfg sim.Config
-	switch machine {
-	case "sys1":
-		cfg = sim.Sys1()
-	case "sys2":
-		cfg = sim.Sys2()
-	case "sys3":
-		cfg = sim.Sys3()
-	default:
-		log.Fatalf("unknown machine %q", machine)
-	}
-	var kind defense.Kind
-	switch defName {
-	case "baseline":
-		kind = defense.Baseline
-	case "noisy":
-		kind = defense.NoisyBaseline
-	case "random":
-		kind = defense.RandomInputs
-	case "constant":
-		kind = defense.MayaConstant
-	case "gs":
-		kind = defense.MayaGS
-	default:
-		log.Fatalf("unknown defense %q", defName)
+		return err
 	}
 
 	var art *core.Design
-	if kind == defense.MayaConstant || kind == defense.MayaGS {
+	if kind.IsMaya() {
 		log.Printf("designing Maya controller for %s...", cfg.Name)
 		art, err = core.DesignFor(cfg, core.DefaultDesignOptions())
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	w := workload.NewReplay(path, demands, loop)
@@ -129,4 +114,5 @@ func doPlay(path, machine, defName string, seconds float64, seed uint64, loop bo
 	fmt.Printf("replayed %d ticks (%s) under %v on %s\n", w.Len(), path, kind, cfg.Name)
 	fmt.Printf("power: median %.1f W, IQR %.1f W; energy %.0f J\n", b.Median, b.IQR(), res.EnergyJ)
 	fmt.Print(plot.Line(res.DefenseSamples, 100, 8))
+	return nil
 }

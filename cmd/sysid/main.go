@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"strings"
 
 	"github.com/maya-defense/maya/internal/control"
 	"github.com/maya-defense/maya/internal/core"
@@ -29,16 +30,9 @@ func main() {
 	showMatrices := flag.Bool("matrices", false, "print the Eq. 1 controller matrices")
 	flag.Parse()
 
-	var cfg sim.Config
-	switch *machine {
-	case "sys1":
-		cfg = sim.Sys1()
-	case "sys2":
-		cfg = sim.Sys2()
-	case "sys3":
-		cfg = sim.Sys3()
-	default:
-		log.Fatalf("unknown machine %q", *machine)
+	cfg, ok := sim.PresetByName(*machine)
+	if !ok {
+		log.Fatalf("unknown machine %q (%s)", *machine, strings.Join(sim.PresetNames, ", "))
 	}
 
 	fmt.Printf("== System identification on %s (§V-A)\n", cfg.Name)

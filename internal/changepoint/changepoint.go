@@ -3,39 +3,17 @@
 // uses MATLAB's findchangepts to show that application phases remain
 // recoverable under every defense except Maya GS.
 //
-// Two detectors are provided: PELT (Pruned Exact Linear Time) with a
-// per-change-point penalty, and top-down binary segmentation with a fixed
-// change-point budget. Both support a cost over mean shifts or joint
-// mean+variance shifts (Gaussian likelihood cost).
+// The detector is top-down binary segmentation with a fixed change-point
+// budget, as with findchangepts(MaxNumChanges), over a cost that detects
+// mean shifts.
 package changepoint
 
-import (
-	"math"
-	"sort"
-)
-
-// Cost selects the segment-cost model.
-type Cost int
-
-const (
-	// CostMean penalizes squared deviation from the segment mean; detects
-	// level shifts.
-	CostMean Cost = iota
-	// CostMeanVar is the Gaussian negative log-likelihood cost; detects
-	// changes in mean and/or variance.
-	CostMeanVar
-	// CostEdge fits each segment with a straight line and penalizes the
-	// residual: it detects slope changes ("edges" — the paper lists mean,
-	// variance, edges, and fourier coefficients as the properties
-	// change-point analysis targets, §VII-B).
-	CostEdge
-)
+import "sort"
 
 // prefix sums enable O(1) segment cost evaluation.
 type prefixes struct {
 	sum   []float64 // sum[i] = x[0]+..+x[i-1]
 	sumSq []float64
-	sumTX []float64 // sumTX[i] = Σ_{j<i} j·x[j] (for linear-fit costs)
 }
 
 func newPrefixes(x []float64) *prefixes {
@@ -43,126 +21,33 @@ func newPrefixes(x []float64) *prefixes {
 	p := &prefixes{
 		sum:   make([]float64, n+1),
 		sumSq: make([]float64, n+1),
-		sumTX: make([]float64, n+1),
 	}
 	for i, v := range x {
 		p.sum[i+1] = p.sum[i] + v
 		p.sumSq[i+1] = p.sumSq[i] + v*v
-		p.sumTX[i+1] = p.sumTX[i] + float64(i)*v
 	}
 	return p
 }
 
-// segCost returns the cost of the segment x[a:b] (b exclusive, b > a).
-func (p *prefixes) segCost(a, b int, cost Cost) float64 {
+// segCost returns the cost of the segment x[a:b] (b exclusive, b > a): its
+// sum of squared deviations from the segment mean, which penalizes level
+// shifts.
+func (p *prefixes) segCost(a, b int) float64 {
 	n := float64(b - a)
 	s := p.sum[b] - p.sum[a]
 	ss := p.sumSq[b] - p.sumSq[a]
 	mean := s / n
-	// Sum of squared deviations from the mean.
 	sse := ss - n*mean*mean
 	if sse < 0 {
 		sse = 0 // guard round-off
 	}
-	switch cost {
-	case CostMean:
-		return sse
-	case CostEdge:
-		// Residual of the least-squares line over the segment, computed
-		// from prefix sums in O(1). Local time τ = 0..n−1.
-		if b-a < 3 {
-			return 0
-		}
-		sumTau := n * (n - 1) / 2
-		sumTau2 := n * (n - 1) * (2*n - 1) / 6
-		sumTauX := (p.sumTX[b] - p.sumTX[a]) - float64(a)*s
-		den := n*sumTau2 - sumTau*sumTau
-		if den <= 0 {
-			return sse
-		}
-		beta := (n*sumTauX - sumTau*s) / den
-		alpha := (s - beta*sumTau) / n
-		// With the normal equations satisfied, SSE collapses to
-		// Σx² − αΣx − βΣτx.
-		lineSSE := ss - alpha*s - beta*sumTauX
-		if lineSSE < 0 {
-			lineSSE = 0
-		}
-		return lineSSE
-	case CostMeanVar:
-		// Gaussian NLL up to constants: n * log(variance), floored to avoid
-		// -inf on constant segments.
-		v := sse / n
-		const minVar = 1e-8
-		if v < minVar {
-			v = minVar
-		}
-		return n * math.Log(v)
-	default:
-		panic("changepoint: unknown cost")
-	}
-}
-
-// PELT finds change points minimizing total segment cost plus penalty per
-// change point. It returns the sorted indices where new segments begin
-// (excluding 0). minSegment sets the smallest allowed segment length
-// (values < 1 are treated as 1).
-func PELT(x []float64, cost Cost, penalty float64, minSegment int) []int {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	if minSegment < 1 {
-		minSegment = 1
-	}
-	p := newPrefixes(x)
-	// f[t] = minimal cost of segmenting x[0:t].
-	f := make([]float64, n+1)
-	prev := make([]int, n+1)
-	f[0] = -penalty
-	for i := 1; i <= n; i++ {
-		f[i] = math.Inf(1)
-	}
-	candidates := []int{0}
-	for t := minSegment; t <= n; t++ {
-		bestCost, bestPrev := math.Inf(1), 0
-		for _, s := range candidates {
-			if t-s < minSegment {
-				continue
-			}
-			c := f[s] + p.segCost(s, t, cost) + penalty
-			if c < bestCost {
-				bestCost, bestPrev = c, s
-			}
-		}
-		f[t] = bestCost
-		prev[t] = bestPrev
-		// PELT pruning: drop candidates that can never win again.
-		pruned := candidates[:0]
-		for _, s := range candidates {
-			if t-s < minSegment || f[s]+p.segCost(s, t, cost) <= f[t] {
-				pruned = append(pruned, s)
-			}
-		}
-		candidates = append(pruned, t-minSegment+1)
-	}
-	// Backtrack.
-	var cps []int
-	for t := n; t > 0; {
-		s := prev[t]
-		if s > 0 {
-			cps = append(cps, s)
-		}
-		t = s
-	}
-	sort.Ints(cps)
-	return cps
+	return sse
 }
 
 // BinarySegmentation splits the signal top-down until either maxChanges
 // change points are found or no split improves cost by more than minGain.
 // It returns sorted change-point indices.
-func BinarySegmentation(x []float64, cost Cost, maxChanges int, minGain float64, minSegment int) []int {
+func BinarySegmentation(x []float64, maxChanges int, minGain float64, minSegment int) []int {
 	n := len(x)
 	if n == 0 || maxChanges <= 0 {
 		return nil
@@ -182,9 +67,9 @@ func BinarySegmentation(x []float64, cost Cost, maxChanges int, minGain float64,
 		if b-a < 2*minSegment {
 			return s
 		}
-		whole := p.segCost(a, b, cost)
+		whole := p.segCost(a, b)
 		for t := a + minSegment; t <= b-minSegment; t++ {
-			g := whole - (p.segCost(a, t, cost) + p.segCost(t, b, cost))
+			g := whole - (p.segCost(a, t) + p.segCost(t, b))
 			if g > s.gain {
 				s.gain, s.at = g, t
 			}

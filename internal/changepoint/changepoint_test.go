@@ -22,50 +22,10 @@ func step(r *rng.Stream, levels []float64, segLen int, noise float64) ([]float64
 	return x, cps
 }
 
-func TestPELTFindsLevelShifts(t *testing.T) {
-	r := rng.New(1)
-	x, truth := step(r, []float64{5, 15, 8, 20}, 100, 0.5)
-	got := PELT(x, CostMean, 50, 5)
-	if MatchScore(truth, got, 5) < 1 {
-		t.Fatalf("PELT missed shifts: truth=%v got=%v", truth, got)
-	}
-	// No gross overdetection: at most a few spurious points.
-	if len(got) > len(truth)+2 {
-		t.Fatalf("PELT overdetected: %v", got)
-	}
-}
-
-func TestPELTConstantSignalNoChanges(t *testing.T) {
-	r := rng.New(2)
-	x := make([]float64, 500)
-	for i := range x {
-		x[i] = r.Normal(10, 0.3)
-	}
-	got := PELT(x, CostMean, 50, 5)
-	if len(got) != 0 {
-		t.Fatalf("constant signal produced change points: %v", got)
-	}
-}
-
-func TestPELTVarianceChange(t *testing.T) {
-	r := rng.New(3)
-	var x []float64
-	for i := 0; i < 200; i++ {
-		x = append(x, r.Normal(10, 0.2))
-	}
-	for i := 0; i < 200; i++ {
-		x = append(x, r.Normal(10, 3.0)) // same mean, bigger variance
-	}
-	got := PELT(x, CostMeanVar, 20, 10)
-	if MatchScore([]int{200}, got, 15) < 1 {
-		t.Fatalf("variance change missed: %v", got)
-	}
-}
-
 func TestBinarySegmentationFindsShifts(t *testing.T) {
 	r := rng.New(4)
 	x, truth := step(r, []float64{3, 12, 6}, 150, 0.4)
-	got := BinarySegmentation(x, CostMean, 5, 10, 10)
+	got := BinarySegmentation(x, 5, 10, 10)
 	if MatchScore(truth, got, 8) < 1 {
 		t.Fatalf("binseg missed: truth=%v got=%v", truth, got)
 	}
@@ -74,7 +34,7 @@ func TestBinarySegmentationFindsShifts(t *testing.T) {
 func TestBinarySegmentationBudget(t *testing.T) {
 	r := rng.New(5)
 	x, _ := step(r, []float64{1, 5, 9, 13, 17, 21}, 60, 0.2)
-	got := BinarySegmentation(x, CostMean, 2, 1, 5)
+	got := BinarySegmentation(x, 2, 1, 5)
 	if len(got) > 2 {
 		t.Fatalf("budget exceeded: %v", got)
 	}
@@ -84,20 +44,12 @@ func TestChangePointsSortedAndInRange(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		x, _ := step(r, []float64{4, 9, 2}, 50, 1.0)
-		for _, algo := range [][]int{
-			PELT(x, CostMean, 30, 5),
-			BinarySegmentation(x, CostMean, 4, 5, 5),
-		} {
-			last := 0
-			for _, cp := range algo {
-				if cp <= last && last != 0 || cp <= 0 || cp >= len(x) {
-					return false
-				}
-				if cp <= last {
-					return false
-				}
-				last = cp
+		last := 0
+		for _, cp := range BinarySegmentation(x, 4, 5, 5) {
+			if cp <= last || cp >= len(x) {
+				return false
 			}
+			last = cp
 		}
 		return true
 	}
@@ -115,71 +67,5 @@ func TestMatchScore(t *testing.T) {
 	}
 	if got := MatchScore([]int{100}, []int{300}, 5); got != 0 {
 		t.Fatalf("score=%g want 0", got)
-	}
-}
-
-func TestPELTEmptyInput(t *testing.T) {
-	if got := PELT(nil, CostMean, 10, 1); got != nil {
-		t.Fatalf("PELT(nil)=%v", got)
-	}
-}
-
-func TestPELTPenaltyMonotonicity(t *testing.T) {
-	// Higher penalty must not produce more change points.
-	r := rng.New(7)
-	x, _ := step(r, []float64{5, 10, 5, 10}, 80, 1.2)
-	low := PELT(x, CostMean, 5, 5)
-	high := PELT(x, CostMean, 500, 5)
-	if len(high) > len(low) {
-		t.Fatalf("penalty monotonicity violated: low=%d high=%d", len(low), len(high))
-	}
-}
-
-func TestCostEdgeDetectsSlopeChange(t *testing.T) {
-	// Piecewise-linear: up-ramp then down-ramp — no mean shift at the knee
-	// worth speaking of, but a clear edge.
-	r := rng.New(9)
-	var x []float64
-	for i := 0; i < 200; i++ {
-		x = append(x, float64(i)*0.05+r.Normal(0, 0.1))
-	}
-	for i := 0; i < 200; i++ {
-		x = append(x, 10-float64(i)*0.05+r.Normal(0, 0.1))
-	}
-	got := BinarySegmentation(x, CostEdge, 3, 1, 20)
-	if MatchScore([]int{200}, got, 15) < 1 {
-		t.Fatalf("slope change missed: %v", got)
-	}
-}
-
-func TestCostEdgeIgnoresCleanLine(t *testing.T) {
-	r := rng.New(10)
-	var x []float64
-	for i := 0; i < 400; i++ {
-		x = append(x, 3+float64(i)*0.02+r.Normal(0, 0.05))
-	}
-	got := BinarySegmentation(x, CostEdge, 3, 1, 20)
-	if len(got) != 0 {
-		t.Fatalf("clean line produced edges: %v", got)
-	}
-}
-
-func TestCostEdgeSegmentCostNonNegative(t *testing.T) {
-	r := rng.New(11)
-	x := make([]float64, 300)
-	for i := range x {
-		x[i] = r.Normal(5, 2)
-	}
-	p := newPrefixes(x)
-	for a := 0; a < 280; a += 17 {
-		for b := a + 3; b <= 300; b += 23 {
-			if c := p.segCost(a, b, CostEdge); c < 0 {
-				t.Fatalf("negative edge cost at [%d,%d): %g", a, b, c)
-			}
-			// The line fit can never do worse than the mean fit.
-			if p.segCost(a, b, CostEdge) > p.segCost(a, b, CostMean)+1e-9 {
-				t.Fatalf("edge cost exceeds mean cost at [%d,%d)", a, b)
-			}
-		}
 	}
 }

@@ -121,12 +121,6 @@ func flatten(rows, cols int, at func(i, j int) float64) []float64 {
 	return out
 }
 
-// Tenants returns the number of tenants in the bank.
-func (b *Bank) Tenants() int { return b.len }
-
-// NumInputs returns the number of actuated inputs per tenant.
-func (b *Bank) NumInputs() int { return b.nu }
-
 // SetIntegratorClamp bounds every tenant's error integrator to |z| <= limit
 // (0 disables), exactly like Controller.SetIntegratorClamp.
 func (b *Bank) SetIntegratorClamp(limit float64) {
@@ -194,7 +188,7 @@ func (b *Bank) StepAll(deltaY []float64, active []bool) {
 	// clipped from raw with two clamp branches and flags saturation as
 	// `clipped != raw`; the three-way test below is the same predicate
 	// spelled on raw directly — raw < 0 and raw > 1 are the two clamp
-	// cases, and raw != raw catches NaN, the only remaining value the
+	// cases, and math.IsNaN(raw) catches the only remaining value the
 	// scalar inequality fires on (a raw of -0 is clipped to itself there,
 	// not to +0, so it neither clamps nor flags here either). Raw inputs
 	// are kept (in the kxX scratch, dead after the rate combine above) for
@@ -223,21 +217,21 @@ func (b *Bank) StepAll(deltaY []float64, active []bool) {
 				c0, sat = 0, true
 			} else if raw0 > 1 {
 				c0, sat = 1, true
-			} else if raw0 != raw0 { //nolint:maya/floateq NaN check, mirroring the scalar clipped != raw on unclamped NaN
+			} else if math.IsNaN(raw0) {
 				sat = true
 			}
 			if raw1 < 0 {
 				c1, sat = 0, true
 			} else if raw1 > 1 {
 				c1, sat = 1, true
-			} else if raw1 != raw1 { //nolint:maya/floateq NaN check, mirroring the scalar clipped != raw on unclamped NaN
+			} else if math.IsNaN(raw1) {
 				sat = true
 			}
 			if raw2 < 0 {
 				c2, sat = 0, true
 			} else if raw2 > 1 {
 				c2, sat = 1, true
-			} else if raw2 != raw2 { //nolint:maya/floateq NaN check, mirroring the scalar clipped != raw on unclamped NaN
+			} else if math.IsNaN(raw2) {
 				sat = true
 			}
 			u0[t], u1[t], u2[t] = c0, c1, c2
@@ -264,7 +258,7 @@ func (b *Bank) StepAll(deltaY []float64, active []bool) {
 				} else if raw > 1 {
 					clipped = 1
 					sat = true
-				} else if raw != raw { //nolint:maya/floateq NaN check, mirroring the scalar clipped != raw on unclamped NaN
+				} else if math.IsNaN(raw) {
 					sat = true
 				}
 				ur[t] = clipped

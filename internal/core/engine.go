@@ -14,7 +14,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"github.com/maya-defense/maya/internal/actuator"
 	"github.com/maya-defense/maya/internal/control"
@@ -62,12 +61,6 @@ type Engine struct {
 	// Targets records the mask value issued at each step (the paper's
 	// Fig 13a analysis compares this trace against measured power).
 	Targets []float64
-
-	// Overhead telemetry (§VII-E): cumulative wall time spent inside
-	// Decide and the number of steps, measured on the host running the
-	// simulation.
-	DecideTime time.Duration
-	Steps      int
 
 	// flight, when non-nil, records every Decide into a bounded ring; it
 	// captures only simulated-domain values, so a flight trace is
@@ -171,8 +164,6 @@ func (e *Engine) Reset(seed uint64) {
 	e.prevUd, e.pprevU, e.prevY = 0, 0, 0
 	e.havePrevY = false
 	e.Targets = e.Targets[:0]
-	e.DecideTime = 0
-	e.Steps = 0
 	e.lastGoodW, e.haveGood, e.holdUsed = 0, false, 0
 	if e.flight != nil {
 		e.flight.Reset()
@@ -384,8 +375,6 @@ func (e *Engine) FinishStep(step int, pre StepPre, u []float64, ctl control.Stat
 		rec.StateReinit = reinit
 		e.flight.Record(rec)
 	}
-
-	e.Steps++
 	return sim.Inputs{FreqGHz: d, Idle: idle, Balloon: b}
 }
 
@@ -396,24 +385,15 @@ func (e *Engine) FinishStep(step int, pre StepPre, u []float64, ctl control.Stat
 //
 //maya:hotpath
 func (e *Engine) Decide(step int, powerW float64) sim.Inputs {
-	start := time.Now() //maya:wallclock overhead accounting (§VII-E); never feeds decisions
 	pre := e.BeginStep(step, powerW)
 	u := e.ctl.Step(pre.DeltaY)
-	in := e.FinishStep(step, pre, u, e.ctl) //nolint:maya/hotalloc StateView here wraps an existing pointer, which fits the interface word without allocating
-	e.DecideTime += time.Since(start)       //maya:wallclock overhead accounting (§VII-E)
-	return in
+	return e.FinishStep(step, pre, u, e.ctl) //nolint:maya/hotalloc StateView here wraps an existing pointer, which fits the interface word without allocating
 }
 
 // MaskTargets returns the targets issued so far (one per Decide call).
 // Callers running through sim.Run align entry FirstStep+t with recorded
 // sample t.
 func (e *Engine) MaskTargets() []float64 { return e.Targets }
-
-// Controller exposes the engine's controller (telemetry, dimension checks).
-func (e *Engine) Controller() *control.Controller { return e.ctl }
-
-// Mask exposes the engine's mask generator.
-func (e *Engine) Mask() mask.Generator { return e.gen }
 
 // Design holds everything produced by the §V-A pipeline for one machine.
 type Design struct {

@@ -66,6 +66,3 @@ func (g *Gate) Decide(step int, powerW float64) sim.Inputs {
 	g.engine.gen.Next()
 	return g.passthru.Decide(step, powerW)
 }
-
-// Engine exposes the wrapped engine.
-func (g *Gate) Engine() *Engine { return g.engine }

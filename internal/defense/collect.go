@@ -98,8 +98,6 @@ type CollectSpec struct {
 	Outlet bool
 	// Seed derives all per-run secrets.
 	Seed uint64
-	// ControlPeriodTicks is the defense period (default 20).
-	ControlPeriodTicks int
 	// WarmupTicks runs the defense on the idle machine before the workload
 	// starts and before recording begins. Maya is deployed as an always-on
 	// privileged service, so an attacker never observes the controller's
@@ -114,9 +112,6 @@ type CollectSpec struct {
 	// parallel fan-out completes, so their content is deterministic for a
 	// fixed spec (everything observed is simulated-domain data).
 	Metrics *CollectMetrics
-	// SensorMetrics, when non-nil, instruments every run's attacker-side
-	// sensor (the runs share the instance; counters aggregate).
-	SensorMetrics *sim.SensorMetrics
 	// PoolMetrics, when non-nil, instruments the collection's worker pool.
 	PoolMetrics *runner.Metrics
 }
@@ -153,9 +148,6 @@ func NewCollectMetrics(reg *telemetry.Registry) *CollectMetrics {
 func Collect(ctx context.Context, spec CollectSpec) (*trace.Dataset, []RunStats) {
 	if spec.AttackPeriodTicks <= 0 {
 		spec.AttackPeriodTicks = 20
-	}
-	if spec.ControlPeriodTicks <= 0 {
-		spec.ControlPeriodTicks = 20
 	}
 	if spec.RunsPerClass <= 0 {
 		spec.RunsPerClass = 1
@@ -222,21 +214,16 @@ func runOne(ctx context.Context, spec CollectSpec, label, run int) oneResult {
 
 	var sensor sim.PowerSensor
 	if spec.Outlet {
-		s := sim.NewOutletSensor(spec.Cfg, base+4)
-		s.Metrics = spec.SensorMetrics
-		sensor = s
+		sensor = sim.NewOutletSensor(spec.Cfg, base+4)
 	} else {
-		s := sim.NewRAPLSensor(m)
-		s.Metrics = spec.SensorMetrics
-		sensor = s
+		sensor = sim.NewRAPLSensor(m)
 	}
 	att := &sim.Sampler{Sensor: sensor, PeriodTicks: spec.AttackPeriodTicks}
 	res := sim.Run(m, w, pol, sim.RunSpec{
-		ControlPeriodTicks: spec.ControlPeriodTicks,
-		MaxTicks:           spec.MaxTicks,
-		StopOnFinish:       spec.StopOnFinish,
-		Samplers:           []*sim.Sampler{att},
-		WarmupTicks:        spec.WarmupTicks,
+		MaxTicks:     spec.MaxTicks,
+		StopOnFinish: spec.StopOnFinish,
+		Samplers:     []*sim.Sampler{att},
+		WarmupTicks:  spec.WarmupTicks,
 	})
 	seconds := res.Seconds
 	if res.FinishedTick >= 0 {

@@ -95,9 +95,6 @@ func NewDesign(kind Kind, cfg sim.Config, art *core.Design, periodTicks int) *De
 	return &Design{kind: kind, cfg: cfg, art: art, periodTicks: periodTicks}
 }
 
-// Kind returns the design kind.
-func (d *Design) Kind() Kind { return d.kind }
-
 // Name returns the Table V name.
 func (d *Design) Name() string { return d.kind.String() }
 

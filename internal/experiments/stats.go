@@ -248,7 +248,7 @@ func Fig11(ctx context.Context, sc Scale, seed uint64) (*Fig11Result, error) {
 		// trivially "match" everything.
 		smoothed := signal.MovingAverage(samples, 15)
 		budget := len(truth) + 2
-		cps := changepoint.BinarySegmentation(smoothed, changepoint.CostMean, budget, 1, 8)
+		cps := changepoint.BinarySegmentation(smoothed, budget, 1, 8)
 		tol := 15 // 0.3 s (smoothing blurs edges slightly)
 		score := changepoint.MatchScore(truth, cps, tol)
 		endVis := false

@@ -293,9 +293,6 @@ type FaultyPolicy struct {
 	prevPower float64
 }
 
-// Inner returns the wrapped policy (the engine, for telemetry access).
-func (p *FaultyPolicy) Inner() sim.Policy { return p.inner }
-
 // Decide implements sim.Policy.
 func (p *FaultyPolicy) Decide(step int, powerW float64) sim.Inputs {
 	miss, stale := p.in.TimingDecision(step)

@@ -277,9 +277,6 @@ func (e *Engine) SetMetrics(m *Metrics) { e.metrics = m }
 // the engine pushes one Sample per tenant into it (nil detaches).
 func (e *Engine) SetSpill(s *Spill) { e.spill = s }
 
-// Tenants returns the fleet size.
-func (e *Engine) Tenants() int { return e.spec.Tenants }
-
 // decideAll runs every tenant's control decision for one step: the
 // fleet-path equivalent of calling each tenant's (possibly fault-wrapped)
 // policy. On the Maya path the controller arithmetic for the whole fleet
@@ -594,13 +591,3 @@ func (e *Engine) Evict(t int) {
 
 // Alive reports how many slots have not been evicted.
 func (e *Engine) Alive() int { return e.alive }
-
-// Step reports the control-step counter (warmup steps included); Tick
-// reports recorded machine ticks consumed, up to Spec.MaxTicks.
-func (e *Engine) Step() int { return e.step }
-
-// Tick reports how many recorded machine ticks have run.
-func (e *Engine) Tick() int { return e.tick }
-
-// Engines returns the per-tenant engines (Maya kinds; nil otherwise).
-func (e *Engine) Engines() []*core.Engine { return e.engines }

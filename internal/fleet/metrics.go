@@ -7,10 +7,9 @@ import (
 )
 
 // Metrics instruments a fleet run's tick phases. The phase timers measure
-// the host (overhead accounting, like Engine.DecideTime on the scalar
-// path); they never feed decisions, and with metrics detached the run
-// takes no timestamps at all — which is why the differential harness,
-// which runs metrics-free, is unaffected.
+// the host (overhead accounting); they never feed decisions, and with
+// metrics detached the run takes no timestamps at all — which is why the
+// differential harness, which runs metrics-free, is unaffected.
 type Metrics struct {
 	// Ticks counts machine ticks stepped, summed across tenants.
 	Ticks *telemetry.Counter

@@ -47,7 +47,9 @@ func TestFleetConcurrentObserver(t *testing.T) {
 	})
 	reg := telemetry.NewRegistry()
 	eng.SetMetrics(fleet.NewMetrics(reg))
-	spill := &fleet.Spill{}
+	// Sized to the whole run, so the exact drained-sample count below holds
+	// however slowly the reader drains.
+	spill := fleet.NewSpill(tenants * (ticks / 20))
 	eng.SetSpill(spill)
 
 	done := make(chan struct{})

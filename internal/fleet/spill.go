@@ -24,47 +24,28 @@ type Sample struct {
 // draining reader together under -race to prove the slabs are never
 // shared mutably across either boundary.
 //
-// The zero value is unbounded: correct when a reader is guaranteed to
-// drain (tests, mayactl). A long-running daemon with *optional*
-// subscribers must call SetLimit, which turns the buffer into a fixed
-// ring with drop-oldest semantics — a reader that never shows up costs a
-// bounded amount of memory and a drop counter, not an OOM. While the
-// buffer stays within the limit, semantics are identical to the unbounded
-// buffer (the race test's exact drained-sample accounting pins that).
+// The buffer is a fixed ring with drop-oldest semantics, because mayad's
+// subscribers are optional: a reader that never shows up costs a bounded
+// amount of memory and a drop counter, not an OOM. While a reader drains
+// before the ring fills, no sample is lost and order is preserved. Create
+// one with NewSpill.
 type Spill struct {
-	mu  sync.Mutex
-	buf []Sample
-
-	// Bounded mode (SetLimit): buf is a ring of fixed capacity `limit`
-	// holding `n` samples starting at `head`.
-	limit   int
+	mu sync.Mutex
+	// buf is a ring holding `n` samples starting at `head`.
+	buf     []Sample
 	head, n int
 
 	dropped uint64
 	dropC   *telemetry.Counter
 }
 
-// NewSpill returns a bounded spill retaining at most limit samples
-// (drop-oldest beyond that); limit <= 0 means unbounded.
+// NewSpill returns a spill retaining at most limit samples, dropping the
+// oldest beyond that. limit must be positive.
 func NewSpill(limit int) *Spill {
-	s := &Spill{}
-	s.SetLimit(limit)
-	return s
-}
-
-// SetLimit bounds the buffer to at most limit samples, dropping the
-// oldest on overflow; limit <= 0 removes the bound. Call before the run
-// starts (it discards any buffered samples).
-func (s *Spill) SetLimit(limit int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if limit <= 0 {
-		s.limit, s.buf, s.head, s.n = 0, nil, 0, 0
-		return
+		panic("fleet: NewSpill needs a positive limit")
 	}
-	s.limit = limit
-	s.buf = make([]Sample, limit)
-	s.head, s.n = 0, 0
+	return &Spill{buf: make([]Sample, limit)}
 }
 
 // SetDropCounter mirrors drops into a telemetry counter (conventionally
@@ -78,15 +59,10 @@ func (s *Spill) SetDropCounter(c *telemetry.Counter) {
 // push appends samples from the engine's goroutine.
 func (s *Spill) push(smp Sample) {
 	s.mu.Lock()
-	if s.limit <= 0 {
-		s.buf = append(s.buf, smp)
-		s.mu.Unlock()
-		return
-	}
-	if s.n == s.limit {
+	if s.n == len(s.buf) {
 		// Full: overwrite the oldest sample.
 		s.buf[s.head] = smp
-		s.head = (s.head + 1) % s.limit
+		s.head = (s.head + 1) % len(s.buf)
 		s.dropped++
 		c := s.dropC
 		s.mu.Unlock()
@@ -95,7 +71,7 @@ func (s *Spill) push(smp Sample) {
 		}
 		return
 	}
-	s.buf[(s.head+s.n)%s.limit] = smp
+	s.buf[(s.head+s.n)%len(s.buf)] = smp
 	s.n++
 	s.mu.Unlock()
 }
@@ -104,17 +80,12 @@ func (s *Spill) push(smp Sample) {
 func (s *Spill) Drain() []Sample {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.limit <= 0 {
-		out := s.buf
-		s.buf = nil
-		return out
-	}
 	if s.n == 0 {
 		return nil
 	}
 	out := make([]Sample, s.n)
 	for i := range out {
-		out[i] = s.buf[(s.head+i)%s.limit]
+		out[i] = s.buf[(s.head+i)%len(s.buf)]
 	}
 	s.head, s.n = 0, 0
 	return out
@@ -124,9 +95,6 @@ func (s *Spill) Drain() []Sample {
 func (s *Spill) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.limit <= 0 {
-		return len(s.buf)
-	}
 	return s.n
 }
 

@@ -8,31 +8,6 @@ import (
 
 func sampleN(i int) Sample { return Sample{Step: i, Tenant: i % 3, PowerW: float64(i)} }
 
-// TestSpillUnboundedKeepsEverything pins the zero-value contract the race
-// test's exact drained-sample accounting depends on: without a limit, no
-// sample is ever dropped.
-func TestSpillUnboundedKeepsEverything(t *testing.T) {
-	var s Spill
-	for i := 0; i < 1000; i++ {
-		s.push(sampleN(i))
-	}
-	if s.Dropped() != 0 {
-		t.Fatalf("unbounded spill dropped %d samples", s.Dropped())
-	}
-	got := s.Drain()
-	if len(got) != 1000 {
-		t.Fatalf("drained %d samples, want 1000", len(got))
-	}
-	for i, smp := range got {
-		if smp != sampleN(i) {
-			t.Fatalf("sample %d = %+v, want %+v", i, smp, sampleN(i))
-		}
-	}
-	if len(s.Drain()) != 0 {
-		t.Fatal("second drain not empty")
-	}
-}
-
 // TestSpillBoundedDropsOldest drives a bounded spill past its limit with
 // no reader and checks drop-oldest semantics: the retained window is the
 // newest `limit` samples in push order, and the drop count is exact.
@@ -63,7 +38,7 @@ func TestSpillBoundedDropsOldest(t *testing.T) {
 
 // TestSpillBoundedInBoundsIsLossless checks the in-bounds case: as long
 // as a reader drains before the limit is hit, a bounded spill loses
-// nothing and preserves order — byte-for-byte the unbounded behavior.
+// nothing and preserves order.
 func TestSpillBoundedInBoundsIsLossless(t *testing.T) {
 	s := NewSpill(8)
 	next := 0

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io/fs"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 )
@@ -122,11 +121,6 @@ func WriteBaseline(path string, b *Baseline) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// BaselinePath is the conventional location of the committed ledger.
-func BaselinePath(modRoot string) string {
-	return filepath.Join(modRoot, "lint.baseline.json")
 }
 
 // ModuleRoot resolves the enclosing module root for dir, for rebasing

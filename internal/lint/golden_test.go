@@ -117,7 +117,7 @@ func TestRepoIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := LoadBaseline(BaselinePath(root))
+	baseline, err := LoadBaseline(filepath.Join(root, "lint.baseline.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,12 +43,6 @@ type Package struct {
 	dirIndex *directiveIndex
 }
 
-// IsTestFile reports whether pos sits in a *_test.go file.
-func (p *Package) IsTestFile(pos token.Pos) bool {
-	name := p.Fset.Position(pos).Filename
-	return strings.HasSuffix(name, "_test.go")
-}
-
 // Load parses and type-checks the packages matched by the go-style dir
 // patterns ("./...", "./internal/core", "."), resolved relative to dir.
 // testdata, hidden, and underscore-prefixed directories are skipped, as the

@@ -367,15 +367,3 @@ func Generate(g Generator, n int) []float64 {
 	}
 	return out
 }
-
-// DefaultBand returns a sensible target band for a machine with the given
-// TDP and idle floor: [floor + 10% headroom, 80% of TDP]. The top stays
-// under TDP per §V-B; the bottom stays reachable with idle injection. The
-// band is deliberately centered slightly below typical full-load power so
-// that, as in the paper's Fig 14, the defended system draws less average
-// power than the insecure baseline.
-func DefaultBand(idleFloorW, tdpW float64) Band {
-	b := Band{Min: idleFloorW + 0.10*(tdpW-idleFloorW), Max: 0.8 * tdpW}
-	b.validate()
-	return b
-}

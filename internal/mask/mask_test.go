@@ -43,8 +43,9 @@ func TestAllMasksStayInBand(t *testing.T) {
 }
 
 func TestTDPRespected(t *testing.T) {
-	// §V-B constraint 1: targets never exceed the TDP-derived band max.
-	b := DefaultBand(5, 30)
+	// §V-B constraint 1: targets never exceed the TDP-derived band max
+	// (80% of a 30 W TDP).
+	b := Band{Min: 7.5, Max: 0.8 * 30}
 	if b.Max > 30 {
 		t.Fatalf("band max %g above TDP", b.Max)
 	}
@@ -242,11 +243,11 @@ func TestGenerateLength(t *testing.T) {
 	}
 }
 
-func TestDefaultBandPanicsWhenEmpty(t *testing.T) {
+func TestInvertedBandPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for inverted band")
 		}
 	}()
-	DefaultBand(100, 50)
+	NewGaussianSinusoid(Band{Min: 95, Max: 40}, DefaultHold(), sampleHz, 1)
 }

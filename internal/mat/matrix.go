@@ -1,6 +1,6 @@
 // Package mat provides the dense linear-algebra substrate used by system
 // identification (least-squares ARX fitting) and controller synthesis
-// (Lyapunov and Riccati equations). The paper relied on MATLAB's robust
+// (the discrete Riccati equation). The paper relied on MATLAB's robust
 // control toolbox for these steps; this package implements the numerical
 // kernels needed to perform the same synthesis offline in pure Go.
 //

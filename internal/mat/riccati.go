@@ -80,32 +80,6 @@ func LQRGain(a, b, q, r *Matrix) (*Matrix, error) {
 	return gInv.Mul(bt).Mul(p).Mul(a), nil
 }
 
-// SolveDiscreteLyapunov solves P = A P Aᵀ + Q by the fixed-point iteration
-// with squaring (doubling): it converges quadratically when A is Schur
-// stable (spectral radius < 1).
-func SolveDiscreteLyapunov(a, q *Matrix, tol float64, maxIter int) (*Matrix, error) {
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	if maxIter <= 0 {
-		maxIter = 200
-	}
-	p := q.Clone()
-	ak := a.Clone()
-	for iter := 0; iter < maxIter; iter++ {
-		term := ak.Mul(p).Mul(ak.T())
-		next := p.Add(term)
-		ak = ak.Mul(ak)
-		diff := term.MaxAbs()
-		scale := 1 + p.MaxAbs()
-		p = next
-		if diff/scale < tol {
-			return p, nil
-		}
-	}
-	return nil, ErrNoConverge
-}
-
 // SpectralRadius returns the largest eigenvalue magnitude of a square
 // matrix. Small matrices (every system in this repository) use the exact
 // QR eigenvalue solver; larger ones fall back to Gelfand's formula

@@ -74,19 +74,6 @@ func TestLQRGainStabilizes(t *testing.T) {
 	}
 }
 
-func TestSolveDiscreteLyapunov(t *testing.T) {
-	a := FromRows([][]float64{{0.5, 0.1}, {0, 0.3}})
-	q := Identity(2)
-	p, err := SolveDiscreteLyapunov(a, q, 1e-13, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rhs := a.Mul(p).Mul(a.T()).Add(q)
-	if !p.Equal(rhs, 1e-9) {
-		t.Fatalf("Lyapunov residual:\nP=\n%vRHS=\n%v", p, rhs)
-	}
-}
-
 func TestSpectralRadiusDiagonal(t *testing.T) {
 	a := Diag([]float64{0.2, -0.7, 0.5})
 	rho := SpectralRadius(a)

@@ -110,7 +110,7 @@ type TenantSpec struct {
 	// seed Seed.
 	Index int `json:"index,omitempty"`
 	// Seconds is the recorded duration (default 20); MaxTicks overrides
-	// it when positive. The recorded run is at most 1<<20 ticks.
+	// it when positive. The recorded run is 1 to 1<<20 ticks.
 	Seconds  float64 `json:"seconds,omitempty"`
 	MaxTicks int     `json:"max_ticks,omitempty"`
 	// WarmupTicks is the unrecorded warmup (default 2000, mayactl's
@@ -258,12 +258,14 @@ func (sp TenantSpec) normalize() TenantSpec {
 // holding its shard in warmup indefinitely.
 const maxSpecTicks = 1 << 20
 
-// resolve validates a normalized spec: run lengths within maxSpecTicks,
-// names against the registries.
+// resolve validates a normalized spec: a recorded run of 1 to maxSpecTicks
+// ticks, a warmup of at most maxSpecTicks, names against the registries.
 func (sp TenantSpec) resolve() (sim.Config, defense.Kind, fault.Plan, error) {
 	switch {
 	case !(sp.Seconds*1000 <= maxSpecTicks): // negated so NaN fails too
 		return sim.Config{}, 0, fault.Plan{}, fmt.Errorf("seconds %g exceeds the %d-tick limit", sp.Seconds, maxSpecTicks)
+	case sp.MaxTicks <= 0: // a Seconds under one tick converts to 0 ticks
+		return sim.Config{}, 0, fault.Plan{}, fmt.Errorf("seconds %g is shorter than one tick", sp.Seconds)
 	case sp.MaxTicks > maxSpecTicks:
 		return sim.Config{}, 0, fault.Plan{}, fmt.Errorf("max_ticks %d exceeds the %d-tick limit", sp.MaxTicks, maxSpecTicks)
 	case sp.WarmupTicks > maxSpecTicks:

@@ -320,10 +320,3 @@ func MapN[U any](ctx context.Context, opts Options, n int, fn func(ctx context.C
 	}
 	return values, firstErr
 }
-
-// Map applies fn to every item across the pool, preserving item order.
-func Map[T, U any](ctx context.Context, opts Options, items []T, fn func(ctx context.Context, i int, item T, r *rng.Stream) (U, error)) ([]U, error) {
-	return MapN(ctx, opts, len(items), func(ctx context.Context, i int, r *rng.Stream) (U, error) {
-		return fn(ctx, i, items[i], r)
-	})
-}

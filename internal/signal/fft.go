@@ -2,8 +2,8 @@
 // attacker pipeline and the evaluation harness: FFT and magnitude spectra
 // (the frequency-domain view of masks and power traces, Fig 4), summary
 // statistics (the box plots of Fig 7/13), quantization and one-hot encoding
-// (the MLP input pipeline of §VI-A), resampling (the attacker sampling-rate
-// sweep of Fig 12), and trace averaging/correlation (§VII-B).
+// (the MLP input pipeline of §VI-A), and trace averaging/correlation
+// (§VII-B).
 package signal
 
 import (
@@ -54,15 +54,6 @@ func FFTReal(x []float64) []complex128 {
 	return out
 }
 
-// Magnitude returns |X[k]| for each bin of a spectrum.
-func Magnitude(spec []complex128) []float64 {
-	out := make([]float64, len(spec))
-	for i, c := range spec {
-		out[i] = cmplx.Abs(c)
-	}
-	return out
-}
-
 // Spectrum computes the one-sided magnitude spectrum of a real signal
 // sampled at sampleHz, after removing the DC mean (as the paper's Fig 4
 // does implicitly: the plots show activity structure, not the offset).
@@ -95,34 +86,6 @@ func Spectrum(x []float64, sampleHz float64) (freqs, mags []float64) {
 		mags[half-1] /= 2
 	}
 	return freqs, mags
-}
-
-// SpectralSpread measures how widely spectral energy is distributed:
-// it returns the fraction of bins (excluding DC) whose magnitude exceeds
-// 10% of the peak magnitude. Broad-spectrum signals (Gaussian noise) score
-// high; pure tones score near zero. Used to verify Table II's
-// "Spread" column.
-func SpectralSpread(mags []float64) float64 {
-	if len(mags) <= 1 {
-		return 0
-	}
-	m := mags[1:]
-	peak := 0.0
-	for _, v := range m {
-		if v > peak {
-			peak = v
-		}
-	}
-	if peak == 0 { //nolint:maya/floateq all-zero spectrum guard before normalization
-		return 0
-	}
-	count := 0
-	for _, v := range m {
-		if v > 0.1*peak {
-			count++
-		}
-	}
-	return float64(count) / float64(len(m))
 }
 
 // SpectralFlatness returns the Wiener entropy of a magnitude spectrum

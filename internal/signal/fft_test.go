@@ -145,20 +145,20 @@ func TestSpectralSpreadAndPeaks(t *testing.T) {
 	r := rng.New(5)
 	n := 1000
 	sampleHz := 50.0
-	// White noise: high spread, no strong narrow peaks.
+	// White noise: a flat spectrum, no strong narrow peaks.
 	noise := make([]float64, n)
 	for i := range noise {
 		noise[i] = r.NormFloat64()
 	}
 	_, nm := Spectrum(noise, sampleHz)
-	// Pure tone: low spread, at least one peak.
+	// Pure tone: a tonal spectrum with at least one peak.
 	tone := make([]float64, n)
 	for i := range tone {
 		tone[i] = math.Sin(2 * math.Pi * 8 * float64(i) / sampleHz)
 	}
 	_, tm := Spectrum(tone, sampleHz)
-	if SpectralSpread(nm) < 5*SpectralSpread(tm) {
-		t.Fatalf("noise spread %g should dwarf tone spread %g", SpectralSpread(nm), SpectralSpread(tm))
+	if SpectralFlatness(nm) < 5*SpectralFlatness(tm) {
+		t.Fatalf("noise flatness %g should dwarf tone flatness %g", SpectralFlatness(nm), SpectralFlatness(tm))
 	}
 	if SpectralPeaks(tm) < 1 {
 		t.Fatal("tone should register a spectral peak")

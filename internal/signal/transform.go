@@ -1,9 +1,6 @@
 package signal
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // AverageBlocks replaces each group of k consecutive samples with its mean,
 // dropping the trailing partial block. The paper's attacker averages 5
@@ -81,39 +78,6 @@ func OneHot(levels []int, numLevels int) []float64 {
 	return out
 }
 
-// Resample converts a signal sampled at fromPeriod to one sampled at
-// toPeriod by zero-order hold (sample-and-hold), matching how an attacker
-// polling a counter at a different interval than the defender would observe
-// it. Periods are in the same (arbitrary) time unit.
-func Resample(x []float64, fromPeriod, toPeriod float64) []float64 {
-	if fromPeriod <= 0 || toPeriod <= 0 {
-		panic("signal: Resample with non-positive period")
-	}
-	if len(x) == 0 {
-		return nil
-	}
-	total := float64(len(x)) * fromPeriod
-	// Truncation guard: for exact-multiple ratios the division can land
-	// just below an integer (1.0/0.1 evaluates below 10), which would drop
-	// the final sample. The epsilon is relative so long traces stay covered.
-	ratio := total / toPeriod
-	n := int(ratio + 1e-9*(1+ratio))
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		t := float64(i) * toPeriod
-		// Same truncation guard as above: an output time landing exactly on
-		// an input sample boundary must take that sample, not its
-		// predecessor (int(2.1/0.7) evaluates to 2 in float64).
-		q := t / fromPeriod
-		idx := int(q + 1e-9*(1+q))
-		if idx >= len(x) {
-			idx = len(x) - 1
-		}
-		out[i] = x[idx]
-	}
-	return out
-}
-
 // Windows slices x into non-overlapping windows of the given length,
 // dropping a trailing partial window.
 func Windows(x []float64, length int) [][]float64 {
@@ -156,33 +120,6 @@ func AverageTraces(traces [][]float64) []float64 {
 	return out
 }
 
-// Detrend removes the best-fit line from x in place and returns x.
-func Detrend(x []float64) []float64 {
-	n := len(x)
-	if n < 2 {
-		return x
-	}
-	// Least-squares line fit: closed form for t = 0..n-1.
-	var sy, sty float64
-	for i, v := range x {
-		sy += v
-		sty += float64(i) * v
-	}
-	fn := float64(n)
-	st := fn * (fn - 1) / 2
-	stt := fn * (fn - 1) * (2*fn - 1) / 6
-	den := fn*stt - st*st
-	if den == 0 { //nolint:maya/floateq zero-denominator guard for a degenerate window
-		return x
-	}
-	slope := (fn*sty - st*sy) / den
-	inter := (sy - slope*st) / fn
-	for i := range x {
-		x[i] -= inter + slope*float64(i)
-	}
-	return x
-}
-
 // MovingAverage returns the centered moving average of x with the given
 // window (window is clipped at the edges).
 func MovingAverage(x []float64, window int) []float64 {
@@ -209,9 +146,4 @@ func MovingAverage(x []float64, window int) []float64 {
 		out[i] = s / float64(hi-lo)
 	}
 	return out
-}
-
-// Clamp limits v to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	return math.Max(lo, math.Min(hi, v))
 }

@@ -89,96 +89,6 @@ func TestOneHot(t *testing.T) {
 	}
 }
 
-func TestResampleIdentity(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	got := Resample(x, 20, 20)
-	if len(got) != 4 {
-		t.Fatalf("identity resample len=%d", len(got))
-	}
-	for i := range got {
-		if got[i] != x[i] {
-			t.Fatalf("identity resample changed values: %v", got)
-		}
-	}
-}
-
-func TestResampleDownUp(t *testing.T) {
-	// 20 ms → 50 ms: every sample covers 2.5 input samples (zero-order hold).
-	x := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	down := Resample(x, 20, 50)
-	if len(down) != 4 {
-		t.Fatalf("down len=%d want 4", len(down))
-	}
-	if down[0] != 1 || down[1] != 3 || down[2] != 6 || down[3] != 8 {
-		t.Fatalf("down=%v", down)
-	}
-	// 20 ms → 10 ms: each input sample appears twice.
-	up := Resample(x[:3], 20, 10)
-	if len(up) != 6 || up[0] != 1 || up[1] != 1 || up[2] != 2 {
-		t.Fatalf("up=%v", up)
-	}
-}
-
-func TestResampleExactMultipleKeepsFinalSample(t *testing.T) {
-	// 6 samples at a 0.7 ms period cover 4.2 ms; resampling at the same
-	// period must return all 6 points. Pre-fix, int((6*0.7)/0.7) evaluated
-	// to 5 in float64 and dropped the final sample.
-	x := make([]float64, 6)
-	for i := range x {
-		x[i] = float64(i)
-	}
-	got := Resample(x, 0.7, 0.7)
-	if len(got) != 6 {
-		t.Fatalf("identity resample len=%d want 6", len(got))
-	}
-	for i := range got {
-		if got[i] != x[i] {
-			t.Fatalf("sample %d changed: %v", i, got)
-		}
-	}
-	// Exact 2:1 downsample with the same awkward period: 48 samples at
-	// 0.7 ms resampled at 1.4 ms must give 24, not the pre-fix 23.
-	y := make([]float64, 48)
-	down := Resample(y, 0.7, 1.4)
-	if len(down) != 24 {
-		t.Fatalf("2:1 resample len=%d want 24", len(down))
-	}
-}
-
-func TestResampleNonMultipleTruncates(t *testing.T) {
-	// 10 samples at 20 ms cover 200 ms; at a 60 ms period only 3 full
-	// output samples fit — a non-multiple ratio still truncates, it is not
-	// rounded up.
-	x := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	got := Resample(x, 20, 60)
-	if len(got) != 3 {
-		t.Fatalf("non-multiple resample len=%d want 3", len(got))
-	}
-	if got[0] != 1 || got[1] != 4 || got[2] != 7 {
-		t.Fatalf("non-multiple resample=%v", got)
-	}
-}
-
-func TestResampleCountProperty(t *testing.T) {
-	// For any k·fromPeriod = toPeriod with integer k, the output length is
-	// exactly len(x)/k rounded the mathematical way, never one short.
-	f := func(seed uint64, kRaw uint8) bool {
-		k := int(kRaw)%5 + 1
-		r := rng.New(seed)
-		n := 20 + int(seed%37)
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = r.Float64()
-		}
-		from := 0.1 * (1 + float64(seed%7))
-		got := Resample(x, from, from*float64(k))
-		return len(got) == n/k
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestWindows(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5}
 	w := Windows(x, 2)
@@ -204,20 +114,6 @@ func TestAverageTraces(t *testing.T) {
 	}
 }
 
-func TestDetrendRemovesLine(t *testing.T) {
-	n := 100
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = 3 + 0.5*float64(i)
-	}
-	Detrend(x)
-	for i, v := range x {
-		if math.Abs(v) > 1e-9 {
-			t.Fatalf("residual %g at %d", v, i)
-		}
-	}
-}
-
 func TestMovingAverageConstant(t *testing.T) {
 	x := []float64{5, 5, 5, 5, 5}
 	got := MovingAverage(x, 3)
@@ -225,11 +121,5 @@ func TestMovingAverageConstant(t *testing.T) {
 		if v != 5 {
 			t.Fatalf("moving average of constant changed: %v", got)
 		}
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
-		t.Fatal("Clamp broken")
 	}
 }

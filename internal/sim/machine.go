@@ -205,7 +205,6 @@ type Machine struct {
 
 	tick    int64
 	energyJ float64 // true cumulative core-domain energy
-	wallW   float64 // last tick's wall (outlet) power
 	tempC   float64
 
 	// OS background activity: occasional housekeeping bursts (timers,
@@ -269,15 +268,11 @@ func (m *Machine) Reset(seed uint64) {
 	m.eff = m.cmd
 	m.tick = 0
 	m.energyJ = 0
-	m.wallW = 0
 	m.tempC = m.cfg.AmbientC
 }
 
 // Config returns the machine's configuration.
 func (m *Machine) Config() Config { return m.cfg }
-
-// Knobs returns the machine's actuator set.
-func (m *Machine) Knobs() actuator.Set { return m.knobs }
 
 // SetInputs commands new actuator settings; values are quantized to the
 // legal ladders. The settings take effect gradually (first-order lag).
@@ -319,9 +314,6 @@ func (m *Machine) EnergyJ() float64 {
 
 // TrueEnergyJ returns the unquantized energy (for tests and accounting).
 func (m *Machine) TrueEnergyJ() float64 { return m.energyJ }
-
-// WallPowerW returns the instantaneous wall (outlet) power of the last tick.
-func (m *Machine) WallPowerW() float64 { return m.wallW }
 
 // TemperatureC returns the current package temperature.
 func (m *Machine) TemperatureC() float64 { return m.tempC }
@@ -426,13 +418,13 @@ func (m *Machine) Step(w workload.Workload) StepResult {
 	}
 
 	m.energyJ += power * dt
-	m.wallW = (power + m.cfg.RestOfSystemW) / m.cfg.PSUEfficiency
+	wallW := (power + m.cfg.RestOfSystemW) / m.cfg.PSUEfficiency
 	// First-order thermal response toward ambient + R·P.
 	target := m.cfg.AmbientC + m.cfg.ThermalRes*power
 	m.tempC = lag(m.tempC, target, dt, m.cfg.ThermalTau)
 
 	m.tick++
-	return StepResult{PowerW: power, WallW: m.wallW, WorkDone: workDone, Finished: finished, TempC: m.tempC}
+	return StepResult{PowerW: power, WallW: wallW, WorkDone: workDone, Finished: finished, TempC: m.tempC}
 }
 
 // lag advances a first-order filter toward target with time constant tau.

@@ -142,10 +142,9 @@ func Run(m *Machine, w workload.Workload, p Policy, spec RunSpec) RunResult {
 }
 
 // RecordDemands executes w on a fresh baseline machine for the given number
-// of ticks and returns the demand offered at each tick. Unlike
-// workload.Record (which samples demands without running them), this
-// captures phase progression: the trace reflects the workload as a real
-// profiler would see it executing at full speed.
+// of ticks and returns the demand offered at each tick. Because the machine
+// runs the workload, the trace captures phase progression: it reflects the
+// workload as a real profiler would see it executing at full speed.
 func RecordDemands(cfg Config, w workload.Workload, ticks int, seed uint64) []workload.Demand {
 	m := NewMachine(cfg, seed)
 	out := make([]workload.Demand, 0, ticks)

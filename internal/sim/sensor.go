@@ -4,33 +4,7 @@ import (
 	"math"
 
 	"github.com/maya-defense/maya/internal/rng"
-	"github.com/maya-defense/maya/internal/telemetry"
 )
-
-// SensorMetrics instruments a power sensor's read path. Attach one to a
-// sensor's Metrics field; a nil field keeps the sensor un-instrumented.
-// Updates are atomic and allocation-free, so several concurrently running
-// sensors may share one instance (the counters then aggregate).
-type SensorMetrics struct {
-	// Reads counts ReadW calls.
-	Reads *telemetry.Counter
-	// LastW holds the most recent reading.
-	LastW *telemetry.Gauge
-	// QuantLossJ (RAPL only) holds the energy still below the counter LSB
-	// at the last read — the quantization residual that appears as noise
-	// when sampling faster than the counter resolves.
-	QuantLossJ *telemetry.Gauge
-}
-
-// NewSensorMetrics registers sensor instruments under the given sensor
-// name (e.g. "rapl", "outlet").
-func NewSensorMetrics(reg *telemetry.Registry, name string) *SensorMetrics {
-	return &SensorMetrics{
-		Reads:      reg.Counter("maya_sensor_"+name+"_reads_total", "sensor reads"),
-		LastW:      reg.Gauge("maya_sensor_"+name+"_last_w", "most recent reading in watts"),
-		QuantLossJ: reg.Gauge("maya_sensor_"+name+"_quant_loss_j", "energy below the counter LSB at the last read"),
-	}
-}
 
 // PowerSensor is the measurement interface shared by the defense controller
 // and the attacker. Observe is fed once per simulator tick; ReadW returns
@@ -63,8 +37,6 @@ type RAPLSensor struct {
 	m     *Machine
 	lastE float64
 	lastT int64
-	// Metrics, when non-nil, instruments the read path.
-	Metrics *SensorMetrics
 }
 
 // NewRAPLSensor attaches a RAPL reader to a machine.
@@ -88,11 +60,6 @@ func (s *RAPLSensor) ReadW() float64 {
 	s.lastE, s.lastT = e, t
 	if p < 0 {
 		p = 0
-	}
-	if s.Metrics != nil {
-		s.Metrics.Reads.Inc()
-		s.Metrics.LastW.Set(p)
-		s.Metrics.QuantLossJ.Set(s.m.TrueEnergyJ() - e)
 	}
 	return p
 }
@@ -124,8 +91,6 @@ type OutletSensor struct {
 	gridState float64
 	gridTau   float64
 	gridStd   float64
-	// Metrics, when non-nil, instruments the read path.
-	Metrics *SensorMetrics
 }
 
 // NewOutletSensor builds an outlet tap for machines with the given config.
@@ -176,10 +141,6 @@ func (s *OutletSensor) ReadW() float64 {
 	rms += s.sensorVarW * s.noise.NormFloat64()
 	if rms < 0 {
 		rms = 0
-	}
-	if s.Metrics != nil {
-		s.Metrics.Reads.Inc()
-		s.Metrics.LastW.Set(rms)
 	}
 	return rms
 }
@@ -237,18 +198,3 @@ func (s *EMSensor) ReadW() float64 {
 	}
 	return v
 }
-
-// TemperatureSensor reads the package temperature; it demonstrates that the
-// thermal side channel is power-derived (§I, [13], [14], [44]) and is used
-// by the thermal-leakage tests.
-type TemperatureSensor struct {
-	m *Machine
-}
-
-// NewTemperatureSensor attaches a thermal reader to a machine.
-func NewTemperatureSensor(m *Machine) *TemperatureSensor {
-	return &TemperatureSensor{m: m}
-}
-
-// ReadC returns the current package temperature in Celsius.
-func (s *TemperatureSensor) ReadC() float64 { return s.m.TemperatureC() }

@@ -96,8 +96,7 @@ func TestOutletTracksLoadChanges(t *testing.T) {
 
 func TestTemperatureSensor(t *testing.T) {
 	m := NewMachine(Sys1(), 6)
-	ts := NewTemperatureSensor(m)
-	if got := ts.ReadC(); got != m.Config().AmbientC {
+	if got := m.TemperatureC(); got != m.Config().AmbientC {
 		t.Fatalf("fresh machine temp %g", got)
 	}
 }

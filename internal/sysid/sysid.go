@@ -206,69 +206,3 @@ func (m *Model) Stable() bool {
 	}
 	return mat.SpectralRadius(comp) < 1
 }
-
-// FitBestOrder fits orders 1..maxOrder and returns the model with the best
-// one-step R² on a held-out validation suffix (the last valFrac of the log).
-func FitBestOrder(y []float64, u [][]float64, maxOrder int, ridge, valFrac float64) (*Model, error) {
-	if valFrac <= 0 || valFrac >= 1 {
-		valFrac = 0.25
-	}
-	split := int(float64(len(y)) * (1 - valFrac))
-	var best *Model
-	bestScore := math.Inf(-1)
-	var lastErr error
-	for order := 1; order <= maxOrder; order++ {
-		trainU := make([][]float64, len(u))
-		for j := range u {
-			trainU[j] = u[j][:split]
-		}
-		m, err := Fit(y[:split], trainU, order, ridge)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		score := validationR2(m, y, u, split)
-		if score > bestScore {
-			best, bestScore = m, score
-		}
-	}
-	if best == nil {
-		if lastErr == nil {
-			lastErr = errors.New("sysid: no order could be fit")
-		}
-		return nil, lastErr
-	}
-	return best, nil
-}
-
-// validationR2 scores one-step predictions on the held-out suffix.
-func validationR2(m *Model, y []float64, u [][]float64, split int) float64 {
-	var sse, sst float64
-	yHist := make([]float64, m.Order)
-	uHist := make([][]float64, m.NumInputs)
-	for j := range uHist {
-		uHist[j] = make([]float64, m.Order)
-	}
-	count := 0
-	for t := split; t < len(y); t++ {
-		if t < m.Order {
-			continue
-		}
-		for i := 0; i < m.Order; i++ {
-			yHist[i] = y[t-1-i]
-			for j := 0; j < m.NumInputs; j++ {
-				uHist[j][i] = u[j][t-1-i]
-			}
-		}
-		p := m.Predict(yHist, uHist)
-		d := y[t] - p
-		sse += d * d
-		dm := y[t] - m.YMean
-		sst += dm * dm
-		count++
-	}
-	if count == 0 || sst == 0 { //nolint:maya/floateq zero-variance guard before division
-		return math.Inf(-1)
-	}
-	return 1 - sse/sst
-}

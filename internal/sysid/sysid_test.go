@@ -137,20 +137,6 @@ func TestSimulateTracksGroundTruth(t *testing.T) {
 	}
 }
 
-func TestFitBestOrderPicksTrueOrder(t *testing.T) {
-	a := []float64{0.8, -0.3}
-	b := [][]float64{{1.0, 0.5}}
-	y, u := synth(4, 4000, a, b, 0.02)
-	m, err := FitBestOrder(y, u, 5, 1e-6, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Order >= true order fits well; an order-1 model can't.
-	if m.Order < 2 {
-		t.Fatalf("picked order %d, want >= 2", m.Order)
-	}
-}
-
 func TestCollectExcitationProducesUsableLog(t *testing.T) {
 	cfg := sim.Sys1()
 	log := CollectExcitation(cfg, TrainingSet(), 7, 20, 12000)

@@ -2,9 +2,9 @@
 // low-overhead metrics registry (counters, gauges, fixed-bucket histograms
 // with Prometheus-style text exposition and JSONL export, plus constant
 // info gauges for build identity), a per-tick flight recorder for the
-// control loop, span-style timing into histograms, and the hierarchical
-// structured tracer ([Tracer]) that attributes a whole pipeline run —
-// suite, runner jobs, engine ticks — span by span.
+// control loop, and the hierarchical structured tracer ([Tracer]) that
+// attributes a whole pipeline run — suite, runner jobs, engine ticks —
+// span by span.
 //
 // The package serves two masters with different constraints:
 //

@@ -34,13 +34,3 @@ func NewInstrLoop(name string, work float64) *Program {
 		{Name: "loop", Work: work, Threads: 6, Activity: act, MemFrac: 0.02, JitterFrac: 0.01},
 	})
 }
-
-// InstrLoops returns fresh instances of all three instruction loops with
-// the given per-loop work.
-func InstrLoops(work float64) []*Program {
-	out := make([]*Program, len(InstrNames))
-	for i, n := range InstrNames {
-		out[i] = NewInstrLoop(n, work)
-	}
-	return out
-}

@@ -125,12 +125,3 @@ func NewApp(name string) *Program {
 		panic("workload: unknown application " + name)
 	}
 }
-
-// Apps returns fresh instances of all eleven applications in label order.
-func Apps() []*Program {
-	out := make([]*Program, len(AppNames))
-	for i, n := range AppNames {
-		out[i] = NewApp(n)
-	}
-	return out
-}

@@ -116,13 +116,3 @@ func ReadDemandsCSV(r io.Reader) ([]Demand, error) {
 	}
 	return out, nil
 }
-
-// Record captures a program's demand trace for n ticks (useful to convert a
-// phase program into a replayable trace, or for golden tests).
-func Record(w Workload, n int) []Demand {
-	out := make([]Demand, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, w.Demand())
-	}
-	return out
-}

@@ -90,7 +90,10 @@ func TestRecordThenReplayMatchesProgram(t *testing.T) {
 	// demand sequence (programs are deterministic given a seed).
 	p := NewApp("streamcluster")
 	p.Reset(4)
-	rec := Record(p, 500)
+	rec := make([]Demand, 500)
+	for i := range rec {
+		rec[i] = p.Demand()
+	}
 	rp := NewReplay("streamcluster", rec, false)
 	p2 := NewApp("streamcluster")
 	p2.Reset(4)

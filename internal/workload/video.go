@@ -72,12 +72,3 @@ func NewVideo(name string) *Program {
 	})
 	return NewProgram("video/"+name, phases)
 }
-
-// Videos returns fresh instances of all four video encodes in label order.
-func Videos() []*Program {
-	out := make([]*Program, len(VideoNames))
-	for i, n := range VideoNames {
-		out[i] = NewVideo(n)
-	}
-	return out
-}

@@ -70,12 +70,3 @@ func NewPage(name string) *Program {
 			TimeOsc: &TimeOscillation{Amp: s.timerAmp, PeriodSec: s.timerSec, JitterFrac: 0.12}, JitterFrac: 0.08},
 	})
 }
-
-// Pages returns fresh instances of all seven webpage visits in label order.
-func Pages() []*Program {
-	out := make([]*Program, len(PageNames))
-	for i, n := range PageNames {
-		out[i] = NewPage(n)
-	}
-	return out
-}

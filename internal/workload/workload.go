@@ -204,10 +204,6 @@ func (p *Program) Progress() float64 {
 	return completed / p.total
 }
 
-// Clone returns an independent copy of the program in its reset state.
-// The immutable base phase table is shared; per-run state is not.
-func (p *Program) Clone() *Program { return NewProgram(p.name, p.phases) }
-
 // Scale returns a copy of the program with all phase work multiplied by s,
 // so tests can run miniature versions of the paper-scale workloads.
 func (p *Program) Scale(s float64) *Program {

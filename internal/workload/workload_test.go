@@ -124,14 +124,14 @@ func TestScale(t *testing.T) {
 }
 
 func TestAllAppsConstructible(t *testing.T) {
-	apps := Apps()
-	if len(apps) != 11 {
-		t.Fatalf("want 11 apps, got %d", len(apps))
+	if len(AppNames) != 11 {
+		t.Fatalf("want 11 apps, got %d", len(AppNames))
 	}
 	names := map[string]bool{}
-	for i, a := range apps {
-		if a.Name() != AppNames[i] {
-			t.Fatalf("order mismatch at %d", i)
+	for _, n := range AppNames {
+		a := NewApp(n)
+		if a.Name() != n {
+			t.Fatalf("NewApp(%q) is named %q", n, a.Name())
 		}
 		if names[a.Name()] {
 			t.Fatalf("duplicate app %s", a.Name())
@@ -144,15 +144,28 @@ func TestAllAppsConstructible(t *testing.T) {
 }
 
 func TestVideosAndPagesAndInstrs(t *testing.T) {
-	if len(Videos()) != 4 {
+	if len(VideoNames) != 4 {
 		t.Fatal("want 4 videos")
 	}
-	if len(Pages()) != 7 {
+	for _, n := range VideoNames {
+		if v := NewVideo(n); v.TotalWork() <= 0 {
+			t.Fatalf("video %s has no work", n)
+		}
+	}
+	if len(PageNames) != 7 {
 		t.Fatal("want 7 pages")
 	}
-	loops := InstrLoops(50)
-	if len(loops) != 3 {
+	for _, n := range PageNames {
+		if p := NewPage(n); p.TotalWork() <= 0 {
+			t.Fatalf("page %s has no work", n)
+		}
+	}
+	if len(InstrNames) != 3 {
 		t.Fatal("want 3 instruction loops")
+	}
+	loops := make([]*Program, len(InstrNames))
+	for i, n := range InstrNames {
+		loops[i] = NewInstrLoop(n, 50)
 	}
 	// PLATYPUS premise: activity ordering imul > mov > xor.
 	if !(loops[0].Demand().Activity > loops[1].Demand().Activity &&
@@ -166,7 +179,8 @@ func TestAppSignaturesDistinct(t *testing.T) {
 	// total work) so that baseline traces are distinguishable.
 	type sig struct{ act, mem, work float64 }
 	sigs := map[string]sig{}
-	for _, a := range Apps() {
+	for _, n := range AppNames {
+		a := NewApp(n)
 		d := a.Demand()
 		// advance into the dominant (largest) phase: just advance 30%
 		a.Advance(0.3 * a.TotalWork())
