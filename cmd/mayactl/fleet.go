@@ -44,6 +44,9 @@ func runFleet(o fleetOpts) error {
 		BaseSeed:    o.seed,
 		WarmupTicks: 2000,
 		MaxTicks:    int(o.seconds * 1000),
+		// The summary, CSV and flight trace are period-level; nothing
+		// here reads per-tick power.
+		SkipTickTraces: true,
 	}
 	if o.workload != "idle" {
 		name, scale := o.workload, o.scale

@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"testing"
 
@@ -210,4 +211,85 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(b[i:])
+}
+
+// TestSkipTickTracesChangesNothingElse pins fleet.Spec.SkipTickTraces:
+// with it set, TickPowerW and TickWallW are nil and every other result
+// field — period trace, inputs, targets, energy, seconds, finish tick,
+// first step, fault stats and flight JSONL — equals the recording run's
+// bit for bit, over a full run and over an early Results call, which
+// returns a prefix. The cases are a faulted Maya fleet whose warmup and
+// run end mid-period, and a non-Maya fleet on another machine.
+func TestSkipTickTracesChangesNothingElse(t *testing.T) {
+	cases := []Case{
+		{Name: "gs/kitchen-sink", Config: sim.Sys1(), Kind: defense.MayaGS, Tenants: 3,
+			Ticks: 390, Warmup: 110, Seed: 0x5c1, Plan: kitchenSink(t), Scale: 0.02, Flight: 64, Guard: true},
+		{Name: "random", Config: sim.Sys2(), Kind: defense.RandomInputs, Tenants: 3,
+			Ticks: 400, Warmup: 40, Seed: 0x5c2, Scale: 0.02},
+	}
+	// run steps periods control periods (all of them when negative), then
+	// takes the results, each flight recorder flushed into flights.
+	run := func(c Case, skip bool, periods int) (res []fleet.TenantResult, flights [][]byte) {
+		spec, err := c.spec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.SkipTickTraces = skip
+		e := fleet.New(spec)
+		e.Start()
+		for p, more := 0, true; more && p != periods; p++ {
+			more = e.StepPeriod()
+		}
+		res = e.Results()
+		flights = make([][]byte, len(res))
+		for i := range res {
+			if f := res[i].Flight; f != nil {
+				var buf bytes.Buffer
+				if err := f.Flush(&buf); err != nil {
+					t.Fatal(err)
+				}
+				flights[i], res[i].Flight = buf.Bytes(), nil
+			}
+		}
+		return res, flights
+	}
+	for _, c := range cases {
+		for _, periods := range []int{-1, 7} {
+			c, periods := c, periods
+			name := c.Name + "/full"
+			if periods >= 0 {
+				name = c.Name + "/early"
+			}
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				want, wantFlights := run(c, false, periods)
+				got, gotFlights := run(c, true, periods)
+				ticks := c.Ticks
+				if periods >= 0 {
+					ticks = periods * 20
+				}
+				for i := range want {
+					w, g := want[i], got[i]
+					if len(w.TickPowerW) != ticks || len(w.TickWallW) != ticks {
+						t.Fatalf("tenant %d: recording run kept %d/%d ticks, want %d",
+							i, len(w.TickPowerW), len(w.TickWallW), ticks)
+					}
+					if g.TickPowerW != nil || g.TickWallW != nil {
+						t.Fatalf("tenant %d: skipping run kept %d/%d ticks", i, len(g.TickPowerW), len(g.TickWallW))
+					}
+					if math.Float64bits(g.Seconds) != math.Float64bits(w.Seconds) ||
+						math.Float64bits(w.Seconds) != math.Float64bits(float64(ticks)*c.Config.TickSeconds) {
+						t.Fatalf("tenant %d: seconds %v, recording run %v, over %d ticks", i, g.Seconds, w.Seconds, ticks)
+					}
+					w.TickPowerW, w.TickWallW = nil, nil
+					if err := diffTenant(scalarTenant{res: w.RunResult, targets: w.Targets, stats: w.Stats}, g); err != nil {
+						t.Fatalf("tenant %d: %v", i, err)
+					}
+					if !bytes.Equal(gotFlights[i], wantFlights[i]) {
+						t.Fatalf("tenant %d: flight records differ:\n%s", i, firstDiffLine(wantFlights[i], gotFlights[i]))
+					}
+				}
+			})
+		}
+	}
 }

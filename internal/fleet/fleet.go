@@ -84,6 +84,12 @@ type Spec struct {
 	// warmup, then the recorded run.
 	WarmupTicks int
 	MaxTicks    int
+	// SkipTickTraces leaves every result's TickPowerW and TickWallW nil.
+	// The per-tick traces cost two floats per tenant per tick and serve
+	// only callers that read ground truth tick by tick (the differential
+	// harness, tests); a caller that keeps the period-level trace sets it.
+	// Every other result field is unchanged.
+	SkipTickTraces bool
 }
 
 // TenantResult is one tenant's view of a fleet run: exactly the
@@ -474,7 +480,8 @@ type machinePhase struct {
 	ws      []workload.Workload
 	tick, n int
 	rec     bool
-	ranges  int // the bank splits into this many contiguous tenant ranges
+	ticks   bool // rec, and the per-tick traces are kept (Spec.SkipTickTraces)
+	ranges  int  // the bank splits into this many contiguous tenant ranges
 }
 
 // stepMachines runs n machine ticks of every tenant, tenant t running
@@ -487,7 +494,10 @@ type machinePhase struct {
 // never shows in a result.
 func (e *Engine) stepMachines(ws []workload.Workload, tick, n int, rec bool) {
 	workers := max(1, min(runtime.GOMAXPROCS(0), e.spec.Tenants/minTenantsPerWorker))
-	e.phase = machinePhase{ws: ws, tick: tick, n: n, rec: rec, ranges: workers}
+	e.phase = machinePhase{
+		ws: ws, tick: tick, n: n, rec: rec,
+		ticks: rec && !e.spec.SkipTickTraces, ranges: workers,
+	}
 	e.nextRange.Store(0)
 	for w := 1; w < workers; w++ {
 		e.wg.Add(1)
@@ -532,8 +542,10 @@ func (e *Engine) stepRange(lo, hi int) {
 				if !p.rec || e.dead[t] {
 					continue
 				}
-				res[t].TickPowerW = append(res[t].TickPowerW, r.PowerW)
-				res[t].TickWallW = append(res[t].TickWallW, r.WallW)
+				if p.ticks {
+					res[t].TickPowerW = append(res[t].TickPowerW, r.PowerW)
+					res[t].TickWallW = append(res[t].TickWallW, r.WallW)
+				}
 				if r.Finished && res[t].FinishedTick < 0 {
 					res[t].FinishedTick = int64(p.tick+k) + 1
 				}
@@ -560,7 +572,7 @@ func (e *Engine) Results() []TenantResult {
 			continue
 		}
 		res[t].EnergyJ = e.bank.Machine(t).TrueEnergyJ() - e.startEnergy[t]
-		res[t].Seconds = float64(len(res[t].TickPowerW)) * e.spec.Config.TickSeconds
+		res[t].Seconds = float64(e.tick) * e.spec.Config.TickSeconds
 		if e.engines != nil {
 			res[t].Targets = e.engines[t].Targets
 			res[t].Flight = e.engines[t].Flight()

@@ -22,7 +22,10 @@ type Metrics struct {
 	// phase (every tenant's ticks of the period with their sensor
 	// observations and trace recording; wall time, however many
 	// goroutines share it), the per-tenant sensor reads, the batched
-	// control decision, and the batched actuator commit.
+	// control decision, and the batched actuator commit. Engines that
+	// share a registry add into the same counters; in mayad, whose banks
+	// step at the same time on parallel workers, the counters therefore
+	// measure busy time summed over banks and can exceed elapsed time.
 	MachineNs *telemetry.Counter
 	SenseNs   *telemetry.Counter
 	ControlNs *telemetry.Counter

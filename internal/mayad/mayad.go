@@ -13,12 +13,26 @@
 // fleet.TenantSeeds(S, I) via Spec.SeedAt, so neither scheduling order
 // nor co-residency can leak into a tenant's samples.
 //
+// Each shard advances its banks in scheduler passes of one control
+// period. A pass fans the banks out over min(GOMAXPROCS, banks) workers,
+// each claiming one bank at a time: it starts a new bank (the unrecorded
+// warmup), steps it one period, publishes its tenants' progress, and once
+// the run is over reads the results and flushes the flight JSONL. The
+// rest stays serial on the shard goroutine: admission, eviction and drain
+// commands, design lookup, every Server.mu state transition (published
+// after the join, in bank order), and dropping finished banks. Banks share
+// only atomic counters and read-only designs, so the fan-out, like the
+// shard count, never shows in a trace; a bank with many tenants still
+// fans its own machine ticks out inside the fleet engine. Banks record
+// period-level traces only (fleet.Spec.SkipTickTraces).
+//
 // The daemon degrades under load instead of falling over: admissions pass
 // through bounded per-shard queues and a MaxTenants cap, and excess
 // requests are shed with 503 + Retry-After (counted in
 // mayad_admission_shed_total). Shutdown is a graceful drain: shards stop
-// at a period boundary, in-flight banks finalize into bit-identical
-// prefixes of their full runs, and tenant traces are spooled to disk.
+// at a period boundary, in-flight banks are collected, in parallel, into
+// bit-identical prefixes of their full runs, and tenant traces are
+// spooled to disk.
 package mayad
 
 import (
@@ -27,6 +41,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/maya-defense/maya/internal/core"
@@ -41,9 +56,9 @@ import (
 
 // Config sizes the daemon.
 type Config struct {
-	// Shards is the number of scheduler workers (default 1). Tenants are
-	// assigned round-robin; per-tenant determinism makes the count
-	// unobservable in any trace.
+	// Shards is the number of schedulers (default 1), each with its own
+	// banks and passes. Tenants are assigned round-robin; per-tenant
+	// determinism makes the count unobservable in any trace.
 	Shards int
 	// MaxTenants caps tenants resident in the daemon (queued + running);
 	// admissions beyond it are shed with 503 (default 64).
@@ -146,12 +161,15 @@ type tenant struct {
 
 	state string
 	err   string
-	// res holds the finished result (done/drained); TickPowerW/TickWallW
-	// are released to bound resident memory.
+	// res holds the finished result (done/drained).
 	res fleet.TenantResult
-	// flight is the tenant's flight trace, flushed to JSONL bytes at
-	// finalization.
+	// flight is the tenant's flight trace, flushed to JSONL bytes when
+	// its bank's run ends.
 	flight []byte
+	// tick is the recorded run's progress in machine ticks. The pass
+	// worker stepping the tenant's bank stores it after every period and
+	// status readers load it, so neither takes Server.mu for it.
+	tick atomic.Int64
 }
 
 // Server is the daemon: admission control, the sharded scheduler, and the
@@ -384,7 +402,8 @@ type TenantStatus struct {
 	Shard int        `json:"shard"`
 	Spec  TenantSpec `json:"spec"`
 	Error string     `json:"error,omitempty"`
-	// Progress of the recorded run, in machine ticks.
+	// Tick is the recorded run's progress in machine ticks, updated after
+	// every control period the tenant's bank steps.
 	Tick     int `json:"tick"`
 	MaxTicks int `json:"max_ticks"`
 	// Result summary, present once state is done or drained.
@@ -397,14 +416,10 @@ type TenantStatus struct {
 func (s *Server) statusLocked(tn *tenant) TenantStatus {
 	st := TenantStatus{
 		ID: tn.id, State: tn.state, Shard: tn.shard, Spec: tn.spec,
-		Error: tn.err, MaxTicks: tn.spec.MaxTicks,
+		Error: tn.err, Tick: int(tn.tick.Load()), MaxTicks: tn.spec.MaxTicks,
 	}
 	switch tn.state {
 	case StateDone, StateDrained:
-		st.Tick = len(tn.res.DefenseSamples) * PeriodTicks
-		if st.Tick > st.MaxTicks {
-			st.Tick = st.MaxTicks
-		}
 		st.EnergyJ = tn.res.EnergyJ
 		st.Seconds = tn.res.Seconds
 		st.FinishedTick = tn.res.FinishedTick
@@ -543,7 +558,7 @@ func (s *Server) DrainSpill() []SpillSample {
 }
 
 // Drain stops the daemon gracefully: new admissions shed with 503, every
-// shard finalizes its banks at the next period boundary (tenant results
+// shard collects its banks at the next period boundary (tenant results
 // become bit-identical prefixes of their full runs), and finished traces
 // are spooled to Config.SpoolDir. Idempotent; blocks until the shards
 // have exited and the spool is flushed.

@@ -132,19 +132,27 @@ func (d *dbgServer) close() {
 	d.srv.Wait()
 }
 
+// status GETs tenant id's status.
+func status(t *testing.T, base string, id int) mayad.TenantStatus {
+	t.Helper()
+	code, body := get(t, fmt.Sprintf("%s/tenants/%d", base, id))
+	if code != http.StatusOK {
+		t.Fatalf("status %d for tenant %d: %s", code, id, body)
+	}
+	var st mayad.TenantStatus
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // waitState polls a tenant's status until it reaches one of the wanted
 // states (1 ms cadence, bounded tries).
 func waitState(t *testing.T, base string, id int, want ...string) mayad.TenantStatus {
 	t.Helper()
 	var st mayad.TenantStatus
 	for tries := 0; tries < 20000; tries++ {
-		code, body := get(t, fmt.Sprintf("%s/tenants/%d", base, id))
-		if code != http.StatusOK {
-			t.Fatalf("status %d for tenant %d: %s", code, id, body)
-		}
-		if err := json.Unmarshal(body, &st); err != nil {
-			t.Fatal(err)
-		}
+		st = status(t, base, id)
 		for _, w := range want {
 			if st.State == w {
 				return st
@@ -488,7 +496,7 @@ func TestOversizedRunsRejected(t *testing.T) {
 
 	for _, body := range []string{
 		`{"seconds": 1e300}`,              // overflows int when converted to ticks
-		`{"max_ticks": 2000000000}`,       // ≈32 GB of per-tick traces
+		`{"max_ticks": 2000000000}`,       // ≈4 GB of period-level traces
 		`{"warmup_ticks": 1099511627776}`, // holds the shard in warmup
 	} {
 		resp, err := http.Post(ts.URL+"/tenants", "application/json", strings.NewReader(body))

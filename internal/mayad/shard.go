@@ -2,7 +2,10 @@ package mayad
 
 import (
 	"bytes"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/maya-defense/maya/internal/core"
@@ -43,14 +46,25 @@ func (tn *tenant) key() bankKey {
 }
 
 // bank is one fleet engine in flight plus the tenants in its slots.
+// Between passes the shard goroutine owns it; during a pass one pass
+// worker does (see eachBank).
 type bank struct {
 	eng   *fleet.Engine
 	spill *fleet.Spill
 	slots []*tenant
+
+	started bool // Start has run the warmup
+	periods int  // recorded control periods stepped
+
+	// Set by collect once the run is over: the result and flight JSONL of
+	// every slot, for the shard goroutine to publish.
+	done    bool
+	results []fleet.TenantResult
+	flights [][]byte
 }
 
-// shard is one scheduler worker: it owns its banks outright (only the
-// shard goroutine calls engine methods) and talks to the rest of the
+// shard is one scheduler: its goroutine drains commands, launches banks
+// and runs the passes that advance them, and it talks to the rest of the
 // daemon through the bounded cmds queue and brief Server.mu sections.
 type shard struct {
 	s    *Server
@@ -58,8 +72,8 @@ type shard struct {
 	cmds chan command
 	stop chan struct{}
 
-	// mu guards the banks slice for the spill-drain reader; the engines
-	// themselves are shard-goroutine-only.
+	// mu guards the banks slice and the bank slots for the spill-drain
+	// reader; only the shard goroutine writes either.
 	mu    sync.Mutex
 	banks []*bank
 
@@ -78,7 +92,7 @@ func newShard(s *Server, id int) *shard {
 
 // loop is the shard scheduler: drain commands, launch pending tenants
 // into banks, advance every bank one control period, repeat. On stop it
-// finalizes in-flight banks at the period boundary so every tenant holds
+// collects in-flight banks at the period boundary so every tenant holds
 // a bit-identical prefix of its full run.
 func (sh *shard) loop() {
 	for {
@@ -151,9 +165,10 @@ func (sh *shard) evict(id int) {
 	}
 }
 
-// launch groups pending tenants by bank key and starts one fleet bank per
-// group. Tenants admitted in one scheduler pass with identical specs
-// share a bank; the grouping is invisible in their traces.
+// launch groups pending tenants by bank key and builds one fleet bank per
+// group, which the next pass starts. Tenants admitted in one scheduler
+// pass with identical specs share a bank; the grouping is invisible in
+// their traces.
 func (sh *shard) launch() {
 	if len(sh.pending) == 0 {
 		return
@@ -202,6 +217,9 @@ func (sh *shard) launchBank(group []*tenant) {
 		Plan:        lead.plan,
 		WarmupTicks: sp.WarmupTicks,
 		MaxTicks:    sp.MaxTicks,
+		// The exports serve the period-level trace, inputs and targets;
+		// nothing reads per-tick power.
+		SkipTickTraces: true,
 	}
 	if sp.Workload != "idle" {
 		name, scale := sp.Workload, sp.Scale
@@ -226,7 +244,6 @@ func (sh *shard) launchBank(group []*tenant) {
 	spill := fleet.NewSpill(sh.s.cfg.SpillLimit)
 	spill.SetDropCounter(sh.s.fleetM.SpillDropped)
 	eng.SetSpill(spill)
-	eng.Start()
 
 	b := &bank{eng: eng, spill: spill, slots: append([]*tenant(nil), group...)}
 	sh.mu.Lock()
@@ -238,44 +255,103 @@ func (sh *shard) launchBank(group []*tenant) {
 	}
 }
 
-// stepOnce advances every bank one control period, finalizing banks that
-// reached MaxTicks.
+// stepOnce is one scheduler pass: every bank advances one control period
+// on the pass workers, then the shard goroutine publishes the banks that
+// finished, in bank order, and drops them.
 func (sh *shard) stepOnce() {
-	for bi := 0; bi < len(sh.banks); {
-		b := sh.banks[bi]
-		if b.eng.StepPeriod() {
-			bi++
-			continue
+	sh.eachBank((*bank).advance)
+	for _, b := range sh.banks {
+		if b.done {
+			sh.publish(b, StateDone)
 		}
-		sh.finalize(b, StateDone)
-		sh.removeBank(bi)
+	}
+	sh.mu.Lock()
+	before := len(sh.banks)
+	sh.banks = slices.DeleteFunc(sh.banks, func(b *bank) bool { return b.done })
+	removed := before - len(sh.banks)
+	sh.mu.Unlock()
+	sh.s.met.Banks.Add(-float64(removed))
+}
+
+// eachBank runs fn on every bank, on min(GOMAXPROCS, banks) workers — the
+// rule the fleet's machine phase uses for tenant ranges. The shard
+// goroutine is one worker and starts the others; each claims banks one at
+// a time, and eachBank returns once every bank is done. A worker touches
+// only its bank's engine, spill and results and its tenants' tick
+// counters; banks share nothing else but atomic fleet metrics and
+// read-only designs, so the fan-out cannot show in a trace.
+func (sh *shard) eachBank(fn func(*bank)) {
+	banks := sh.banks
+	var next atomic.Int32
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(banks) {
+				return
+			}
+			fn(banks[i])
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), len(banks)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
+// advance is one bank's share of a pass: start the bank if it is new
+// (its warmup), step it one control period, publish its tenants'
+// progress, and collect its results once the run is over.
+func (b *bank) advance() {
+	if !b.started {
+		b.eng.Start()
+		b.started = true
+	}
+	more := b.eng.StepPeriod()
+	b.periods++
+	for _, tn := range b.slots {
+		if tn != nil {
+			tn.tick.Store(int64(min(b.periods*PeriodTicks, tn.spec.MaxTicks)))
+		}
+	}
+	if !more {
+		b.collect()
 	}
 }
 
-// finalize reads a bank's results and hands each surviving tenant its
-// trace; state is StateDone for natural completion, StateDrained when the
-// daemon stopped the run early (the results are then a bit-identical
-// prefix of the full run).
-func (sh *shard) finalize(b *bank, state string) {
-	results := b.eng.Results()
-	for slot, tn := range b.slots {
-		if tn == nil {
+// collect reads the bank's results and flushes each flight recorder to
+// JSONL bytes; the results are a bit-identical prefix of the full run
+// when the daemon stops the run early.
+func (b *bank) collect() {
+	b.done = true
+	b.results = b.eng.Results()
+	b.flights = make([][]byte, len(b.results))
+	for i := range b.results {
+		f := b.results[i].Flight
+		if f == nil {
 			continue
 		}
-		res := results[slot]
-		var flight []byte
-		if res.Flight != nil {
-			var buf bytes.Buffer
-			if err := res.Flight.Flush(&buf); err == nil {
-				flight = buf.Bytes()
-			}
+		var buf bytes.Buffer
+		if err := f.Flush(&buf); err == nil {
+			b.flights[i] = buf.Bytes()
 		}
-		// Release the bulky per-tick traces; the period-level trace,
-		// inputs, and targets are what the export endpoints serve.
-		res.TickPowerW = nil
-		res.TickWallW = nil
-		res.Flight = nil
-		sh.s.transition(tn, state, res, flight)
+		b.results[i].Flight = nil
+	}
+}
+
+// publish hands each surviving tenant of a collected bank its result:
+// state is StateDone for natural completion, StateDrained when the daemon
+// stopped the run early.
+func (sh *shard) publish(b *bank, state string) {
+	for slot, tn := range b.slots {
+		if tn != nil {
+			sh.s.transition(tn, state, b.results[slot], b.flights[slot])
+		}
 	}
 }
 
@@ -287,8 +363,8 @@ func (sh *shard) removeBank(i int) {
 }
 
 // shutdown drains the command queue (late admissions finalize empty, as
-// drained), then finalizes every in-flight bank at the current period
-// boundary.
+// drained), then collects every in-flight bank at the current period
+// boundary, in parallel, and publishes them in bank order.
 func (sh *shard) shutdown() {
 	for {
 		select {
@@ -299,8 +375,9 @@ func (sh *shard) shutdown() {
 				sh.s.transition(tn, StateDrained, fleet.TenantResult{}, nil)
 			}
 			sh.pending = nil
+			sh.eachBank((*bank).collect)
 			for _, b := range sh.banks {
-				sh.finalize(b, StateDrained)
+				sh.publish(b, StateDrained)
 			}
 			sh.mu.Lock()
 			sh.banks = nil
@@ -314,10 +391,9 @@ func (sh *shard) shutdown() {
 // tenant ids.
 func (sh *shard) spillSamples() []SpillSample {
 	sh.mu.Lock()
-	banks := append([]*bank(nil), sh.banks...)
-	sh.mu.Unlock()
+	defer sh.mu.Unlock()
 	var out []SpillSample
-	for _, b := range banks {
+	for _, b := range sh.banks {
 		for _, smp := range b.spill.Drain() {
 			id := -1
 			if smp.Tenant < len(b.slots) && b.slots[smp.Tenant] != nil {

@@ -55,7 +55,9 @@ type RunResult struct {
 	DefenseSamples []float64
 	// InputTrace holds the commanded inputs chosen at each control period.
 	InputTrace []Inputs
-	// TickPowerW is the true per-tick core power (ground truth for tests).
+	// TickPowerW is the true per-tick core power: ground truth for tests
+	// and the source of defense.Collect's average power. A fleet run with
+	// fleet.Spec.SkipTickTraces leaves it and TickWallW nil.
 	TickPowerW []float64
 	// TickWallW is the true per-tick wall power.
 	TickWallW []float64
