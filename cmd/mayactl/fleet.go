@@ -22,7 +22,7 @@ type fleetOpts struct {
 	scale       float64
 	tenants     int
 	seed        uint64
-	seconds     float64
+	ticks       int
 	faults      string
 	csvPath     string
 	flightPath  string
@@ -43,7 +43,7 @@ func runFleet(o fleetOpts) error {
 		Tenants:     o.tenants,
 		BaseSeed:    o.seed,
 		WarmupTicks: 2000,
-		MaxTicks:    int(o.seconds * 1000),
+		MaxTicks:    o.ticks,
 		// The summary, CSV and flight trace are period-level; nothing
 		// here reads per-tick power.
 		SkipTickTraces: true,

@@ -99,6 +99,23 @@ func newWorkload(name string, scale float64) (workload.Workload, error) {
 	return workload.New(name, scale)
 }
 
+// runTicks converts -seconds into recorded ticks (1 ms each). Like mayad's
+// tenant admission, it refuses a run outside 1..1<<20 ticks, the length
+// sim.Run and fleet.New fall back to when given none: a shorter -seconds
+// would run that fallback instead, and a longer one would size -flight's
+// ring past what memory holds.
+func runTicks(seconds float64) (int, error) {
+	const maxTicks = 1 << 20
+	if !(seconds*1000 <= maxTicks) { // negated so NaN fails too
+		return 0, fmt.Errorf("seconds %g exceeds the %d-tick limit", seconds, maxTicks)
+	}
+	ticks := int(seconds * 1000)
+	if ticks <= 0 {
+		return 0, fmt.Errorf("seconds %g is shorter than one tick", seconds)
+	}
+	return ticks, nil
+}
+
 func main() {
 	machine := flag.String("machine", "sys1", "machine preset")
 	defName := flag.String("defense", "gs", "defense design")
@@ -186,6 +203,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	ticks, err := runTicks(*seconds)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	var art *core.Design
 	if kind == defense.MayaConstant || kind == defense.MayaGS {
@@ -202,7 +223,7 @@ func main() {
 		if err := runFleet(fleetOpts{
 			cfg: cfg, kind: kind, art: art,
 			workload: *wlName, scale: *scale,
-			tenants: *fleetN, seed: *seed, seconds: *seconds,
+			tenants: *fleetN, seed: *seed, ticks: ticks,
 			faults: *faultsFlag, csvPath: *csvPath, flightPath: *flightPath,
 			showMetrics: *showMetrics,
 		}); err != nil {
@@ -245,7 +266,7 @@ func main() {
 		if *flightPath != "" {
 			// Size the ring to the whole run (warmup included) so the spill
 			// at the end is the complete trace.
-			steps := 2000/20 + int(*seconds*1000)/20 + 8
+			steps := 2000/20 + ticks/20 + 8
 			flight = telemetry.NewFlightRecorder(steps)
 			eng.SetFlight(flight)
 		}
@@ -255,7 +276,7 @@ func main() {
 
 	spec := sim.RunSpec{
 		ControlPeriodTicks: 20,
-		MaxTicks:           int(*seconds * 1000),
+		MaxTicks:           ticks,
 		WarmupTicks:        2000,
 		StopOnFinish:       *stopOnFinish,
 	}

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/maya-defense/maya/internal/telemetry"
@@ -79,6 +81,36 @@ func TestWriteTraceFormats(t *testing.T) {
 		}
 		if len(events) != 1 || events[0].Name != "tick.mask" {
 			t.Fatalf("%s: round-trip lost the span: %+v", name, events)
+		}
+	}
+}
+
+// TestRunTicksBounds pins -seconds validation, which both the scalar and
+// the -fleet mode run before design synthesis. Unchecked, a duration under
+// one tick (0, negative, under 1 ms) runs the 1<<20-tick fallback while
+// -flight sizes its ring for the requested run, so most records drop, and
+// -seconds 1e9 asks for a ring of 5·10¹⁰ entries.
+func TestRunTicksBounds(t *testing.T) {
+	for _, tc := range []struct {
+		seconds float64
+		ticks   int
+		err     string
+	}{
+		{0, 0, "seconds 0 is shorter than one tick"},
+		{-3, 0, "seconds -3 is shorter than one tick"},
+		{0.0009, 0, "seconds 0.0009 is shorter than one tick"},
+		{1e9, 0, "seconds 1e+09 exceeds the 1048576-tick limit"},
+		{math.NaN(), 0, "exceeds the 1048576-tick limit"},
+		{0.001, 1, ""},
+		{20, 20000, ""},
+		{1000, 1000000, ""},
+	} {
+		ticks, err := runTicks(tc.seconds)
+		switch {
+		case tc.err == "" && (err != nil || ticks != tc.ticks):
+			t.Errorf("runTicks(%g) = %d, %v; want %d ticks", tc.seconds, ticks, err, tc.ticks)
+		case tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)):
+			t.Errorf("runTicks(%g) = %d, %v; want error %q", tc.seconds, ticks, err, tc.err)
 		}
 	}
 }

@@ -37,7 +37,7 @@ func (k Knob) Quantize(v float64) float64 {
 	if v > k.Max {
 		v = k.Max
 	}
-	if k.Step == 0 { //nolint:maya/floateq Step==0 is the unquantized-knob sentinel, set exactly
+	if k.Step == 0 {
 		return v
 	}
 	n := math.Round((v - k.Min) / k.Step)
@@ -53,7 +53,7 @@ func (k Knob) Quantize(v float64) float64 {
 
 // Levels returns the number of legal settings.
 func (k Knob) Levels() int {
-	if k.Step == 0 { //nolint:maya/floateq Step==0 is the unquantized-knob sentinel, set exactly
+	if k.Step == 0 {
 		return 1
 	}
 	return int(math.Floor((k.Max-k.Min)/k.Step+1e-9)) + 1

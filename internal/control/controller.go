@@ -22,18 +22,7 @@ import (
 // disturbance estimate); z (error integrator); u_prev (last input,
 // deviation coords)].
 type Controller struct {
-	// Plant model pieces (deviation coordinates).
-	a, b, c *mat.Matrix
-	// Gains.
-	kx      *mat.Matrix // nu × n state feedback
-	ku      *mat.Matrix // nu × nu input-memory feedback
-	kz      []float64   // nu integrator feedback
-	lx      []float64   // n observer gain (plant states)
-	ld      float64     // observer gain (disturbance state)
-	uMean   []float64   // operating point of inputs (norm space)
-	yMean   float64
-	n, nu   int
-	flopEst int
+	gains
 
 	// Mutable state.
 	xhat  []float64
@@ -50,16 +39,48 @@ type Controller struct {
 	// unclamped recursion.
 	zClamp float64
 
-	// Step instrumentation (single-goroutine, like the state above): total
-	// steps since Reset, steps on which any input saturated, and whether
-	// the most recent step saturated. The telemetry layer reads these; the
-	// controller itself never branches on them.
-	steps    uint64
-	satSteps uint64
-	lastSat  bool
+	// lastSat records whether the most recent step saturated an input.
+	lastSat bool
 
 	// Scratch buffers (Step allocates nothing).
-	xNext, bu, v, uOut, kxX []float64
+	xNext, v, uOut []float64
+}
+
+// gains are a controller's constants: the plant model pieces (deviation
+// coordinates) and the feedback and observer gains, with the matrices
+// flattened row-major so Step indexes plain slices. They are never mutated
+// after construction, so every Clone shares them.
+type gains struct {
+	a, b, c []float64 // plant model: n×n, n×nu, 1×n
+	kx, ku  []float64 // state and input-memory feedback: nu×n, nu×nu
+	kz      []float64 // nu integrator feedback
+	lx      []float64 // n observer gain (plant states)
+	ld      float64   // observer gain (disturbance state)
+	uMean   []float64 // operating point of inputs (norm space)
+	yMean   float64
+	n, nu   int
+}
+
+// newController returns a controller with gains g in the reset state. It
+// is the one constructor: Synthesize, Load and Clone all build through it.
+func newController(g gains) *Controller {
+	return &Controller{
+		gains: g,
+		xhat:  make([]float64, g.n),
+		uPrev: make([]float64, g.nu),
+		xNext: make([]float64, g.n),
+		v:     make([]float64, g.nu),
+		uOut:  make([]float64, g.nu),
+	}
+}
+
+// rowMajor flattens m row by row.
+func rowMajor(m *mat.Matrix) []float64 {
+	out := make([]float64, 0, m.Rows()*m.Cols())
+	for i := 0; i < m.Rows(); i++ {
+		out = append(out, m.Row(i)...)
+	}
+	return out
 }
 
 // Dim returns the controller state dimension (paper §V-A: 11 with their
@@ -82,8 +103,12 @@ func (k *Controller) StorageBytes() int {
 }
 
 // Ops returns an estimate of multiply-accumulate operations per Step
-// (paper §VII-E: ≈200 fixed-point operations).
-func (k *Controller) Ops() int { return k.flopEst }
+// (paper §VII-E: ≈200 fixed-point operations): observer (n² + 2·n·nu +
+// 2n), feedback (nu·n + nu² + 2nu), innovation (n).
+func (k *Controller) Ops() int {
+	n, nu := k.n, k.nu
+	return n*n + 2*n*nu + 2*n + nu*n + nu*nu + 2*nu + n
+}
 
 // Reset zeroes the controller state. The first inputs emitted after a reset
 // sit at the identified operating point.
@@ -95,36 +120,51 @@ func (k *Controller) Reset() {
 	for i := range k.uPrev {
 		k.uPrev[i] = 0
 	}
-	k.steps, k.satSteps, k.lastSat = 0, 0, false
+	k.lastSat = false
 }
 
 // Step consumes the tracking error Δy(T) = target − measured and returns
 // the next normalized inputs u ∈ [0,1]^nu. The returned slice is reused
 // across calls; callers must copy it if they retain it.
 //
+// Every matrix-vector product is summed in ascending index from a 0.0
+// seed, and the observer update groups as A·x̂ + (B·v + Lx·ν); the
+// controller's bit-exact goldens depend on both.
+//
 //maya:hotpath
 func (k *Controller) Step(deltaY float64) []float64 {
+	n, nu := k.n, k.nu
+	xhat, uPrev := k.xhat[:n], k.uPrev[:nu]
+	v, uOut := k.v[:nu], k.uOut[:nu]
+	kz, uMean := k.kz[:nu], k.uMean[:nu]
+
 	// Innovation: measurement is m = y − r = −Δy; predicted m̂ = C x̂ + d̂.
 	cx := 0.0
-	for j := 0; j < k.n; j++ {
-		cx += k.c.At(0, j) * k.xhat[j]
+	for j, c := range k.c[:n] {
+		cx += c * xhat[j]
 	}
-	nu := -deltaY - cx - k.dhat
+	innov := -deltaY - cx - k.dhat
 
 	// Integrator (provisional; anti-windup may pull it back).
 	zNew := k.z + deltaY
 
 	// Input rate v = −Kx x̂ − Ku u_prev − Kz z.
-	k.kx.MulVecTo(k.kxX, k.xhat)
-	k.ku.MulVecTo(k.v, k.uPrev)
-	for j := 0; j < k.nu; j++ {
-		k.v[j] = -k.kxX[j] - k.v[j] - k.kz[j]*zNew
+	for j := range v {
+		kxX := 0.0
+		for i, g := range k.kx[j*n : (j+1)*n] {
+			kxX += g * xhat[i]
+		}
+		kuU := 0.0
+		for i, g := range k.ku[j*nu : (j+1)*nu] {
+			kuU += g * uPrev[i]
+		}
+		v[j] = -kxX - kuU - kz[j]*zNew
 	}
 
 	// Raw and saturated inputs (normalized space).
 	sat := false
-	for j := 0; j < k.nu; j++ {
-		raw := k.uPrev[j] + k.v[j] + k.uMean[j]
+	for j := range uOut {
+		raw := uPrev[j] + v[j] + uMean[j]
 		clipped := raw
 		if clipped < 0 {
 			clipped = 0
@@ -135,7 +175,7 @@ func (k *Controller) Step(deltaY float64) []float64 {
 		if clipped != raw { //nolint:maya/floateq clipped is raw or a clamp bound; equality is exact by construction
 			sat = true
 		}
-		k.uOut[j] = clipped
+		uOut[j] = clipped
 	}
 
 	// Anti-windup: back-calculate the integrator only when the loop is
@@ -146,19 +186,19 @@ func (k *Controller) Step(deltaY float64) []float64 {
 	// one of them is pinned much of the time.)
 	if sat {
 		exhausted := true
-		for j := 0; j < k.nu; j++ {
-			want := -k.kz[j] * zNew // direction the integrator pushes input j
-			if (want > 0 && k.uOut[j] < 1) || (want < 0 && k.uOut[j] > 0) {
+		for j := range uOut {
+			want := -kz[j] * zNew // direction the integrator pushes input j
+			if (want > 0 && uOut[j] < 1) || (want < 0 && uOut[j] > 0) {
 				exhausted = false
 				break
 			}
 		}
 		if exhausted {
 			num, den := 0.0, 1e-12
-			for j := 0; j < k.nu; j++ {
-				raw := k.uPrev[j] + k.v[j] + k.uMean[j]
-				num += k.kz[j] * (raw - k.uOut[j])
-				den += k.kz[j] * k.kz[j]
+			for j := range uOut {
+				raw := uPrev[j] + v[j] + uMean[j]
+				num += kz[j] * (raw - uOut[j])
+				den += kz[j] * kz[j]
 			}
 			zNew += num / den
 		}
@@ -172,27 +212,28 @@ func (k *Controller) Step(deltaY float64) []float64 {
 	}
 	k.z = zNew
 
-	// Observer predict with the input actually applied.
-	for j := 0; j < k.nu; j++ {
-		k.v[j] = k.uOut[j] - k.uMean[j] // u deviation actually in force
+	// Observer predict with the input actually applied; that deviation is
+	// also the next u_prev.
+	for j := range v {
+		v[j] = uOut[j] - uMean[j]
 	}
-	k.a.MulVecTo(k.xNext, k.xhat)
-	k.b.MulVecTo(k.bu, k.v)
-	for i := 0; i < k.n; i++ {
-		k.xNext[i] += k.bu[i] + k.lx[i]*nu
+	xNext := k.xNext[:n]
+	for i := range xNext {
+		ax := 0.0
+		for j, g := range k.a[i*n : (i+1)*n] {
+			ax += g * xhat[j]
+		}
+		bv := 0.0
+		for j, g := range k.b[i*nu : (i+1)*nu] {
+			bv += g * v[j]
+		}
+		xNext[i] = ax + (bv + k.lx[i]*innov)
 	}
-	copy(k.xhat, k.xNext)
-	k.dhat += k.ld * nu
-
-	for j := 0; j < k.nu; j++ {
-		k.uPrev[j] = k.uOut[j] - k.uMean[j]
-	}
-	k.steps++
+	copy(xhat, xNext)
+	k.dhat += k.ld * innov
+	copy(uPrev, v)
 	k.lastSat = sat
-	if sat {
-		k.satSteps++
-	}
-	return k.uOut
+	return uOut
 }
 
 // SetIntegratorClamp bounds the error integrator to |z| <= limit (0
@@ -215,12 +256,6 @@ func (k *Controller) IntegratorClamp() float64 { return k.zClamp }
 // actuators' authority — exactly the condition under which the measured
 // power stops following the mask and starts leaking the workload.
 func (k *Controller) Saturated() bool { return k.lastSat }
-
-// Steps returns the number of Step calls since the last Reset.
-func (k *Controller) Steps() uint64 { return k.steps }
-
-// SaturatedSteps returns how many of those steps saturated an input.
-func (k *Controller) SaturatedSteps() uint64 { return k.satSteps }
 
 // StateNorm returns the L2 norm of the structured controller state
 // [x̂; d̂; z; u_prev] without allocating (unlike State, which copies).
@@ -251,7 +286,7 @@ func (k *Controller) Matrices() (A, B, C, D *mat.Matrix) {
 	// Output rows: u_dev = −Kx x̂ − Kz d̂·0 − Kz (z + e) + (I − Ku) u_prev.
 	for j := 0; j < nu; j++ {
 		for i := 0; i < n; i++ {
-			C.Set(j, i, -k.kx.At(j, i))
+			C.Set(j, i, -k.kx[j*n+i])
 		}
 		C.Set(j, n+1, -k.kz[j]) // z column
 		for i := 0; i < nu; i++ {
@@ -259,7 +294,7 @@ func (k *Controller) Matrices() (A, B, C, D *mat.Matrix) {
 			if i == j {
 				idm = 1
 			}
-			C.Set(j, n+2+i, idm-k.ku.At(j, i))
+			C.Set(j, n+2+i, idm-k.ku[j*nu+i])
 		}
 		D.Set(j, 0, -k.kz[j]) // direct term via the integrator update
 	}
@@ -268,27 +303,27 @@ func (k *Controller) Matrices() (A, B, C, D *mat.Matrix) {
 	// x̂⁺ = A x̂ + B u_dev + Lx ν.
 	for i := 0; i < n; i++ {
 		for jj := 0; jj < n; jj++ {
-			A.Set(i, jj, k.a.At(i, jj)-k.lx[i]*k.c.At(0, jj))
+			A.Set(i, jj, k.a[i*n+jj]-k.lx[i]*k.c[jj])
 		}
 		A.Set(i, n, A.At(i, n)-k.lx[i]) // d̂ column
 		// B u_dev contribution: expand u_dev rows from C/D.
 		for col := 0; col < dim; col++ {
 			s := 0.0
 			for j := 0; j < nu; j++ {
-				s += k.b.At(i, j) * C.At(j, col)
+				s += k.b[i*nu+j] * C.At(j, col)
 			}
 			A.Set(i, col, A.At(i, col)+s)
 		}
 		bs := 0.0
 		for j := 0; j < nu; j++ {
-			bs += k.b.At(i, j) * D.At(j, 0)
+			bs += k.b[i*nu+j] * D.At(j, 0)
 		}
 		B.Set(i, 0, bs-k.lx[i])
 	}
 
 	// d̂⁺ = d̂ + Ld ν.
 	for jj := 0; jj < n; jj++ {
-		A.Set(n, jj, -k.ld*k.c.At(0, jj))
+		A.Set(n, jj, -k.ld*k.c[jj])
 	}
 	A.Set(n, n, 1-k.ld)
 	B.Set(n, 0, -k.ld)
@@ -307,25 +342,12 @@ func (k *Controller) Matrices() (A, B, C, D *mat.Matrix) {
 	return A, B, C, D
 }
 
-// Clone returns an independent controller with the same gains and a fresh
-// (zero) state. Synthesis is done once per machine; each protected run gets
-// its own clone.
+// Clone returns an independent controller with the same gains, which it
+// shares, the same integrator clamp, and a fresh (zero) state. Synthesis is
+// done once per machine; each protected run gets its own clone.
 func (k *Controller) Clone() *Controller {
-	c := &Controller{
-		a: k.a, b: k.b, c: k.c, // constant matrices are shared, never mutated
-		kx: k.kx, ku: k.ku,
-		kz: k.kz, lx: k.lx, ld: k.ld,
-		uMean: k.uMean, yMean: k.yMean,
-		n: k.n, nu: k.nu, flopEst: k.flopEst,
-		zClamp: k.zClamp,
-		xhat:   make([]float64, k.n),
-		uPrev:  make([]float64, k.nu),
-		xNext:  make([]float64, k.n),
-		bu:     make([]float64, k.n),
-		v:      make([]float64, k.nu),
-		uOut:   make([]float64, k.nu),
-		kxX:    make([]float64, k.nu),
-	}
+	c := newController(k.gains)
+	c.zClamp = k.zClamp
 	return c
 }
 

@@ -29,10 +29,11 @@ type controllerJSON struct {
 	YMean   float64     `json:"y_mean"`
 }
 
-func matrixToRows(m *mat.Matrix) [][]float64 {
-	out := make([][]float64, m.Rows())
+// rowsOf splits a row-major slice into rows of cols entries.
+func rowsOf(flat []float64, cols int) [][]float64 {
+	out := make([][]float64, len(flat)/cols)
 	for i := range out {
-		out[i] = m.Row(i)
+		out[i] = flat[i*cols : (i+1)*cols]
 	}
 	return out
 }
@@ -42,11 +43,11 @@ func (k *Controller) Save(w io.Writer) error {
 	cj := controllerJSON{
 		Version: 1,
 		N:       k.n, NU: k.nu,
-		A:  matrixToRows(k.a),
-		B:  matrixToRows(k.b),
-		C:  matrixToRows(k.c),
-		Kx: matrixToRows(k.kx),
-		Ku: matrixToRows(k.ku),
+		A:  rowsOf(k.a, k.n),
+		B:  rowsOf(k.b, k.nu),
+		C:  rowsOf(k.c, k.n),
+		Kx: rowsOf(k.kx, k.n),
+		Ku: rowsOf(k.ku, k.nu),
 		Kz: k.kz, Lx: k.lx, Ld: k.ld,
 		UMean: k.uMean, YMean: k.yMean,
 	}
@@ -93,23 +94,15 @@ func Load(r io.Reader) (*Controller, error) {
 	if len(cj.Kz) != cj.NU || len(cj.Lx) != cj.N || len(cj.UMean) != cj.NU {
 		return nil, errors.New("control: artifact vector lengths inconsistent")
 	}
-	k := &Controller{
-		a: mat.FromRows(cj.A), b: mat.FromRows(cj.B), c: mat.FromRows(cj.C),
-		kx: mat.FromRows(cj.Kx), ku: mat.FromRows(cj.Ku),
+	flat := func(rows [][]float64) []float64 { return rowMajor(mat.FromRows(rows)) }
+	return newController(gains{
+		a: flat(cj.A), b: flat(cj.B), c: flat(cj.C),
+		kx: flat(cj.Kx), ku: flat(cj.Ku),
 		kz:    append([]float64(nil), cj.Kz...),
 		lx:    append([]float64(nil), cj.Lx...),
 		ld:    cj.Ld,
 		uMean: append([]float64(nil), cj.UMean...),
 		yMean: cj.YMean,
 		n:     cj.N, nu: cj.NU,
-		xhat:  make([]float64, cj.N),
-		uPrev: make([]float64, cj.NU),
-		xNext: make([]float64, cj.N),
-		bu:    make([]float64, cj.N),
-		v:     make([]float64, cj.NU),
-		uOut:  make([]float64, cj.NU),
-		kxX:   make([]float64, cj.NU),
-	}
-	k.flopEst = cj.N*cj.N + 2*cj.N*cj.NU + 2*cj.N + cj.NU*cj.N + cj.NU*cj.NU + 2*cj.NU + cj.N
-	return k, nil
+	}), nil
 }

@@ -23,6 +23,10 @@
 // has 4 + 1 + 1 + 3 = 9 states (the paper's µ-synthesis adds two weighting
 // states for a total of 11); like the paper's controller it needs ~200
 // multiply-accumulates and under 1 KB of state per 20 ms period.
+//
+// Controller.Step is the only implementation of that step. A protected
+// machine owns one Controller, a Clone sharing the synthesized gains, in
+// the scalar engine and in every tenant of a fleet alike.
 package control
 
 import (

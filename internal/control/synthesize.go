@@ -205,24 +205,14 @@ func Synthesize(plant *StateSpace, spec Spec) (*Controller, *Report, error) {
 		}
 		op = spec.RestPoint
 	}
-	k := &Controller{
-		a: a.Clone(), b: b.Clone(), c: c.Clone(),
-		kx: kx, ku: ku, kz: kz, lx: lx, ld: ld,
+	k := newController(gains{
+		a: rowMajor(a), b: rowMajor(b), c: rowMajor(c),
+		kx: rowMajor(kx), ku: rowMajor(ku), kz: kz, lx: lx, ld: ld,
 		uMean: append([]float64(nil), op...),
 		yMean: plant.YMean,
 		n:     n, nu: nu,
-		xhat:  make([]float64, n),
-		uPrev: make([]float64, nu),
-		xNext: make([]float64, n),
-		bu:    make([]float64, n),
-		v:     make([]float64, nu),
-		uOut:  make([]float64, nu),
-		kxX:   make([]float64, nu),
-	}
+	})
 	dim := k.Dim()
-	// Multiply-accumulate estimate per step: observer (n² + 2·n·nu + 2n),
-	// feedback (nu·n + nu² + 2nu), innovation (n).
-	k.flopEst = n*n + 2*n*nu + 2*n + nu*n + nu*nu + 2*nu + n
 
 	rep := &Report{ControllerDim: dim}
 	rep.ClosedLoopPoles = closedLoopPoles(plant, k)
@@ -280,17 +270,7 @@ func closedLoopMatrix(plant *StateSpace, k *Controller) *mat.Matrix {
 // output-disturbance step and returns (peak |error|, periods to fall below
 // 10% of the step).
 func disturbanceResponse(plant *StateSpace, kproto *Controller) (float64, int) {
-	// Fresh controller state for the simulation.
-	k := *kproto
-	k.xhat = make([]float64, kproto.n)
-	k.uPrev = make([]float64, kproto.nu)
-	k.xNext = make([]float64, kproto.n)
-	k.bu = make([]float64, kproto.n)
-	k.v = make([]float64, kproto.nu)
-	k.uOut = make([]float64, kproto.nu)
-	k.kxX = make([]float64, kproto.nu)
-	k.dhat, k.z = 0, 0
-
+	k := kproto.Clone() // fresh controller state for the simulation
 	n := plant.Order()
 	x := make([]float64, n)
 	xNext := make([]float64, n)

@@ -172,9 +172,8 @@ func (e *Engine) Reset(seed uint64) {
 
 // StepPre carries the pre-controller half of one engine step from BeginStep
 // to FinishStep: the mask components, the guard's verdict on the raw
-// reading, and the tracking error the controller must consume. The fleet
-// engine batches the controller step between the two halves; the scalar
-// Decide runs them back to back.
+// reading, and the tracking error the controller must consume. Decide
+// runs the two halves back to back around one Controller.Step.
 type StepPre struct {
 	// Target is the closed-loop mask component issued this step.
 	Target float64
@@ -202,8 +201,8 @@ type StepPre struct {
 // BeginStep runs the pre-controller phases of one engine step: mask draw,
 // dither draw, target bookkeeping, and the measurement guard. The caller
 // must follow with exactly one controller step on pre.DeltaY and one
-// FinishStep; Decide composes the three for the scalar path, the fleet
-// engine interposes a batched controller step.
+// FinishStep. Decide composes the three; calling them apart lets a caller
+// time each half.
 //
 //maya:hotpath
 func (e *Engine) BeginStep(step int, powerW float64) StepPre {
@@ -248,13 +247,11 @@ func (e *Engine) BeginStep(step int, powerW float64) StepPre {
 
 // FinishStep runs the post-controller phases of one engine step: blow-up
 // recovery, the NLMS dither-gain update, open-loop dither injection,
-// quantization dither, actuation, and telemetry. u is the controller's
-// output for pre.DeltaY and ctl is the state view of whichever controller
-// produced it — e.ctl on the scalar path, one tenant column of a
-// control.Bank on the fleet path.
+// quantization dither, actuation, and telemetry. u is the output of ctl's
+// step on pre.DeltaY; Decide passes the engine's own controller.
 //
 //maya:hotpath
-func (e *Engine) FinishStep(step int, pre StepPre, u []float64, ctl control.StateView) sim.Inputs {
+func (e *Engine) FinishStep(step int, pre StepPre, u []float64, ctl *control.Controller) sim.Inputs {
 	// Blow-up recovery: re-initialize the controller at the identified
 	// operating point when its state norm diverges (sustained saturation
 	// or fault bursts). The emitted u buffer survives Reset.
@@ -280,7 +277,7 @@ func (e *Engine) FinishStep(step int, pre StepPre, u []float64, ctl control.Stat
 			uhp := e.prevUd - e.pprevU
 			yhp := powerW - e.prevY
 			const mu, eps = 0.2, 1e-3
-			if uhp != 0 { //nolint:maya/floateq uhp is exactly 0 when no dither was applied
+			if uhp != 0 {
 				e.ghat += mu * uhp * (yhp - e.ghat*uhp) / (eps + uhp*uhp)
 			}
 			lo, hi := 0.25*e.balloonGainW, 4*e.balloonGainW
@@ -294,7 +291,7 @@ func (e *Engine) FinishStep(step int, pre StepPre, u []float64, ctl control.Stat
 		e.prevY = powerW
 		e.havePrevY = true
 	}
-	if pre.DitherW != 0 { //nolint:maya/floateq DitherW is set to exactly 0 when dither is off
+	if pre.DitherW != 0 {
 		// High-frequency mask component, actuated open-loop on the balloon,
 		// normalized by the adaptive gain estimate.
 		ud := pre.DitherW / e.ghat
@@ -387,7 +384,7 @@ func (e *Engine) FinishStep(step int, pre StepPre, u []float64, ctl control.Stat
 func (e *Engine) Decide(step int, powerW float64) sim.Inputs {
 	pre := e.BeginStep(step, powerW)
 	u := e.ctl.Step(pre.DeltaY)
-	return e.FinishStep(step, pre, u, e.ctl) //nolint:maya/hotalloc StateView here wraps an existing pointer, which fits the interface word without allocating
+	return e.FinishStep(step, pre, u, e.ctl)
 }
 
 // MaskTargets returns the targets issued so far (one per Decide call).

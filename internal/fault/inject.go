@@ -136,33 +136,6 @@ func (in *Injector) Attach(m *sim.Machine) {
 	}
 }
 
-// TimingDecision draws the plan's timing faults for one control step and
-// returns the verdict: miss means the wakeup never happened (the caller
-// must hold the previous command and not run the policy), stale means the
-// policy runs on the previous period's sample. The draw order, stats, and
-// metrics are exactly FaultyPolicy.Decide's — at most one timing fault
-// fires per step, and step 0 never faults (there is no previous command to
-// hold yet). The fleet engine calls this directly where the scalar path
-// goes through the FaultyPolicy wrapper.
-func (in *Injector) TimingDecision(step int) (miss, stale bool) {
-	t := in.plan.Timing
-	if step > 0 && t.MissProb > 0 && in.timR.Bool(t.MissProb) {
-		in.stats.DeadlineMisses++
-		if in.metrics != nil {
-			in.metrics.TimingFaults.Inc()
-		}
-		return true, false
-	}
-	if step > 0 && t.StaleProb > 0 && in.timR.Bool(t.StaleProb) {
-		in.stats.StaleSamples++
-		if in.metrics != nil {
-			in.metrics.TimingFaults.Inc()
-		}
-		return false, true
-	}
-	return false, false
-}
-
 // filterInputs implements the actuator fault channel as a sim.InputFilter.
 func (in *Injector) filterInputs(tick int64, commanded, current sim.Inputs) sim.Inputs {
 	a := in.plan.Actuator
@@ -293,15 +266,25 @@ type FaultyPolicy struct {
 	prevPower float64
 }
 
-// Decide implements sim.Policy.
+// Decide implements sim.Policy. At most one timing fault fires per step,
+// a miss before a stale sample, and step 0 never faults: there is no
+// previous command to hold yet.
 func (p *FaultyPolicy) Decide(step int, powerW float64) sim.Inputs {
-	miss, stale := p.in.TimingDecision(step)
-	if miss {
+	in, t := p.in, p.in.plan.Timing
+	if step > 0 && t.MissProb > 0 && in.timR.Bool(t.MissProb) {
+		in.stats.DeadlineMisses++
+		if in.metrics != nil {
+			in.metrics.TimingFaults.Inc()
+		}
 		p.prevPower = powerW
 		return p.prev
 	}
 	pw := powerW
-	if stale {
+	if step > 0 && t.StaleProb > 0 && in.timR.Bool(t.StaleProb) {
+		in.stats.StaleSamples++
+		if in.metrics != nil {
+			in.metrics.TimingFaults.Inc()
+		}
 		pw = p.prevPower
 	}
 	p.prevPower = powerW

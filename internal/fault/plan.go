@@ -109,10 +109,10 @@ type Plan struct {
 // so zero tests are exact by construction.
 func (p Plan) Empty() bool {
 	s, c, a, t := p.Sensor, p.Counter, p.Actuator, p.Timing
-	return s.DropoutProb == 0 && s.SpikeProb == 0 && s.NonFiniteProb == 0 && s.StuckProb == 0 && //nolint:maya/floateq exact zero test of config values
-		c.WrapJ == 0 && //nolint:maya/floateq exact zero test of config values
+	return s.DropoutProb == 0 && s.SpikeProb == 0 && s.NonFiniteProb == 0 && s.StuckProb == 0 &&
+		c.WrapJ == 0 &&
 		a.DropProb == 0 && a.StuckProb == 0 && (a.LagScale == 0 || a.LagScale == 1) && //nolint:maya/floateq exact zero/one test of config values
-		t.MissProb == 0 && t.StaleProb == 0 //nolint:maya/floateq exact zero test of config values
+		t.MissProb == 0 && t.StaleProb == 0
 }
 
 // Validate checks that probabilities are in [0, 1] and magnitudes are

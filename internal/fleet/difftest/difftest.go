@@ -3,11 +3,11 @@
 // count) it runs the batched fleet and, per tenant, an independent scalar
 // core.Engine/sim.Run with the same derived seeds, and asserts the two
 // produce bit-for-bit identical traces, flight records, and guard
-// decisions. Both sides step the same sim.Machine; the scalar side drives
-// it through sim.Run, the scalar Controller and the fault wrappers
-// (FaultyPolicy, FaultySensor). A pass therefore pins what the fleet
-// reimplements: its tick and period loop, the batched control.Bank, and
-// its mirror of FaultyPolicy's timing faults — the same pinning
+// decisions. Both sides step the same sim.Machine and decide through the
+// same policies and fault wrappers (core.Engine with its Controller,
+// FaultyPolicy, FaultySensor); the scalar side drives them through sim.Run.
+// A pass therefore pins what the fleet reimplements: sim.Run's tick and
+// period loop, transcribed over a sim.MachineBank — the same pinning
 // discipline as internal/nn's batch tests, extended to a whole
 // closed-loop system.
 package difftest

@@ -1,20 +1,19 @@
 // Package fleet steps many defended machines in one process. The
-// controller state of every tenant lives column-wise in the structure-of-
-// arrays slabs of control.Bank, so one control period runs the whole
-// fleet's controller as one batched kernel that loads each shared gain
-// once per fleet instead of once per machine. The machines are the scalar
-// sim.Machine, held contiguously in a sim.MachineBank; a period's machine
-// ticks step in contiguous tenant ranges, in parallel on a large bank.
+// machines are the scalar sim.Machine, held contiguously in a
+// sim.MachineBank; a period's machine ticks step in contiguous tenant
+// ranges, in parallel on a large bank. Every tenant then decides through
+// its own policy: the defense's sim.Policy, which for the Maya kinds is a
+// core.Engine with its own control.Controller, wrapped in
+// fault.FaultyPolicy when a fault plan is attached, exactly as sim.Run
+// calls it.
 //
 // The fleet path is pinned bit-for-bit to the scalar reference: every
 // tenant of a fleet run produces exactly the traces, flight records, and
 // guard decisions of an independent scalar core.Engine/sim.Run with the
 // same derived seeds. The difftest subpackage is that proof, table-driven
 // across all five defenses, fault plans, and tenant counts; golden_test.go
-// pins a committed 16-tenant trace. The fleet engine reuses the scalar
-// path's machine model and decision code (sim.Machine,
-// core.Engine.BeginStep/FinishStep, fault.Injector) and batches only the
-// controller arithmetic between them.
+// pins a committed 16-tenant trace. What the fleet adds of its own is
+// sim.Run's tick and period loop, transcribed over the bank.
 package fleet
 
 import (
@@ -23,7 +22,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/maya-defense/maya/internal/control"
 	"github.com/maya-defense/maya/internal/core"
 	"github.com/maya-defense/maya/internal/defense"
 	"github.com/maya-defense/maya/internal/fault"
@@ -114,31 +112,19 @@ type Engine struct {
 	spec Spec
 	bank *sim.MachineBank
 
-	// Maya path: per-tenant engines share one batched controller bank.
-	// The engines carry everything per-tenant and sequential (mask stream,
-	// dither, NLMS estimator, guard hold state, flight); the bank carries
-	// the controller state slabs that StepAll batches.
-	engines []*core.Engine
-	ctlBank *control.Bank
-
-	// Non-Maya path: plain per-tenant policies (fault-wrapped as needed).
+	// policies decide for each tenant, fault-wrapped when a plan is
+	// attached. For the Maya kinds, engines holds the same tenants'
+	// core.Engine, whose mask targets and flight recorder Results returns.
 	policies []sim.Policy
+	engines  []*core.Engine
 
 	injectors []*fault.Injector
 	sensors   []sim.PowerSensor
 	workloads []workload.Workload
 
-	// Timing-fault bookkeeping for the Maya path, mirroring
-	// fault.FaultyPolicy's prev/prevPower fields per tenant.
-	prevIn    []sim.Inputs
-	prevPower []float64
-
 	// Per-period scratch.
 	ins     []sim.Inputs
 	pw      []float64
-	deltaY  []float64
-	active  []bool
-	pres    []core.StepPre
 	stepRes []sim.StepResult
 	idle    []workload.Workload
 
@@ -192,13 +178,9 @@ func New(spec Spec) *Engine {
 		injectors: make([]*fault.Injector, T),
 		sensors:   make([]sim.PowerSensor, T),
 		workloads: make([]workload.Workload, T),
-		prevIn:    make([]sim.Inputs, T),
-		prevPower: make([]float64, T),
+		policies:  make([]sim.Policy, T),
 		ins:       make([]sim.Inputs, T),
 		pw:        make([]float64, T),
-		deltaY:    make([]float64, T),
-		active:    make([]bool, T),
-		pres:      make([]core.StepPre, T),
 		stepRes:   make([]sim.StepResult, T),
 		idle:      make([]workload.Workload, T),
 		dead:      make([]bool, T),
@@ -210,8 +192,6 @@ func New(spec Spec) *Engine {
 	}
 	if maya {
 		e.engines = make([]*core.Engine, T)
-	} else {
-		e.policies = make([]sim.Policy, T)
 	}
 
 	seedAt := spec.SeedAt
@@ -260,18 +240,11 @@ func New(spec Spec) *Engine {
 				eng.SetFlight(telemetry.NewFlightRecorder(spec.FlightCapacity))
 			}
 			e.engines[t] = eng
-		} else {
-			if e.injectors[t] != nil {
-				pol = e.injectors[t].Policy(pol)
-			}
-			e.policies[t] = pol
 		}
-	}
-	if maya {
-		e.ctlBank = control.NewBank(spec.Art.Controller, T)
-		if spec.Guard != nil {
-			e.ctlBank.SetIntegratorClamp(spec.Guard.IntegratorClamp)
+		if e.injectors[t] != nil {
+			pol = e.injectors[t].Policy(pol)
 		}
+		e.policies[t] = pol
 	}
 	return e
 }
@@ -283,53 +256,12 @@ func (e *Engine) SetMetrics(m *Metrics) { e.metrics = m }
 // the engine pushes one Sample per tenant into it (nil detaches).
 func (e *Engine) SetSpill(s *Spill) { e.spill = s }
 
-// decideAll runs every tenant's control decision for one step: the
-// fleet-path equivalent of calling each tenant's (possibly fault-wrapped)
-// policy. On the Maya path the controller arithmetic for the whole fleet
-// runs as one batched control.Bank.StepAll between the per-tenant
-// BeginStep/FinishStep halves; everything else stays the scalar code.
+// decideAll runs every tenant's control decision for one step, through
+// the tenant's own (possibly fault-wrapped) policy: the call sim.Run makes
+// at a period boundary.
 func (e *Engine) decideAll(step int) {
-	if e.engines == nil {
-		for t, p := range e.policies {
-			e.ins[t] = p.Decide(step, e.pw[t])
-		}
-		return
-	}
-	anyFault := false
-	for t, eng := range e.engines {
-		pw := e.pw[t]
-		if inj := e.injectors[t]; inj != nil {
-			anyFault = true
-			miss, stale := inj.TimingDecision(step)
-			if miss {
-				// The wakeup never happened: hold the previous command;
-				// the engine (mask, controller, estimator) does not advance.
-				e.prevPower[t] = e.pw[t]
-				e.ins[t] = e.prevIn[t]
-				e.active[t] = false
-				continue
-			}
-			if stale {
-				pw = e.prevPower[t]
-			}
-			e.prevPower[t] = e.pw[t]
-		}
-		e.active[t] = true
-		e.pres[t] = eng.BeginStep(step, pw)
-		e.deltaY[t] = e.pres[t].DeltaY
-	}
-	active := e.active
-	if !anyFault {
-		active = nil
-	}
-	e.ctlBank.StepAll(e.deltaY, active)
-	for t, eng := range e.engines {
-		if !e.active[t] {
-			continue
-		}
-		in := eng.FinishStep(step, e.pres[t], e.ctlBank.U(t), e.ctlBank.Tenant(t))
-		e.ins[t] = in
-		e.prevIn[t] = in
+	for t, p := range e.policies {
+		e.ins[t] = p.Decide(step, e.pw[t])
 	}
 }
 

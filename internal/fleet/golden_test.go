@@ -55,13 +55,13 @@ func goldenFleetTrace(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// TestGoldenFleetTrace pins the batched pipeline end to end — seed
-// derivation, the SoA machine and controller kernels, batched actuation,
-// and the per-tenant flight encoding — to a committed byte-exact trace, the
-// fleet counterpart of internal/core's TestGoldenFlightTrace. The
-// differential suite proves fleet == scalar for the cases it runs; this
-// file additionally pins both against history, so a drift that changed
-// scalar and batched paths in lockstep still fails loudly.
+// TestGoldenFleetTrace pins the fleet pipeline end to end — seed
+// derivation, the machine bank's tick loop, the per-tenant decisions and
+// actuation, and the per-tenant flight encoding — to a committed byte-exact
+// trace, the fleet counterpart of internal/core's TestGoldenFlightTrace.
+// The differential suite proves fleet == scalar for the cases it runs;
+// this file additionally pins both against history, so a drift that
+// changed scalar and fleet paths in lockstep still fails loudly.
 //
 // To regenerate after an INTENTIONAL change:
 //

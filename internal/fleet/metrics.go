@@ -13,7 +13,7 @@ import (
 type Metrics struct {
 	// Ticks counts machine ticks stepped, summed across tenants.
 	Ticks *telemetry.Counter
-	// Periods counts control periods (one batched decide each).
+	// Periods counts control periods (one decision per tenant each).
 	Periods *telemetry.Counter
 	// Tenants records the fleet size of the current run.
 	Tenants *telemetry.Gauge
@@ -21,8 +21,9 @@ type Metrics struct {
 	// per control-period phase, one clock read per phase: the machine
 	// phase (every tenant's ticks of the period with their sensor
 	// observations and trace recording; wall time, however many
-	// goroutines share it), the per-tenant sensor reads, the batched
-	// control decision, and the batched actuator commit. Engines that
+	// goroutines share it), the per-tenant sensor reads, every tenant's
+	// control decision through its own policy, and the actuator commit
+	// across the bank. Engines that
 	// share a registry add into the same counters; in mayad, whose banks
 	// step at the same time on parallel workers, the counters therefore
 	// measure busy time summed over banks and can exceed elapsed time.
@@ -45,8 +46,8 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		Tenants:   reg.Gauge("maya_fleet_tenants", "tenant count of the current fleet run"),
 		MachineNs: reg.Counter("maya_fleet_machine_ns_total", "host wall ns in the per-period machine phase"),
 		SenseNs:   reg.Counter("maya_fleet_sense_ns_total", "host ns in per-tenant sensor reads"),
-		ControlNs: reg.Counter("maya_fleet_control_ns_total", "host ns in the batched control decision"),
-		ActuateNs: reg.Counter("maya_fleet_actuate_ns_total", "host ns in the batched actuator commit"),
+		ControlNs: reg.Counter("maya_fleet_control_ns_total", "host ns in the per-tenant control decisions"),
+		ActuateNs: reg.Counter("maya_fleet_actuate_ns_total", "host ns in the actuator commit across the bank"),
 		SpillDropped: reg.Counter("maya_fleet_spill_dropped_total",
 			"spill samples discarded by drop-oldest because no reader drained"),
 	}

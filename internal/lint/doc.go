@@ -34,7 +34,8 @@
 //     derivation — directly, via struct fields or composite literals, or
 //     through a callee that leaks its stream parameter (escape analysis
 //     with fixpoint propagation across call sites).
-//   - floateq: ==/!= on floats in non-test code.
+//   - floateq: ==/!= on floats in non-test code, except against the
+//     constant zero (sentinel, sparsity and zero-divisor checks).
 //   - hotalloc: fmt, string building, or interface boxing inside
 //     //maya:hotpath functions — transitively through the callee cone,
 //     charged to the call edge leaving the hot function. Constants are
@@ -76,7 +77,7 @@
 // Suppressions silence one finding, with an unused-suppression check so
 // stale annotations are themselves findings:
 //
-//	x := a == b //nolint:maya/floateq exact zero test of a value set to 0
+//	x := a == b //nolint:maya/floateq degenerate-range guard on exact config values
 //	//nolint:maya/maprange order is folded through a commutative sum
 //	y := collect(m)
 //

@@ -2,18 +2,21 @@ package lint
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 )
 
 // FloatEq flags == and != between floating-point operands in non-test
 // code. Accumulated rounding differences are how "the same" control
 // trajectory diverges between runs or hosts; comparisons should use a
-// tolerance. The rare legitimate exact comparisons — degenerate-range
-// guards, has-this-been-set-at-all zero tests of values assigned exactly —
+// tolerance. Comparisons against the constant zero are exempt: they are
+// sentinel, sparsity and zero-divisor checks, which ask whether a value is
+// exactly zero, not whether two computed values agree. The rare other
+// legitimate exact comparisons — degenerate-range guards, clamp detection —
 // carry a //nolint:maya/floateq with a reason.
 var FloatEq = &Analyzer{
 	Name: "floateq",
-	Doc:  "==/!= on floats in non-test code; compare with a tolerance or suppress with a reason",
+	Doc:  "==/!= on floats in non-test code, other than against constant zero; compare with a tolerance or suppress with a reason",
 	Run:  runFloatEq,
 }
 
@@ -35,8 +38,17 @@ func runFloatEq(pass *Pass) {
 			if tv, ok := pkg.Info.Types[bin]; ok && tv.Value != nil {
 				return true
 			}
+			if isZeroConst(pkg, bin.X) || isZeroConst(pkg, bin.Y) {
+				return true
+			}
 			pass.Reportf(bin.OpPos, "float %s comparison; use a tolerance (exact comparisons diverge across runs and hosts)", bin.Op)
 			return true
 		})
 	}
+}
+
+// isZeroConst reports whether e is a constant expression equal to zero.
+func isZeroConst(pkg *Package, e ast.Expr) bool {
+	tv, ok := pkg.Info.Types[e]
+	return ok && tv.Value != nil && constant.Sign(tv.Value) == 0
 }

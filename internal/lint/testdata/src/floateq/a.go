@@ -20,3 +20,15 @@ func constCmp() bool {
 	const x = 1.5
 	return x == 1.5
 }
+
+// zeroCmp compares against the constant zero, the sentinel and
+// zero-divisor check, and must not be flagged in either operand order.
+func zeroCmp(a float64, b float32) bool {
+	const none = 0.0
+	return a == 0 || 0 != b || a != none
+}
+
+// oneCmp compares against a non-zero constant and is still flagged.
+func oneCmp(a float64) bool {
+	return a == 1 // want "float == comparison; use a tolerance"
+}

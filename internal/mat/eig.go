@@ -33,7 +33,7 @@ func hessenberg(a *Matrix) *Matrix {
 		for i := k + 1; i < n; i++ {
 			norm = math.Hypot(norm, h.At(i, k))
 		}
-		if norm == 0 { //nolint:maya/floateq exact-zero column needs no elimination
+		if norm == 0 {
 			continue
 		}
 		alpha := -norm
@@ -49,7 +49,7 @@ func hessenberg(a *Matrix) *Matrix {
 		for _, x := range v {
 			vn = math.Hypot(vn, x)
 		}
-		if vn == 0 { //nolint:maya/floateq exact-zero reflector vector; nothing to apply
+		if vn == 0 {
 			continue
 		}
 		for i := range v {
@@ -92,7 +92,7 @@ func francis(h *Matrix) []complex128 {
 		l := m
 		for l > 0 {
 			s := math.Abs(h.At(l-1, l-1)) + math.Abs(h.At(l, l))
-			if s == 0 { //nolint:maya/floateq exact-zero scale guard before division
+			if s == 0 {
 				s = 1
 			}
 			if math.Abs(h.At(l, l-1)) <= 1e-13*s {
@@ -178,7 +178,7 @@ func doubleShiftSweep(h *Matrix, l, m int, exceptional bool) {
 // against x, acting on rows/cols k..k+2 of the active block.
 func applyBulge(h *Matrix, k, l, m int, x, y, z float64) {
 	norm := math.Sqrt(x*x + y*y + z*z)
-	if norm == 0 { //nolint:maya/floateq exact-zero reflector norm; nothing to eliminate
+	if norm == 0 {
 		return
 	}
 	alpha := -norm
@@ -187,7 +187,7 @@ func applyBulge(h *Matrix, k, l, m int, x, y, z float64) {
 	}
 	v0, v1, v2 := x-alpha, y, z
 	vn := math.Sqrt(v0*v0 + v1*v1 + v2*v2)
-	if vn == 0 { //nolint:maya/floateq exact-zero reflector norm; nothing to eliminate
+	if vn == 0 {
 		return
 	}
 	v0, v1, v2 = v0/vn, v1/vn, v2/vn
@@ -220,7 +220,7 @@ func applyBulge(h *Matrix, k, l, m int, x, y, z float64) {
 // applyBulge2 is the trailing 2-element reflector of a sweep.
 func applyBulge2(h *Matrix, k, l, m int, x, y float64) {
 	norm := math.Hypot(x, y)
-	if norm == 0 { //nolint:maya/floateq exact-zero rotation norm; nothing to eliminate
+	if norm == 0 {
 		return
 	}
 	alpha := -norm
@@ -229,7 +229,7 @@ func applyBulge2(h *Matrix, k, l, m int, x, y float64) {
 	}
 	v0, v1 := x-alpha, y
 	vn := math.Hypot(v0, v1)
-	if vn == 0 { //nolint:maya/floateq exact-zero rotation norm; nothing to eliminate
+	if vn == 0 {
 		return
 	}
 	v0, v1 = v0/vn, v1/vn

@@ -174,7 +174,7 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 		mrow := m.data[i*m.cols : (i+1)*m.cols]
 		orow := out.data[i*out.cols : (i+1)*out.cols]
 		for k, mv := range mrow {
-			if mv == 0 { //nolint:maya/floateq sparsity skip: exact zeros contribute nothing
+			if mv == 0 {
 				continue
 			}
 			brow := b.data[k*b.cols : (k+1)*b.cols]

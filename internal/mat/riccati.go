@@ -97,7 +97,7 @@ func SpectralRadius(a *Matrix) float64 {
 	rho := ak.FrobeniusNorm()
 	for step := 0; step < 10; step++ {
 		norm := ak.FrobeniusNorm()
-		if norm == 0 { //nolint:maya/floateq A^k vanishing exactly ends the Krylov iteration
+		if norm == 0 {
 			// A^k vanished numerically; the last estimate stands (or the
 			// matrix is nilpotent, where 0 is correct only if k ≥ n — the
 			// previous estimate upper-bounds ρ either way).

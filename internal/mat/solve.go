@@ -47,7 +47,7 @@ func Factor(a *Matrix) (*LU, error) {
 		for i := k + 1; i < n; i++ {
 			f := lu.At(i, k) / pivVal
 			lu.Set(i, k, f)
-			if f == 0 { //nolint:maya/floateq sparsity skip: exact-zero multiplier eliminates nothing
+			if f == 0 {
 				continue
 			}
 			for j := k + 1; j < n; j++ {
@@ -163,7 +163,7 @@ func FactorQR(a *Matrix) *QR {
 			norm = math.Hypot(norm, w.At(i, k))
 		}
 		v := make([]float64, m-k)
-		if norm != 0 { //nolint:maya/floateq exact-zero column norm; reflector is identity
+		if norm != 0 {
 			alpha := -norm
 			if w.At(k, k) < 0 {
 				alpha = norm
@@ -249,7 +249,7 @@ func LeastSquares(a *Matrix, b []float64, ridge float64) ([]float64, error) {
 	if a.rows != len(b) {
 		panic(fmt.Sprintf("mat: LeastSquares rows %d != rhs %d", a.rows, len(b)))
 	}
-	if ridge == 0 { //nolint:maya/floateq ridge==0 selects the exact (unregularized) path
+	if ridge == 0 {
 		return FactorQR(a).SolveVec(b)
 	}
 	at := a.T()

@@ -170,7 +170,7 @@ func (m *MLP) forwardBatch(bb *batch, rows int) {
 				oa = oa[:cols]
 				ob := out[(bi+1)*cols:]
 				ob = ob[:cols]
-				if x0 != 0 && x1 != 0 && x2 != 0 && x3 != 0 && y0 != 0 && y1 != 0 && y2 != 0 && y3 != 0 { //nolint:maya/floateq dense fast path; zeros take the exact-skip path in forwardRow4
+				if x0 != 0 && x1 != 0 && x2 != 0 && x3 != 0 && y0 != 0 && y1 != 0 && y2 != 0 && y3 != 0 {
 					for j := range oa {
 						rv0, rv1, rv2, rv3 := r0[j], r1[j], r2[j], r3[j]
 						oa[j] = oa[j] + x0*rv0 + x1*rv1 + x2*rv2 + x3*rv3
@@ -193,7 +193,7 @@ func (m *MLP) forwardBatch(bb *batch, rows int) {
 			xcol := inT[i*rows:]
 			xcol = xcol[:rows]
 			for bi, xi := range xcol {
-				if xi == 0 { //nolint:maya/floateq sparsity skip: one-hot inputs are exactly zero
+				if xi == 0 {
 					continue
 				}
 				o := out[bi*cols:]
@@ -278,7 +278,7 @@ func (m *MLP) backwardBatch(bb *batch, rows int, gw []*dense, gb [][]float64) {
 				d2 = d2[:cols]
 				d3 := d[(bi+3)*cols:]
 				d3 = d3[:cols]
-				if x0 != 0 && x1 != 0 && x2 != 0 && x3 != 0 && y0 != 0 && y1 != 0 && y2 != 0 && y3 != 0 { //nolint:maya/floateq dense fast path; zeros take the exact-skip path in gradRow4
+				if x0 != 0 && x1 != 0 && x2 != 0 && x3 != 0 && y0 != 0 && y1 != 0 && y2 != 0 && y3 != 0 {
 					for j := range grow0 {
 						dv0, dv1, dv2, dv3 := d0[j], d1[j], d2[j], d3[j]
 						grow0[j] = grow0[j] + x0*dv0 + x1*dv1 + x2*dv2 + x3*dv3
@@ -292,12 +292,12 @@ func (m *MLP) backwardBatch(bb *batch, rows int, gw []*dense, gb [][]float64) {
 			for ; bi < rows; bi++ {
 				drow := d[bi*cols:]
 				drow = drow[:cols]
-				if xi := xc0[bi]; xi != 0 { //nolint:maya/floateq sparsity skip: one-hot inputs are exactly zero
+				if xi := xc0[bi]; xi != 0 {
 					for j, dv := range drow {
 						grow0[j] += xi * dv
 					}
 				}
-				if yi := xc1[bi]; yi != 0 { //nolint:maya/floateq sparsity skip
+				if yi := xc1[bi]; yi != 0 {
 					for j, dv := range drow {
 						grow1[j] += yi * dv
 					}
@@ -311,7 +311,7 @@ func (m *MLP) backwardBatch(bb *batch, rows int, gw []*dense, gb [][]float64) {
 			xcol = xcol[:rows]
 			for bi := 0; bi < rows; bi++ {
 				xi := xcol[bi]
-				if xi == 0 { //nolint:maya/floateq sparsity skip: one-hot inputs are exactly zero
+				if xi == 0 {
 					continue
 				}
 				drow := d[bi*cols:]
@@ -414,28 +414,28 @@ func forwardRow4(o []float64, x0, x1, x2, x3 float64, r0, r1, r2, r3 []float64) 
 	r1 = r1[:len(o)]
 	r2 = r2[:len(o)]
 	r3 = r3[:len(o)]
-	if x0 != 0 && x1 != 0 && x2 != 0 && x3 != 0 { //nolint:maya/floateq dense fast path; zeros take the exact-skip path below
+	if x0 != 0 && x1 != 0 && x2 != 0 && x3 != 0 {
 		for j := range o {
 			o[j] = o[j] + x0*r0[j] + x1*r1[j] + x2*r2[j] + x3*r3[j]
 		}
 		return
 	}
-	if x0 != 0 { //nolint:maya/floateq sparsity skip: one-hot inputs are exactly zero
+	if x0 != 0 {
 		for j, v := range r0 {
 			o[j] += x0 * v
 		}
 	}
-	if x1 != 0 { //nolint:maya/floateq sparsity skip
+	if x1 != 0 {
 		for j, v := range r1 {
 			o[j] += x1 * v
 		}
 	}
-	if x2 != 0 { //nolint:maya/floateq sparsity skip
+	if x2 != 0 {
 		for j, v := range r2 {
 			o[j] += x2 * v
 		}
 	}
-	if x3 != 0 { //nolint:maya/floateq sparsity skip
+	if x3 != 0 {
 		for j, v := range r3 {
 			o[j] += x3 * v
 		}
@@ -453,28 +453,28 @@ func gradRow4(grow []float64, x0, x1, x2, x3 float64, d0, d1, d2, d3 []float64) 
 	d1 = d1[:len(grow)]
 	d2 = d2[:len(grow)]
 	d3 = d3[:len(grow)]
-	if x0 != 0 && x1 != 0 && x2 != 0 && x3 != 0 { //nolint:maya/floateq dense fast path; zeros take the exact-skip path below
+	if x0 != 0 && x1 != 0 && x2 != 0 && x3 != 0 {
 		for j := range grow {
 			grow[j] = grow[j] + x0*d0[j] + x1*d1[j] + x2*d2[j] + x3*d3[j]
 		}
 		return
 	}
-	if x0 != 0 { //nolint:maya/floateq sparsity skip: one-hot inputs are exactly zero
+	if x0 != 0 {
 		for j, dv := range d0 {
 			grow[j] += x0 * dv
 		}
 	}
-	if x1 != 0 { //nolint:maya/floateq sparsity skip
+	if x1 != 0 {
 		for j, dv := range d1 {
 			grow[j] += x1 * dv
 		}
 	}
-	if x2 != 0 { //nolint:maya/floateq sparsity skip
+	if x2 != 0 {
 		for j, dv := range d2 {
 			grow[j] += x2 * dv
 		}
 	}
-	if x3 != 0 { //nolint:maya/floateq sparsity skip
+	if x3 != 0 {
 		for j, dv := range d3 {
 			grow[j] += x3 * dv
 		}

@@ -91,7 +91,7 @@ func (m *MLP) forward(x []float64, acts [][]float64) {
 		}
 		for i := 0; i < w.rows; i++ {
 			xi := in[i]
-			if xi == 0 { //nolint:maya/floateq sparsity skip: one-hot inputs are exactly zero
+			if xi == 0 {
 				continue // one-hot inputs are mostly zero
 			}
 			row := w.w[i*w.cols : (i+1)*w.cols]

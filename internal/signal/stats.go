@@ -122,7 +122,7 @@ func Pearson(x, y []float64) float64 {
 		sxx += dx * dx
 		syy += dy * dy
 	}
-	if sxx == 0 || syy == 0 { //nolint:maya/floateq zero-variance guard before division
+	if sxx == 0 || syy == 0 {
 		return 0
 	}
 	return sxy / math.Sqrt(sxx*syy)

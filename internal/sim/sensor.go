@@ -113,7 +113,7 @@ func (s *OutletSensor) Observe(r StepResult) {
 	if s.tickAngle > 2*math.Pi {
 		s.tickAngle -= 2 * math.Pi
 	}
-	if s.psuState == 0 { //nolint:maya/floateq psuState==0 is the not-yet-initialized sentinel
+	if s.psuState == 0 {
 		s.psuState = r.WallW
 	}
 	a := s.cfg.TickSeconds / s.psuTau

@@ -149,7 +149,7 @@ func fromChromeEvents(ces []chromeEvent) []TraceEvent {
 		}
 		// Traces from other emitters may lack our args payload; fall back
 		// to the microsecond floats.
-		if ev.StartNS == 0 && ev.DurNS == 0 && (ce.TS != 0 || ce.Dur != 0) { //nolint:maya/floateq exact zero test: absent JSON fields decode to exactly 0
+		if ev.StartNS == 0 && ev.DurNS == 0 && (ce.TS != 0 || ce.Dur != 0) {
 			ev.StartNS = int64(ce.TS * 1e3)
 			ev.DurNS = int64(ce.Dur * 1e3)
 		}

@@ -149,15 +149,15 @@ func appendQuantized(dst []byte, samples []float64) ([]byte, bool) {
 	q := 0.0
 	for i := 1; i < len(samples); i++ {
 		step := math.Abs(samples[i] - samples[i-1])
-		if step > 0 && (q == 0 || step < q) { //nolint:maya/floateq selecting the exact smallest nonzero step is the point
+		if step > 0 && (q == 0 || step < q) {
 			q = step
 		}
 	}
-	if q == 0 { //nolint:maya/floateq all-equal trace: every step was exactly zero
+	if q == 0 {
 		// Constant trace: use the value itself as the quantum (k_i = 1),
 		// or 1 for the all-zero trace (k_i = 0).
 		q = math.Abs(samples[0])
-		if q == 0 { //nolint:maya/floateq exact zero means the value is literally 0.0
+		if q == 0 {
 			q = 1
 		}
 	}

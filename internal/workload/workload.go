@@ -194,7 +194,7 @@ func (p *Program) PhaseIndex() int { return p.idx }
 
 // Progress returns completed work / total work in [0, 1].
 func (p *Program) Progress() float64 {
-	if p.total == 0 { //nolint:maya/floateq total==0 is the no-work sentinel, set exactly
+	if p.total == 0 {
 		return 1
 	}
 	completed := p.done
