@@ -32,12 +32,14 @@
 // class table — it is rebuilt from the rows.
 //
 // -fleet N steps N co-resident tenants through the batched fleet engine
-// (internal/fleet) instead of the scalar path: each tenant runs its own
-// machine, workload, and defense instance with seeds derived from (seed,
-// tenant index), and the output is a per-tenant summary table. -csv then
-// carries a leading tenant column, and -flight concatenates every tenant's
-// trace with `# tenant N` separators. Per-tenant results are bit-identical
-// to N separate scalar runs with the same derived seeds.
+// (internal/fleet), on one goroutine, instead of the scalar path: each
+// tenant runs its own machine, workload, and defense instance with seeds
+// derived from (seed, tenant index), and the output is a per-tenant
+// summary table. -csv then carries a leading tenant column, and -flight
+// concatenates every tenant's trace with `# tenant N` separators.
+// Per-tenant results are bit-identical to N separate scalar runs with the
+// same derived seeds. -trace, -trace-sample, -plot, -stop-on-finish and
+// -debug-addr serve the scalar path only, and -fleet refuses them.
 //
 // -trace records the engine's hierarchical span trace (per-tick phase
 // breakdown: mask generation, sensor guard, controller step, actuator
@@ -97,6 +99,24 @@ func defenseKind(name string) (defense.Kind, error) {
 
 func newWorkload(name string, scale float64) (workload.Workload, error) {
 	return workload.New(name, scale)
+}
+
+// checkFleet validates -fleet against the flags set on the command line
+// (by name): a negative tenant count is an error, and so is a fleet run
+// with any flag that only the scalar path reads.
+func checkFleet(tenants int, set map[string]bool) error {
+	if tenants < 0 {
+		return fmt.Errorf("-fleet %d: want a tenant count, or 0 for the scalar path", tenants)
+	}
+	if tenants == 0 {
+		return nil
+	}
+	for _, name := range []string{"trace", "trace-sample", "plot", "stop-on-finish", "debug-addr"} {
+		if set[name] {
+			return fmt.Errorf("-%s does not apply to -fleet runs", name)
+		}
+	}
+	return nil
 }
 
 // runTicks converts -seconds into recorded ticks (1 ms each). Like mayad's
@@ -191,6 +211,11 @@ func main() {
 		return
 	}
 
+	set := make(map[string]bool)
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkFleet(*fleetN, set); err != nil {
+		log.Fatal(err)
+	}
 	cfg, err := machineConfig(*machine)
 	if err != nil {
 		log.Fatal(err)

@@ -114,3 +114,38 @@ func TestRunTicksBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckFleet pins -fleet validation, which runs before design
+// synthesis: a negative tenant count is refused, and so is a fleet run
+// with any flag only the scalar path reads, which the fleet path would
+// otherwise drop without a word. Flags the fleet path honours pass.
+func TestCheckFleet(t *testing.T) {
+	for _, tc := range []struct {
+		tenants int
+		set     []string
+		err     string
+	}{
+		{0, nil, ""},
+		{0, []string{"trace", "plot", "stop-on-finish", "debug-addr", "trace-sample"}, ""},
+		{2, nil, ""},
+		{2, []string{"csv", "flight", "metrics", "faults", "seconds", "seed"}, ""},
+		{-3, nil, "-fleet -3: want a tenant count"},
+		{2, []string{"trace"}, "-trace does not apply to -fleet runs"},
+		{2, []string{"trace-sample"}, "-trace-sample does not apply to -fleet runs"},
+		{2, []string{"plot"}, "-plot does not apply to -fleet runs"},
+		{2, []string{"stop-on-finish"}, "-stop-on-finish does not apply to -fleet runs"},
+		{2, []string{"csv", "debug-addr"}, "-debug-addr does not apply to -fleet runs"},
+	} {
+		set := make(map[string]bool)
+		for _, name := range tc.set {
+			set[name] = true
+		}
+		err := checkFleet(tc.tenants, set)
+		switch {
+		case tc.err == "" && err != nil:
+			t.Errorf("checkFleet(%d, %v) = %v; want nil", tc.tenants, tc.set, err)
+		case tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)):
+			t.Errorf("checkFleet(%d, %v) = %v; want error %q", tc.tenants, tc.set, err, tc.err)
+		}
+	}
+}

@@ -1,12 +1,12 @@
 // Command mayad is the fleet-defense daemon: a long-running HTTP server
-// that admits defended tenants, steps them on a sharded scheduler built
-// from internal/fleet banks, and serves traces, flight records, and
-// Prometheus telemetry back out.
+// that admits defended tenants, steps them on a scheduler built from
+// internal/fleet banks, and serves traces, flight records, and Prometheus
+// telemetry back out.
 //
 // Usage:
 //
-//	mayad [-addr :8787] [-shards 2] [-max-tenants 64] [-queue 16]
-//	      [-spill 4096] [-spool dir] [-pace 0] [-addr-file path]
+//	mayad [-addr :8787] [-max-tenants 64] [-queue 32] [-spill 4096]
+//	      [-spool dir] [-pace 0] [-addr-file path]
 //
 // API (all JSON unless noted):
 //
@@ -24,10 +24,10 @@
 //
 // A tenant admitted with (seed, index) reproduces — byte for byte — slot
 // `index` of `mayactl -fleet -seed <seed>` with the same machine,
-// defense, workload, and duration, regardless of shard count or which
+// defense, workload, and duration, regardless of bank packing or which
 // other tenants are resident.
 //
-// On SIGINT/SIGTERM the daemon drains: admissions shed with 503, shards
+// On SIGINT/SIGTERM the daemon drains: admissions shed with 503, banks
 // finalize at the next control-period boundary (every tenant's partial
 // trace is a bit-identical prefix of its full run), traces spool to
 // -spool, and the HTTP server shuts down gracefully.
@@ -49,9 +49,8 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8787", "listen address (host:port; :0 picks a free port)")
-	shards := flag.Int("shards", 2, "scheduler worker shards")
 	maxTenants := flag.Int("max-tenants", 64, "resident-tenant cap; admissions beyond it shed with 503")
-	queue := flag.Int("queue", 16, "per-shard admission queue depth")
+	queue := flag.Int("queue", 32, "admission queue depth")
 	spill := flag.Int("spill", 4096, "per-bank spill buffer bound (drop-oldest past it)")
 	spool := flag.String("spool", "", "directory for tenant traces flushed at drain (empty = no spool)")
 	pace := flag.Duration("pace", 0, "sleep between scheduler passes (0 = run flat out)")
@@ -60,7 +59,6 @@ func main() {
 	flag.Parse()
 
 	if err := run(*addr, *addrFile, *drainTimeout, mayad.Config{
-		Shards:     *shards,
 		MaxTenants: *maxTenants,
 		QueueDepth: *queue,
 		SpillLimit: *spill,
@@ -85,8 +83,7 @@ func run(addr, addrFile string, drainTimeout time.Duration, cfg mayad.Config) er
 		return err
 	}
 	dbg.SetDrainTimeout(drainTimeout)
-	fmt.Printf("mayad: listening on %s (%d shards, max %d tenants)\n",
-		dbg.Addr(), cfg.Shards, cfg.MaxTenants)
+	fmt.Printf("mayad: listening on %s (max %d tenants)\n", dbg.Addr(), cfg.MaxTenants)
 	if addrFile != "" {
 		if err := os.WriteFile(addrFile, []byte(dbg.Addr()+"\n"), 0o644); err != nil {
 			dbg.Close()

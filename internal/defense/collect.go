@@ -79,8 +79,12 @@ type RunStats struct {
 
 // CollectSpec configures attacker-visible trace collection under a defense.
 type CollectSpec struct {
-	Cfg    sim.Config
-	Design *Design
+	Cfg sim.Config
+	// Design builds each run's policy from the run's secret seed: a
+	// *Design, or any other factory with the same Policy method.
+	Design interface {
+		Policy(runSeed uint64) sim.Policy
+	}
 	// Classes are the labels the attacker wants to distinguish.
 	Classes []Class
 	// RunsPerClass is the number of recorded executions per label (the

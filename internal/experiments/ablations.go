@@ -11,12 +11,8 @@ import (
 	"github.com/maya-defense/maya/internal/defense"
 	"github.com/maya-defense/maya/internal/dtw"
 	"github.com/maya-defense/maya/internal/mask"
-	"github.com/maya-defense/maya/internal/rng"
-	"github.com/maya-defense/maya/internal/runner"
 	"github.com/maya-defense/maya/internal/signal"
 	"github.com/maya-defense/maya/internal/sim"
-	"github.com/maya-defense/maya/internal/telemetry"
-	"github.com/maya-defense/maya/internal/trace"
 	"github.com/maya-defense/maya/internal/workload"
 )
 
@@ -32,47 +28,6 @@ func (m *maskDesign) Policy(seed uint64) sim.Policy {
 	eng := core.NewEngine(m.art.Controller.Clone(), m.mk(seed), m.cfg.Knobs())
 	eng.Reset(seed)
 	return eng
-}
-
-// collectWithPolicy mirrors defense.Collect for custom policy factories,
-// fanning the (label, run) grid across the worker pool. Per-run seeds are a
-// pure function of (seed, label, run), so results are identical at any
-// worker count.
-func collectWithPolicy(ctx context.Context, cfg sim.Config, factory interface {
-	Policy(seed uint64) sim.Policy
-}, classes []defense.Class, sc Scale, seed uint64, maxTicks int) *trace.Dataset {
-	names := make([]string, len(classes))
-	for i, c := range classes {
-		names[i] = c.Name
-	}
-	ds := &trace.Dataset{ClassNames: names}
-	n := len(classes) * sc.RunsPerClass
-	samples, _ := runner.MapN(ctx, runner.Options{}, n,
-		func(jctx context.Context, i int, _ *rng.Stream) ([]float64, error) {
-			label, run := i/sc.RunsPerClass, i%sc.RunsPerClass
-			base := seed + uint64(label)*1_000_003 + uint64(run)*7_919
-			m := sim.NewMachine(cfg, base+1)
-			w := classes[label].New()
-			w.Reset(base + 2)
-			att := &sim.Sampler{Sensor: sim.NewRAPLSensor(m), PeriodTicks: 20}
-			pol := factory.Policy(base + 3)
-			if tr := telemetry.ActiveTrace(); tr.Enabled() {
-				if eng, ok := pol.(*core.Engine); ok {
-					eng.SetTrace(tr, telemetry.SpanFromContext(jctx))
-				}
-			}
-			sim.Run(m, w, pol, sim.RunSpec{
-				ControlPeriodTicks: 20,
-				MaxTicks:           maxTicks,
-				WarmupTicks:        sc.WarmupTicks,
-				Samplers:           []*sim.Sampler{att},
-			})
-			return att.Samples, nil
-		})
-	for i, s := range samples {
-		ds.Add(i/sc.RunsPerClass, 20, s)
-	}
-	return ds
 }
 
 // MaskAblationResult evaluates every mask family under the same formal
@@ -116,8 +71,15 @@ func AblationMasks(ctx context.Context, sc Scale, seed uint64) (*MaskAblationRes
 	spec.WindowLen = sc.TraceTicks / 20 / 5
 	spec.Train.Epochs = sc.Epochs
 	for i, f := range families {
-		md := &maskDesign{art: art, cfg: cfg, mk: f.mk}
-		ds := collectWithPolicy(ctx, cfg, md, classes, sc, seed+uint64(i+1)*65537, sc.TraceTicks)
+		ds, _ := defense.Collect(ctx, defense.CollectSpec{
+			Cfg:          cfg,
+			Design:       &maskDesign{art: art, cfg: cfg, mk: f.mk},
+			Classes:      classes,
+			RunsPerClass: sc.RunsPerClass,
+			MaxTicks:     sc.TraceTicks,
+			Seed:         seed + uint64(i+1)*65537,
+			WarmupTicks:  sc.WarmupTicks,
+		})
 		ar, err := attack.Run(ds, spec)
 		if err != nil {
 			return nil, err

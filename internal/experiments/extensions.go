@@ -92,32 +92,21 @@ func Thermal(sc Scale, seed uint64) (*ThermalResult, error) {
 	}
 	apps := []string{"blackscholes", "canneal", "water_nsquared"}
 
+	// tempTrace is the temperature at the end of every control period.
 	tempTrace := func(app string, pol sim.Policy, machineSeed uint64) []float64 {
 		m := sim.NewMachine(cfg, machineSeed)
 		w := workload.NewApp(app).Scale(sc.WorkloadScale)
 		w.Reset(seed)
-		var temps []float64
-		// Manual loop to sample temperature each control period.
-		var idle workload.Idle
-		m.SetInputs(pol.Decide(0, 0))
-		sensor := sim.NewRAPLSensor(m)
-		step := 0
-		for t := 0; t < sc.WarmupTicks; t++ {
-			m.Step(idle)
-			if (t+1)%20 == 0 {
-				step++
-				m.SetInputs(pol.Decide(step, sensor.ReadW()))
-			}
-		}
-		for t := 0; t < sc.TraceTicks; t++ {
-			r := m.Step(w)
-			if (t+1)%20 == 0 {
-				temps = append(temps, r.TempC)
-				step++
-				m.SetInputs(pol.Decide(step, sensor.ReadW()))
-			}
-		}
-		return temps
+		temps := &sim.Sampler{PeriodTicks: 20, Sensor: &probe{
+			read: func(r sim.StepResult) float64 { return r.TempC },
+		}}
+		sim.Run(m, w, pol, sim.RunSpec{
+			ControlPeriodTicks: 20,
+			MaxTicks:           sc.TraceTicks,
+			WarmupTicks:        sc.WarmupTicks,
+			Samplers:           []*sim.Sampler{temps},
+		})
+		return temps.Samples
 	}
 
 	res := &ThermalResult{}

@@ -279,36 +279,42 @@ func instrumentedRun(cfg sim.Config, kind defense.Kind, art *core.Design, sc Sca
 	w.Reset(seed + 1)
 	pol := defense.NewDesign(kind, cfg, art, 20).Policy(seed + 2)
 
-	var idle workload.Idle
-	m.SetInputs(pol.Decide(0, 0))
-	sensor := sim.NewRAPLSensor(m)
-	step := 0
-	for t := 0; t < sc.WarmupTicks; t++ {
-		m.Step(idle)
-		if (t+1)%20 == 0 {
-			step++
-			m.SetInputs(pol.Decide(step, sensor.ReadW()))
+	// phases samples w's phase index at the end of every period. The
+	// warmup steps an idle workload, so w is still in its starting phase,
+	// last, when recording begins.
+	phases := &sim.Sampler{PeriodTicks: 20, Sensor: &probe{
+		read: func(sim.StepResult) float64 { return float64(w.PhaseIndex()) },
+	}}
+	last := w.PhaseIndex()
+	res := sim.Run(m, w, pol, sim.RunSpec{
+		ControlPeriodTicks: 20,
+		MaxTicks:           sc.TraceTicks,
+		WarmupTicks:        sc.WarmupTicks,
+		Samplers:           []*sim.Sampler{phases},
+	})
+	for i, v := range phases.Samples {
+		if p := int(v); p != last {
+			transitions = append(transitions, i+1)
+			last = p
 		}
 	}
-	lastPhase := w.PhaseIndex()
 	endSample = -1
-	for t := 0; t < sc.TraceTicks; t++ {
-		r := m.Step(w)
-		if r.Finished && endSample < 0 {
-			endSample = t / 20
-		}
-		if (t+1)%20 == 0 {
-			if p := w.PhaseIndex(); p != lastPhase {
-				transitions = append(transitions, len(samples)+1)
-				lastPhase = p
-			}
-			samples = append(samples, sensor.ReadW())
-			step++
-			m.SetInputs(pol.Decide(step, samples[len(samples)-1]))
-		}
+	if res.FinishedTick >= 0 {
+		endSample = int(res.FinishedTick-1) / 20
 	}
-	return samples, transitions, endSample
+	return res.DefenseSamples, transitions, endSample
 }
+
+// probe is a sim.PowerSensor for a quantity other than power: ReadW
+// returns read applied to the last tick observed. Fig 11 samples the
+// workload's phase with it, and Thermal the die temperature.
+type probe struct {
+	read func(sim.StepResult) float64
+	v    float64
+}
+
+func (p *probe) Observe(r sim.StepResult) { p.v = p.read(r) }
+func (p *probe) ReadW() float64           { return p.v }
 
 func abs(x int) int {
 	if x < 0 {

@@ -3,7 +3,6 @@ package difftest
 import (
 	"bytes"
 	"math"
-	"runtime"
 	"testing"
 
 	"github.com/maya-defense/maya/internal/defense"
@@ -125,7 +124,8 @@ func TestFleetMatchesScalarLarge(t *testing.T) {
 	for _, c := range []Case{
 		{Name: "gs-1000", Config: cfg, Kind: defense.MayaGS, Tenants: 1000,
 			Ticks: 60, Seed: 0x1000, Scale: 0.02, Flight: 8, Guard: true},
-		large1000Faulted(t),
+		{Name: "gs-1000-faulted", Config: cfg, Kind: defense.MayaGS, Tenants: 1000,
+			Ticks: 60, Seed: 0x1001, Plan: kitchenSink(t), Scale: 0.02, Flight: 8, Guard: true},
 	} {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
@@ -134,68 +134,6 @@ func TestFleetMatchesScalarLarge(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-// large1000Faulted is the 1000-tenant kitchen-sink case.
-func large1000Faulted(t testing.TB) Case {
-	return Case{Name: "gs-1000-faulted", Config: sim.Sys1(), Kind: defense.MayaGS, Tenants: 1000,
-		Ticks: 60, Seed: 0x1001, Plan: kitchenSink(t), Scale: 0.02, Flight: 8, Guard: true}
-}
-
-// TestFleetGOMAXPROCSInvariant runs the 1000-tenant kitchen-sink case at
-// GOMAXPROCS 1, 2 and 8, evicting one tenant after the first period, and
-// requires identical results from all three: the engine's split of a
-// period's machine ticks over tenant ranges, which follows GOMAXPROCS,
-// must never show in a trace, target, flight record, fault count or
-// finish tick. It sets GOMAXPROCS, so it must not run in parallel.
-func TestFleetGOMAXPROCSInvariant(t *testing.T) {
-	c := large1000Faulted(t)
-	spec, err := c.spec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const evicted = 421
-	// run returns the results with each flight recorder flushed into
-	// flights, as Flush drains the recorder.
-	run := func(procs int) (res []fleet.TenantResult, flights [][]byte) {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		e := fleet.New(spec)
-		e.Start()
-		e.StepPeriod()
-		e.Evict(evicted)
-		for e.StepPeriod() {
-		}
-		res = e.Results()
-		flights = make([][]byte, len(res))
-		for i := range res {
-			if f := res[i].Flight; f != nil {
-				var buf bytes.Buffer
-				if err := f.Flush(&buf); err != nil {
-					t.Fatal(err)
-				}
-				flights[i], res[i].Flight = buf.Bytes(), nil
-			}
-		}
-		return res, flights
-	}
-	ref, refFlights := run(1)
-	if len(ref[evicted].TickPowerW) != 0 || len(ref[0].TickPowerW) != c.Ticks {
-		t.Fatalf("eviction did not take: %d ticks evicted, %d ticks kept",
-			len(ref[evicted].TickPowerW), len(ref[0].TickPowerW))
-	}
-	for _, procs := range []int{2, 8} {
-		got, gotFlights := run(procs)
-		for i, r := range ref {
-			want := scalarTenant{res: r.RunResult, targets: r.Targets, stats: r.Stats}
-			if err := diffTenant(want, got[i]); err != nil {
-				t.Fatalf("GOMAXPROCS %d vs 1: tenant %d: %v", procs, i, err)
-			}
-			if !bytes.Equal(gotFlights[i], refFlights[i]) {
-				t.Fatalf("GOMAXPROCS %d vs 1: tenant %d: flight records differ:\n%s",
-					procs, i, firstDiffLine(refFlights[i], gotFlights[i]))
-			}
-		}
 	}
 }
 

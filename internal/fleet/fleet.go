@@ -1,11 +1,13 @@
 // Package fleet steps many defended machines in one process. The
 // machines are the scalar sim.Machine, held contiguously in a
-// sim.MachineBank; a period's machine ticks step in contiguous tenant
-// ranges, in parallel on a large bank. Every tenant then decides through
-// its own policy: the defense's sim.Policy, which for the Maya kinds is a
-// core.Engine with its own control.Controller, wrapped in
-// fault.FaultyPolicy when a fault plan is attached, exactly as sim.Run
-// calls it.
+// sim.MachineBank; a period's machine ticks step in cache blocks of
+// tenants. Every tenant then decides through its own policy: the
+// defense's sim.Policy, which for the Maya kinds is a core.Engine with its
+// own control.Controller, wrapped in fault.FaultyPolicy when a fault plan
+// is attached, exactly as sim.Run calls it. An engine runs on its
+// caller's goroutine and starts none of its own; tenants share nothing,
+// so a caller that wants parallelism steps several engines at once, as
+// mayad's scheduler does.
 //
 // The fleet path is pinned bit-for-bit to the scalar reference: every
 // tenant of a fleet run produces exactly the traces, flight records, and
@@ -18,9 +20,6 @@ package fleet
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"github.com/maya-defense/maya/internal/core"
 	"github.com/maya-defense/maya/internal/defense"
@@ -103,11 +102,9 @@ type TenantResult struct {
 }
 
 // Engine is one fleet in flight. One caller owns it and calls its methods
-// from one goroutine at a time. Start and StepPeriod fan each control
-// period's machine ticks out over tenant ranges on worker goroutines and
-// join them before returning (see stepMachines); everything else runs on
-// the caller. Concurrent observers read only through the telemetry
-// registry and the Spill (see race tests).
+// from one goroutine at a time, and every method runs on that goroutine.
+// Concurrent observers read only through the telemetry registry and the
+// Spill (see race tests).
 type Engine struct {
 	spec Spec
 	bank *sim.MachineBank
@@ -127,14 +124,6 @@ type Engine struct {
 	pw      []float64
 	stepRes []sim.StepResult
 	idle    []workload.Workload
-
-	// Machine-phase fan-out (stepMachines): the phase in flight, the next
-	// range a worker claims, and the join. worker is built once, so
-	// starting a goroutine per phase allocates nothing.
-	phase     machinePhase
-	nextRange atomic.Int32
-	wg        sync.WaitGroup
-	worker    func()
 
 	metrics *Metrics
 	spill   *Spill
@@ -185,10 +174,6 @@ func New(spec Spec) *Engine {
 		idle:      make([]workload.Workload, T),
 		dead:      make([]bool, T),
 		alive:     T,
-	}
-	e.worker = func() {
-		defer e.wg.Done()
-		e.stepRanges()
 	}
 	if maya {
 		e.engines = make([]*core.Engine, T)
@@ -270,7 +255,7 @@ func (e *Engine) decideAll(step int) {
 // phase order (step machine → observe sensor → period boundary: read,
 // decide, actuate), so every tenant's recorded trace matches its scalar
 // twin's bit for bit. Run is Start + StepPeriod-to-exhaustion + Results;
-// incremental callers (cmd/mayad's shard scheduler) drive the three
+// incremental callers (mayad's scheduler) drive the three
 // directly so admissions and evictions can interleave with the run.
 func (e *Engine) Run() []TenantResult {
 	e.Start()
@@ -333,8 +318,8 @@ func (e *Engine) Start() {
 // reports whether ticks remain. It must follow Start.
 //
 // The period's machine ticks run as one phase (stepMachines); sensing,
-// the control decision, actuation, and spill pushes follow on the calling
-// goroutine, and each phase timer reads the clock once.
+// the control decision, actuation, and spill pushes follow, and each
+// phase timer reads the clock once.
 func (e *Engine) StepPeriod() bool {
 	if !e.started {
 		panic("fleet: Engine.StepPeriod before Start")
@@ -401,85 +386,40 @@ func phaseTicks(tick, end, period int) int {
 	return min(period-tick%period, end-tick)
 }
 
-// minTenantsPerWorker is the smallest tenant range worth its own
-// goroutine. A tenant costs a few microseconds per period, so a range this
-// size outweighs a goroutine's start and join many times over, and a bank
-// of one, or of a few, never leaves the calling goroutine.
-const minTenantsPerWorker = 64
-
-// machinePhase is the machine phase in flight, as its workers read it.
-type machinePhase struct {
-	ws      []workload.Workload
-	tick, n int
-	rec     bool
-	ticks   bool // rec, and the per-tick traces are kept (Spec.SkipTickTraces)
-	ranges  int  // the bank splits into this many contiguous tenant ranges
-}
+// blockTenants is how many tenants stepMachines carries through the whole
+// phase at a time. A block's machines, workloads, noise streams and trace
+// tails stay in the core's first-level cache across the phase's ticks,
+// where hundreds of tenants would be fetched from further out on every
+// tick. On a 2-vCPU Xeon, blocks of 16 cut the machine phase by 10–15 %
+// against both single tenants (call overhead) and ranges of hundreds of
+// tenants (cache misses).
+const blockTenants = 16
 
 // stepMachines runs n machine ticks of every tenant, tenant t running
 // ws[t], starting at tick: the sensor observes each tick and, when rec is
-// set, the tick lands in the tenant's trace. The bank splits into one
-// contiguous tenant range per worker, up to GOMAXPROCS of them; the
-// calling goroutine is one worker and starts the others. A range touches
-// only its own tenants (machine, workload, sensor, result), and every
-// tenant keeps the statement order of sim.Run's tick loop, so the split
-// never shows in a result.
+// set, the tick lands in the tenant's trace. Tenants step a block at a
+// time through the whole phase. A tenant touches only its own machine,
+// workload, sensor and result, and keeps the statement order of sim.Run's
+// tick loop, so the blocking never shows in a result.
 func (e *Engine) stepMachines(ws []workload.Workload, tick, n int, rec bool) {
-	workers := max(1, min(runtime.GOMAXPROCS(0), e.spec.Tenants/minTenantsPerWorker))
-	e.phase = machinePhase{
-		ws: ws, tick: tick, n: n, rec: rec,
-		ticks: rec && !e.spec.SkipTickTraces, ranges: workers,
-	}
-	e.nextRange.Store(0)
-	for w := 1; w < workers; w++ {
-		e.wg.Add(1)
-		go e.worker()
-	}
-	e.stepRanges()
-	e.wg.Wait()
-}
-
-// stepRanges claims the phase's ranges one at a time, each claim going to
-// exactly one worker, and steps them until none are left.
-func (e *Engine) stepRanges() {
-	T, ranges := e.spec.Tenants, e.phase.ranges
-	for {
-		r := int(e.nextRange.Add(1)) - 1
-		if r >= ranges {
-			return
-		}
-		e.stepRange(r*T/ranges, (r+1)*T/ranges)
-	}
-}
-
-// blockTenants is how many tenants stepRange carries through the whole
-// phase at a time. A block's machines, workloads, noise streams and trace
-// tails stay in the core's first-level cache across the phase's
-// ticks, where a range of hundreds of tenants would be fetched from
-// further out on every tick. On a 2-vCPU Xeon, blocks of 16 cut the
-// machine phase by 10–15 % against both single tenants (call overhead) and
-// whole ranges (cache misses).
-const blockTenants = 16
-
-// stepRange steps tenants [lo, hi) through the phase, a block at a time.
-func (e *Engine) stepRange(lo, hi int) {
-	p, res := &e.phase, e.res
-	for blo := lo; blo < hi; blo += blockTenants {
-		bhi := min(blo+blockTenants, hi)
-		for k := 0; k < p.n; k++ {
-			e.bank.StepRange(blo, bhi, p.ws, e.stepRes)
+	T, res := e.spec.Tenants, e.res
+	ticks := rec && !e.spec.SkipTickTraces
+	for blo := 0; blo < T; blo += blockTenants {
+		bhi := min(blo+blockTenants, T)
+		for k := 0; k < n; k++ {
+			e.bank.StepRange(blo, bhi, ws, e.stepRes)
 			for t := blo; t < bhi; t++ {
 				r := e.stepRes[t]
 				e.sensors[t].Observe(r)
-				if !p.rec || e.dead[t] {
+				if !rec || e.dead[t] {
 					continue
 				}
-				if p.ticks {
+				if ticks {
 					res[t].TickPowerW = append(res[t].TickPowerW, r.PowerW)
 					res[t].TickWallW = append(res[t].TickWallW, r.WallW)
 				}
 				if r.Finished && res[t].FinishedTick < 0 {
-					res[t].FinishedTick = int64(p.tick+k) + 1
+					res[t].FinishedTick = int64(tick+k) + 1
 				}
 			}
 		}

@@ -20,13 +20,12 @@ type Metrics struct {
 	// MachineNs, SenseNs, ControlNs, ActuateNs accumulate host wall time
 	// per control-period phase, one clock read per phase: the machine
 	// phase (every tenant's ticks of the period with their sensor
-	// observations and trace recording; wall time, however many
-	// goroutines share it), the per-tenant sensor reads, every tenant's
-	// control decision through its own policy, and the actuator commit
-	// across the bank. Engines that
-	// share a registry add into the same counters; in mayad, whose banks
-	// step at the same time on parallel workers, the counters therefore
-	// measure busy time summed over banks and can exceed elapsed time.
+	// observations and trace recording), the per-tenant sensor reads,
+	// every tenant's control decision through its own policy, and the
+	// actuator commit across the bank. Engines that share a registry add
+	// into the same counters; in mayad, whose banks step at the same time
+	// on parallel workers, the counters therefore measure busy time summed
+	// over banks and can exceed elapsed time.
 	MachineNs *telemetry.Counter
 	SenseNs   *telemetry.Counter
 	ControlNs *telemetry.Counter

@@ -2,7 +2,6 @@ package fleet_test
 
 import (
 	"io"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -17,17 +16,12 @@ import (
 
 // TestFleetConcurrentObserver steps a fleet on one goroutine while a reader
 // on another continuously drains the spill buffer and snapshots/exports the
-// telemetry registry. The bank is large enough, and GOMAXPROCS at least 2,
-// that every period's machine ticks run on worker goroutines beside the
-// reader. Under -race (the CI race job runs the whole tree) this proves
-// the engine's concurrency contract: the workers touch only their own
-// tenants and are joined before the period goes on, the spill
-// mutex and the registry's internal synchronization are the only seams
-// with an outside goroutine, and the state slabs never leak across them.
-// It sets GOMAXPROCS, so it must not run in parallel.
+// telemetry registry. Under -race (the CI race job runs the whole tree)
+// this proves the engine's concurrency contract: the spill mutex and the
+// registry's internal synchronization are the only seams with an outside
+// goroutine, and the engine's state never leaks across them.
 func TestFleetConcurrentObserver(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
-	const tenants, ticks = 4 * fleet.MinTenantsPerWorker, 1000
+	const tenants, ticks = 64, 1000
 	cfg := sim.Sys1()
 	art, err := difftest.DesignFor(cfg)
 	if err != nil {

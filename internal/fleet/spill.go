@@ -17,12 +17,10 @@ type Sample struct {
 // Spill is the fleet's data seam with outside goroutines: a mutex-guarded
 // buffer the engine pushes one Sample per tenant into at every control
 // period, for a reader on another goroutine to Drain while the fleet runs.
-// Everything else in the engine — the state slabs, the flight recorders,
-// the result accumulators — belongs to the engine's caller; the machine
-// phase's workers borrow disjoint tenant ranges of it and are joined
-// before StepPeriod goes on. The race test drives a fanned-out fleet and a
-// draining reader together under -race to prove the slabs are never
-// shared mutably across either boundary.
+// Everything else in the engine — the machines, the flight recorders,
+// the result accumulators — belongs to the goroutine that steps it. The
+// race test drives a fleet and a draining reader together under -race to
+// prove that state is never shared mutably across the boundary.
 //
 // The buffer is a fixed ring with drop-oldest semantics, because mayad's
 // subscribers are optional: a reader that never shows up costs a bounded

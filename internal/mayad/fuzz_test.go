@@ -11,8 +11,8 @@ import (
 )
 
 // FuzzAdmit posts arbitrary bodies to POST /tenants on a daemon whose
-// shards never start, so an admission only queues or sheds and nothing
-// runs. Whatever the body, the handler must answer 201, 400 or 503 with a
+// scheduler never starts, so an admission only queues or sheds and
+// nothing runs. Whatever the body, the handler must answer 201, 400 or 503 with a
 // JSON body and must not panic; every admitted spec must carry a recorded
 // run in (0, 1<<20] ticks and a warmup in [0, 1<<20] ticks.
 func FuzzAdmit(f *testing.F) {
@@ -25,7 +25,7 @@ func FuzzAdmit(f *testing.F) {
 		"seed": 7, "index": 3, "seconds": 2.5, "max_ticks": 1000, "warmup_ticks": -1,
 		"faults": "kitchen-sink", "flight": true}`)
 	f.Fuzz(func(t *testing.T, body string) {
-		srv := mayad.New(testConfig(1), nil)
+		srv := mayad.New(testConfig(), nil)
 		req := httptest.NewRequest(http.MethodPost, "/tenants", strings.NewReader(body))
 		rec := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(rec, req)

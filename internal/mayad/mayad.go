@@ -1,38 +1,40 @@
 // Package mayad is the fleet-defense daemon behind cmd/mayad: a
 // long-running server that admits tenants — (machine, defense, workload,
-// seed) quadruples — over HTTP, steps them on a sharded scheduler built
-// from internal/fleet banks, and serves their traces, flight records, and
+// seed) quadruples — over HTTP, steps them on one scheduler built from
+// internal/fleet banks, and serves their traces, flight records, and
 // telemetry back out.
 //
 // Determinism is the core contract: a tenant admitted with (seed S, index
 // I) produces exactly the trace of tenant I in a solo `mayactl -fleet`
-// run with base seed S — byte-identical at any shard count, any bank
-// packing, and regardless of which other tenants share the daemon. The
-// fleet engine's per-tenant independence (pinned by its differential
-// tests) makes this structural: each bank slot carries
-// fleet.TenantSeeds(S, I) via Spec.SeedAt, so neither scheduling order
-// nor co-residency can leak into a tenant's samples.
+// run with base seed S — byte-identical at any bank packing, and
+// regardless of which other tenants share the daemon. The fleet engine's
+// per-tenant independence (pinned by its differential tests) makes this
+// structural: each bank slot carries fleet.TenantSeeds(S, I) via
+// Spec.SeedAt, so neither scheduling order nor co-residency can leak into
+// a tenant's samples.
 //
-// Each shard advances its banks in scheduler passes of one control
-// period. A pass fans the banks out over min(GOMAXPROCS, banks) workers,
-// each claiming one bank at a time: it starts a new bank (the unrecorded
-// warmup), steps it one period, publishes its tenants' progress, and once
-// the run is over reads the results and flushes the flight JSONL. The
-// rest stays serial on the shard goroutine: admission, eviction and drain
+// The scheduler advances its banks in passes of one control period. A
+// pass fans the banks out over min(GOMAXPROCS, banks) workers, each
+// claiming one bank at a time: it starts a new bank (the unrecorded
+// warmup), steps it one period — machine ticks, sensing, decisions and
+// actuation — publishes its tenants' progress, and once the run is over
+// reads the results and flushes the flight JSONL. That pass is the only
+// place tenants step concurrently: a fleet engine runs on the worker
+// that steps it, and identical specs launch as banks of at most 64
+// tenants, so a big group still spreads over every core. The rest stays
+// serial on the scheduler goroutine: admission, eviction and drain
 // commands, design lookup, every Server.mu state transition (published
 // after the join, in bank order), and dropping finished banks. Banks share
-// only atomic counters and read-only designs, so the fan-out, like the
-// shard count, never shows in a trace; a bank with many tenants still
-// fans its own machine ticks out inside the fleet engine. Banks record
-// period-level traces only (fleet.Spec.SkipTickTraces).
+// only atomic counters and read-only designs, so the fan-out never shows
+// in a trace. Banks record period-level traces only
+// (fleet.Spec.SkipTickTraces).
 //
 // The daemon degrades under load instead of falling over: admissions pass
-// through bounded per-shard queues and a MaxTenants cap, and excess
-// requests are shed with 503 + Retry-After (counted in
-// mayad_admission_shed_total). Shutdown is a graceful drain: shards stop
-// at a period boundary, in-flight banks are collected, in parallel, into
-// bit-identical prefixes of their full runs, and tenant traces are
-// spooled to disk.
+// through a bounded queue and a MaxTenants cap, and excess requests are
+// shed with 503 + Retry-After (counted in mayad_admission_shed_total).
+// Shutdown is a graceful drain: the scheduler stops at a period boundary,
+// in-flight banks are collected, in parallel, into bit-identical prefixes
+// of their full runs, and tenant traces are spooled to disk.
 package mayad
 
 import (
@@ -56,18 +58,18 @@ import (
 
 // Config sizes the daemon.
 type Config struct {
-	// Shards is the number of schedulers (default 1), each with its own
-	// banks and passes. Tenants are assigned round-robin; per-tenant
-	// determinism makes the count unobservable in any trace.
+	// Deprecated: Shards is ignored. One scheduler steps every bank, and
+	// its passes spread the banks over every core.
 	Shards int
 	// MaxTenants caps tenants resident in the daemon (queued + running);
 	// admissions beyond it are shed with 503 (default 64).
 	MaxTenants int
-	// QueueDepth bounds each shard's command queue; a full queue sheds
+	// QueueDepth bounds the scheduler's command queue; a full queue sheds
 	// the admission instead of blocking the HTTP handler (default 16).
 	QueueDepth int
 	// SpillLimit bounds each bank's spill buffer (drop-oldest); 0 uses
-	// 4096.
+	// 4096. A bank holds at most 64 tenants, so the default keeps at
+	// least 64 control periods of every tenant.
 	SpillLimit int
 	// SpoolDir, when non-empty, receives one trace file per finished
 	// tenant on drain (tenant-<id>.mayt, plus tenant-<id>.flight.jsonl
@@ -84,9 +86,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
 	if c.MaxTenants <= 0 {
 		c.MaxTenants = 64
 	}
@@ -139,7 +138,7 @@ type TenantSpec struct {
 
 // Tenant lifecycle states.
 const (
-	StateQueued  = "queued"  // admitted, waiting for its shard to bank it
+	StateQueued  = "queued"  // admitted, waiting for the scheduler to bank it
 	StateRunning = "running" // stepping in a fleet bank
 	StateDone    = "done"    // ran to MaxTicks; results held
 	StateDrained = "drained" // stopped early by daemon drain; prefix results held
@@ -148,11 +147,10 @@ const (
 )
 
 // tenant is one admitted run. Mutable fields are guarded by Server.mu;
-// the shard goroutine takes the lock briefly at each transition.
+// the scheduler goroutine takes the lock briefly at each transition.
 type tenant struct {
-	id    int
-	spec  TenantSpec // normalized (defaults applied)
-	shard int
+	id   int
+	spec TenantSpec // normalized (defaults applied)
 
 	// Resolved at admission (validation) time.
 	cfg  sim.Config
@@ -172,8 +170,8 @@ type tenant struct {
 	tick atomic.Int64
 }
 
-// Server is the daemon: admission control, the sharded scheduler, and the
-// result store. Create with New, launch with Start, serve Handler over
+// Server is the daemon: admission control, the scheduler, and the result
+// store. Create with New, launch with Start, serve Handler over
 // HTTP (cmd/mayad mounts it on debugsrv), stop with Drain.
 type Server struct {
 	cfg     Config
@@ -188,8 +186,8 @@ type Server struct {
 	draining bool
 	resident int // queued + running tenants, vs cfg.MaxTenants
 
-	shards []*shard
-	wg     sync.WaitGroup
+	sched *scheduler
+	wg    sync.WaitGroup
 
 	drainOnce sync.Once
 }
@@ -209,25 +207,20 @@ func New(cfg Config, reg *telemetry.Registry) *Server {
 		designs: &designCache{synth: cfg.DesignFor},
 		tenants: make(map[int]*tenant),
 	}
-	s.met.Shards.Set(float64(cfg.Shards))
-	for i := 0; i < cfg.Shards; i++ {
-		s.shards = append(s.shards, newShard(s, i))
-	}
+	s.sched = newScheduler(s)
 	return s
 }
 
 // Registry returns the telemetry registry the daemon's metrics live in.
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
 
-// Start launches the shard workers.
+// Start launches the scheduler goroutine.
 func (s *Server) Start() {
-	for _, sh := range s.shards {
-		s.wg.Add(1)
-		go func(sh *shard) {
-			defer s.wg.Done()
-			sh.loop()
-		}(sh)
-	}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		s.sched.loop()
+	}()
 }
 
 // shedError is an admission rejection the HTTP layer maps to 503 +
@@ -273,7 +266,7 @@ func (sp TenantSpec) normalize() TenantSpec {
 // maxSpecTicks bounds both a tenant's recorded run and its warmup: the
 // run length fleet.New and sim.Run default to, about 17 simulated
 // minutes. It keeps one admission from claiming unbounded trace memory or
-// holding its shard in warmup indefinitely.
+// holding the scheduler's passes in warmup indefinitely.
 const maxSpecTicks = 1 << 20
 
 // resolve validates a normalized spec: a recorded run of 1 to maxSpecTicks
@@ -314,9 +307,9 @@ func (sp TenantSpec) resolve() (sim.Config, defense.Kind, fault.Plan, error) {
 }
 
 // Admit validates and enqueues a tenant. It returns the assigned id, or a
-// *shedError when the daemon is draining, full, or the shard queue has no
-// room — the caller sheds with 503 — or a plain error for an invalid spec
-// (400).
+// *shedError when the daemon is draining, full, or the scheduler queue has
+// no room — the caller sheds with 503 — or a plain error for an invalid
+// spec (400).
 func (s *Server) Admit(sp TenantSpec) (int, error) {
 	sp = sp.normalize()
 	cfg, kind, plan, err := sp.resolve()
@@ -338,17 +331,16 @@ func (s *Server) Admit(sp TenantSpec) (int, error) {
 	id := s.nextID
 	s.nextID++
 	tn := &tenant{
-		id: id, spec: sp, shard: id % s.cfg.Shards,
+		id: id, spec: sp,
 		cfg: cfg, kind: kind, plan: plan,
 		state: StateQueued,
 	}
-	sh := s.shards[tn.shard]
 	select {
-	case sh.cmds <- command{admit: tn}:
+	case s.sched.cmds <- command{admit: tn}:
 	default:
 		s.mu.Unlock()
 		s.met.Shed.Inc()
-		return 0, &shedError{"shard queue full"}
+		return 0, &shedError{"queue full"}
 	}
 	s.tenants[id] = tn
 	s.resident++
@@ -360,7 +352,7 @@ func (s *Server) Admit(sp TenantSpec) (int, error) {
 }
 
 // Evict removes tenant id. Finished tenants are deleted outright;
-// queued/running ones are evicted through their shard (the slot keeps
+// queued/running ones are evicted through the scheduler (the slot keeps
 // stepping unrecorded, invisible to its bank neighbors). The bool reports
 // whether the tenant existed.
 func (s *Server) Evict(id int) (bool, error) {
@@ -376,12 +368,11 @@ func (s *Server) Evict(id int) (bool, error) {
 		s.mu.Unlock()
 		return true, nil
 	}
-	sh := s.shards[tn.shard]
 	select {
-	case sh.cmds <- command{evict: id, hasEvict: true}:
+	case s.sched.cmds <- command{evict: id, hasEvict: true}:
 	default:
 		s.mu.Unlock()
-		return true, &shedError{"shard queue full"}
+		return true, &shedError{"queue full"}
 	}
 	s.mu.Unlock()
 	s.met.Evicted.Inc()
@@ -399,7 +390,6 @@ func (s *Server) Resident() int {
 type TenantStatus struct {
 	ID    int        `json:"id"`
 	State string     `json:"state"`
-	Shard int        `json:"shard"`
 	Spec  TenantSpec `json:"spec"`
 	Error string     `json:"error,omitempty"`
 	// Tick is the recorded run's progress in machine ticks, updated after
@@ -415,7 +405,7 @@ type TenantStatus struct {
 
 func (s *Server) statusLocked(tn *tenant) TenantStatus {
 	st := TenantStatus{
-		ID: tn.id, State: tn.state, Shard: tn.shard, Spec: tn.spec,
+		ID: tn.id, State: tn.state, Spec: tn.spec,
 		Error: tn.err, Tick: int(tn.tick.Load()), MaxTicks: tn.spec.MaxTicks,
 	}
 	switch tn.state {
@@ -498,7 +488,7 @@ func (s *Server) finishedResults() (results []fleet.TenantResult, ids []int) {
 	return results, ids
 }
 
-// setState flips a tenant's lifecycle state (shard goroutine).
+// setState flips a tenant's lifecycle state (scheduler goroutine).
 func (s *Server) setState(tn *tenant, state string) {
 	s.mu.Lock()
 	tn.state = state
@@ -540,37 +530,30 @@ func (s *Server) fail(tn *tenant, err error) {
 // SpillSample is one spilled control-period reading, translated from bank
 // slots to tenant ids (-1 when the slot was already evicted).
 type SpillSample struct {
-	Shard  int     `json:"shard"`
 	Tenant int     `json:"tenant"`
 	Step   int     `json:"step"`
 	PowerW float64 `json:"power_w"`
 }
 
-// DrainSpill empties every shard's bank spill buffers: the streaming
+// DrainSpill empties every bank's spill buffer: the streaming
 // observation tap. Samples older than each bank's bound have been dropped
 // (drop-oldest, counted in maya_fleet_spill_dropped_total).
 func (s *Server) DrainSpill() []SpillSample {
-	out := []SpillSample{}
-	for _, sh := range s.shards {
-		out = append(out, sh.spillSamples()...)
-	}
-	return out
+	return s.sched.spillSamples()
 }
 
-// Drain stops the daemon gracefully: new admissions shed with 503, every
-// shard collects its banks at the next period boundary (tenant results
-// become bit-identical prefixes of their full runs), and finished traces
-// are spooled to Config.SpoolDir. Idempotent; blocks until the shards
-// have exited and the spool is flushed.
+// Drain stops the daemon gracefully: new admissions shed with 503, the
+// scheduler collects its banks at the next period boundary (tenant
+// results become bit-identical prefixes of their full runs), and finished
+// traces are spooled to Config.SpoolDir. Idempotent; blocks until the
+// scheduler has exited and the spool is flushed.
 func (s *Server) Drain() {
 	s.drainOnce.Do(func() {
 		s.mu.Lock()
 		s.draining = true
 		s.mu.Unlock()
 		s.met.Draining.Set(1)
-		for _, sh := range s.shards {
-			close(sh.stop)
-		}
+		close(s.sched.stop)
 		s.wg.Wait()
 		if err := s.spool(); err != nil {
 			s.met.SpoolErrors.Inc()
@@ -626,8 +609,8 @@ const PeriodTicks = 20
 
 // designCache memoizes Maya artifact synthesis per machine config name.
 // Synthesis is expensive (a full excitation + identification pass), runs
-// at most once per machine, and every bank on any shard shares the
-// result — exactly the artifact a solo mayactl run builds.
+// at most once per machine, and every bank shares the result — exactly
+// the artifact a solo mayactl run builds.
 type designCache struct {
 	synth func(sim.Config) (*core.Design, error)
 	mu    sync.Mutex

@@ -31,9 +31,8 @@ const (
 	testScale    = 0.02
 )
 
-func testConfig(shards int) mayad.Config {
+func testConfig() mayad.Config {
 	return mayad.Config{
-		Shards: shards,
 		DesignFor: func(cfg sim.Config) (*core.Design, error) {
 			return difftest.DesignFor(cfg)
 		},
@@ -165,10 +164,12 @@ func waitState(t *testing.T, base string, id int, want ...string) mayad.TenantSt
 }
 
 // TestDaemonMatchesFleetAcrossShards is the tentpole acceptance test: N
-// tenants admitted over HTTP carrying (seed S, index 0..N-1) must
-// produce — at shard counts 1, 2, and 8 — exactly the bytes of a solo
-// fleet run with base seed S: the combined /traces.csv, each per-tenant
-// trace export in every format, and each flight trace.
+// tenants admitted over HTTP carrying (seed S, index 0..N-1) must produce
+// exactly the bytes of a solo fleet run with base seed S: the combined
+// /traces.csv, each per-tenant trace export in every format, and each
+// flight trace. Config.Shards is ignored now that one scheduler steps
+// every bank, but callers still set it; each subtest sets a shard count
+// the daemon once honoured and must still match byte for byte.
 func TestDaemonMatchesFleetAcrossShards(t *testing.T) {
 	const base, tenants = 0xda3e0, 4
 	ref := refResults(t, base, tenants)
@@ -177,7 +178,7 @@ func TestDaemonMatchesFleetAcrossShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flight recorders flush once; snapshot the reference bytes before
-	// the per-shard subtests each compare against them.
+	// the subtests each compare against them.
 	refFlight := make([][]byte, tenants)
 	for i := range refFlight {
 		var buf bytes.Buffer
@@ -189,7 +190,9 @@ func TestDaemonMatchesFleetAcrossShards(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			srv := mayad.New(testConfig(shards), nil)
+			cfg := testConfig()
+			cfg.Shards = shards
+			srv := mayad.New(cfg, nil)
 			srv.Start()
 			defer srv.Drain()
 			ts := httptest.NewServer(srv.Handler())
@@ -251,7 +254,7 @@ func TestChurnSurvivorsMatchSoloRuns(t *testing.T) {
 	const base, tenants = 0xc0ffee, 3
 	ref := refResults(t, base, tenants)
 
-	cfg := testConfig(2)
+	cfg := testConfig()
 	cfg.Pace = time.Millisecond // stretch the run so the evict lands mid-flight
 	srv := mayad.New(cfg, nil)
 	srv.Start()
@@ -298,7 +301,7 @@ func TestChurnSurvivorsMatchSoloRuns(t *testing.T) {
 // the shed path end to end: 503, Retry-After, and the counter visible in
 // a /metrics scrape through the hardened debugsrv front end.
 func TestAdmissionShedsWhenFull(t *testing.T) {
-	cfg := testConfig(1)
+	cfg := testConfig()
 	cfg.MaxTenants = 2
 	cfg.Pace = time.Millisecond
 	srv := mayad.New(cfg, nil)
@@ -337,11 +340,11 @@ func TestAdmissionShedsWhenFull(t *testing.T) {
 	}
 }
 
-// TestShardQueueShedsWhenStalled fills a depth-1 shard queue on a server
-// whose shards were never started: the second admission must shed rather
-// than block the HTTP handler.
+// TestShardQueueShedsWhenStalled fills a depth-1 scheduler queue on a
+// server whose scheduler was never started: the second admission must
+// shed rather than block the HTTP handler.
 func TestShardQueueShedsWhenStalled(t *testing.T) {
-	cfg := testConfig(1)
+	cfg := testConfig()
 	cfg.QueueDepth = 1
 	srv := mayad.New(cfg, nil) // Start intentionally not called
 	ts := httptest.NewServer(srv.Handler())
@@ -367,7 +370,7 @@ func TestDrainFlushesPrefixAndSpools(t *testing.T) {
 	const base = 0xd7a1
 	ref := refResults(t, base, 1)
 
-	cfg := testConfig(1)
+	cfg := testConfig()
 	cfg.Pace = 2 * time.Millisecond
 	cfg.SpoolDir = t.TempDir()
 	srv := mayad.New(cfg, nil)
@@ -423,7 +426,7 @@ func TestDrainFlushesPrefixAndSpools(t *testing.T) {
 // daemon tenant ids and match the tenants' recorded period samples.
 func TestSpillDrainStreams(t *testing.T) {
 	const base = 0x5b11
-	srv := mayad.New(testConfig(1), nil)
+	srv := mayad.New(testConfig(), nil)
 	srv.Start()
 	defer srv.Drain()
 	ts := httptest.NewServer(srv.Handler())
@@ -455,7 +458,7 @@ func TestSpillDrainStreams(t *testing.T) {
 // TestBadSpecsRejected covers admission validation: unknown names 400,
 // malformed JSON 400, unknown tenant 404.
 func TestBadSpecsRejected(t *testing.T) {
-	srv := mayad.New(testConfig(1), nil)
+	srv := mayad.New(testConfig(), nil)
 	srv.Start()
 	defer srv.Drain()
 	ts := httptest.NewServer(srv.Handler())
@@ -487,17 +490,17 @@ func TestBadSpecsRejected(t *testing.T) {
 
 // TestOversizedRunsRejected covers the run-length bound: a duration past
 // 1<<20 ticks, recorded or warmup, is a 400 that admits nothing and sheds
-// nothing, while a run exactly at the bound is admitted. The shards are
+// nothing, while a run exactly at the bound is admitted. The scheduler is
 // never started, so the admitted run only queues.
 func TestOversizedRunsRejected(t *testing.T) {
-	srv := mayad.New(testConfig(1), nil)
+	srv := mayad.New(testConfig(), nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	for _, body := range []string{
 		`{"seconds": 1e300}`,              // overflows int when converted to ticks
 		`{"max_ticks": 2000000000}`,       // ≈4 GB of period-level traces
-		`{"warmup_ticks": 1099511627776}`, // holds the shard in warmup
+		`{"warmup_ticks": 1099511627776}`, // holds the scheduler in warmup
 	} {
 		resp, err := http.Post(ts.URL+"/tenants", "application/json", strings.NewReader(body))
 		if err != nil {

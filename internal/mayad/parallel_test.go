@@ -150,19 +150,20 @@ func downloads(t *testing.T, base string, id int, flight bool) (mayt, fl []byte)
 	return mayt, fl
 }
 
-// sharedBankTenants is how many identical specs share one bank: twice the
-// fleet's 64-tenant minimum per machine-phase worker, so that bank fans
-// its machine ticks out over two workers of its own.
-const sharedBankTenants = 128
+// sharedBankTenants is how many identical specs are admitted together:
+// more than two 64-tenant banks, so the group splits into banks of 64, 64
+// and 2.
+const sharedBankTenants = 130
 
-// TestParallelBanksMatchSoloRuns runs many banks through one shard's
+// TestParallelBanksMatchSoloRuns runs many banks through the scheduler's
 // parallel pass — every machine × defense pair in a bank of its own,
-// faults and flight recorders among them, beside one bank of
-// sharedBankTenants identical tenants admitted before Start — and
-// requires every tenant to match a solo fleet run of its spec: the MAYT
-// trace and flight JSONL byte for byte, and the energy, seconds, finish
-// tick and sample count of its status. It sets GOMAXPROCS to 4 so the
-// pass fans out on any host; it must not run in parallel.
+// faults and flight recorders among them, beside sharedBankTenants
+// identical tenants admitted before Start, which split into two full banks
+// and a partial one — and requires every tenant to match a solo fleet run
+// of its spec: the MAYT trace and flight JSONL byte for byte, and the
+// energy, seconds, finish tick and sample count of its status. It sets
+// GOMAXPROCS to 4 so the pass fans out on any host; it must not run in
+// parallel.
 func TestParallelBanksMatchSoloRuns(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const base = 0x9a11e1
@@ -176,10 +177,10 @@ func TestParallelBanksMatchSoloRuns(t *testing.T) {
 		})
 	}
 	// 200 + 13·i never reaches 480 for the 15 pairs, so no small tenant
-	// joins the shared bank.
+	// joins the shared banks.
 	specs = append(specs, mixedSpecs(base, 200)...)
 
-	cfg := testConfig(1)
+	cfg := testConfig()
 	cfg.MaxTenants = len(specs)
 	cfg.QueueDepth = len(specs)
 	srv := mayad.New(cfg, nil)
@@ -228,7 +229,7 @@ func TestParallelDrainKeepsPrefixes(t *testing.T) {
 	const base = 0xd7a2
 	specs := mixedSpecs(base, 4000)[:8]
 
-	cfg := testConfig(1)
+	cfg := testConfig()
 	cfg.Pace = time.Millisecond
 	srv := mayad.New(cfg, nil)
 	srv.Start()
@@ -281,7 +282,7 @@ func TestParallelDrainKeepsPrefixes(t *testing.T) {
 // rise above 0 while it runs, never decrease, stay within max_ticks, and
 // equal samples × 20 once it is done.
 func TestStatusTickTracksProgress(t *testing.T) {
-	cfg := testConfig(1)
+	cfg := testConfig()
 	cfg.Pace = time.Millisecond
 	srv := mayad.New(cfg, nil)
 	srv.Start()
@@ -330,7 +331,7 @@ func TestStatusTickTracksProgress(t *testing.T) {
 func TestSpillDrainDuringEviction(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const shared = 4
-	cfg := testConfig(1)
+	cfg := testConfig()
 	cfg.Pace = time.Millisecond
 	srv := mayad.New(cfg, nil)
 	defer srv.Drain()

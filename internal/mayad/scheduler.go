@@ -14,7 +14,7 @@ import (
 	"github.com/maya-defense/maya/internal/workload"
 )
 
-// command is one unit of shard work, delivered over the bounded queue.
+// command is one unit of scheduler work, delivered over the bounded queue.
 type command struct {
 	admit    *tenant
 	evict    int
@@ -46,7 +46,7 @@ func (tn *tenant) key() bankKey {
 }
 
 // bank is one fleet engine in flight plus the tenants in its slots.
-// Between passes the shard goroutine owns it; during a pass one pass
+// Between passes the scheduler goroutine owns it; during a pass one pass
 // worker does (see eachBank).
 type bank struct {
 	eng   *fleet.Engine
@@ -57,138 +57,150 @@ type bank struct {
 	periods int  // recorded control periods stepped
 
 	// Set by collect once the run is over: the result and flight JSONL of
-	// every slot, for the shard goroutine to publish.
+	// every slot, for the scheduler goroutine to publish.
 	done    bool
 	results []fleet.TenantResult
 	flights [][]byte
 }
 
-// shard is one scheduler: its goroutine drains commands, launches banks
-// and runs the passes that advance them, and it talks to the rest of the
-// daemon through the bounded cmds queue and brief Server.mu sections.
-type shard struct {
+// scheduler steps every resident tenant: its goroutine drains commands,
+// launches banks and runs the passes that advance them, and it talks to
+// the rest of the daemon through the bounded cmds queue and brief
+// Server.mu sections.
+type scheduler struct {
 	s    *Server
-	id   int
 	cmds chan command
 	stop chan struct{}
 
 	// mu guards the banks slice and the bank slots for the spill-drain
-	// reader; only the shard goroutine writes either.
+	// reader; only the scheduler goroutine writes either.
 	mu    sync.Mutex
 	banks []*bank
 
-	// pending holds admitted tenants awaiting bank launch; shard
+	// pending holds admitted tenants awaiting bank launch; scheduler
 	// goroutine only.
 	pending []*tenant
 }
 
-func newShard(s *Server, id int) *shard {
-	return &shard{
-		s: s, id: id,
+func newScheduler(s *Server) *scheduler {
+	return &scheduler{
+		s:    s,
 		cmds: make(chan command, s.cfg.QueueDepth),
 		stop: make(chan struct{}),
 	}
 }
 
-// loop is the shard scheduler: drain commands, launch pending tenants
-// into banks, advance every bank one control period, repeat. On stop it
-// collects in-flight banks at the period boundary so every tenant holds
-// a bit-identical prefix of its full run.
-func (sh *shard) loop() {
+// loop drains commands, launches pending tenants into banks, advances
+// every bank one control period, and repeats. On stop it collects
+// in-flight banks at the period boundary so every tenant holds a
+// bit-identical prefix of its full run.
+func (sc *scheduler) loop() {
 	for {
-		if len(sh.banks) == 0 && len(sh.pending) == 0 {
+		if len(sc.banks) == 0 && len(sc.pending) == 0 {
 			// Idle: block until work or drain arrives.
 			select {
-			case cmd := <-sh.cmds:
-				sh.handle(cmd)
-			case <-sh.stop:
-				sh.shutdown()
+			case cmd := <-sc.cmds:
+				sc.handle(cmd)
+			case <-sc.stop:
+				sc.shutdown()
 				return
 			}
 		}
 	drain:
 		for {
 			select {
-			case cmd := <-sh.cmds:
-				sh.handle(cmd)
+			case cmd := <-sc.cmds:
+				sc.handle(cmd)
 			default:
 				break drain
 			}
 		}
 		select {
-		case <-sh.stop:
-			sh.shutdown()
+		case <-sc.stop:
+			sc.shutdown()
 			return
 		default:
 		}
-		sh.launch()
-		sh.stepOnce()
-		if sh.s.cfg.Pace > 0 && len(sh.banks) > 0 {
-			time.Sleep(sh.s.cfg.Pace)
+		sc.launch()
+		sc.stepOnce()
+		if sc.s.cfg.Pace > 0 && len(sc.banks) > 0 {
+			time.Sleep(sc.s.cfg.Pace)
 		}
 	}
 }
 
-func (sh *shard) handle(cmd command) {
+func (sc *scheduler) handle(cmd command) {
 	if cmd.admit != nil {
-		sh.pending = append(sh.pending, cmd.admit)
+		sc.pending = append(sc.pending, cmd.admit)
 	}
 	if cmd.hasEvict {
-		sh.evict(cmd.evict)
+		sc.evict(cmd.evict)
 	}
 }
 
-func (sh *shard) evict(id int) {
-	for i, tn := range sh.pending {
+func (sc *scheduler) evict(id int) {
+	for i, tn := range sc.pending {
 		if tn.id == id {
-			sh.pending = append(sh.pending[:i], sh.pending[i+1:]...)
-			sh.s.transition(tn, StateEvicted, fleet.TenantResult{}, nil)
+			sc.pending = append(sc.pending[:i], sc.pending[i+1:]...)
+			sc.s.transition(tn, StateEvicted, fleet.TenantResult{}, nil)
 			return
 		}
 	}
-	for bi, b := range sh.banks {
+	for bi, b := range sc.banks {
 		for slot, tn := range b.slots {
 			if tn == nil || tn.id != id {
 				continue
 			}
 			b.eng.Evict(slot)
-			sh.mu.Lock() // the spill reader iterates b.slots
+			sc.mu.Lock() // the spill reader iterates b.slots
 			b.slots[slot] = nil
-			sh.mu.Unlock()
-			sh.s.transition(tn, StateEvicted, fleet.TenantResult{}, nil)
+			sc.mu.Unlock()
+			sc.s.transition(tn, StateEvicted, fleet.TenantResult{}, nil)
 			if b.eng.Alive() == 0 {
 				// Every slot is dead: the bank is pure overhead, drop it.
-				sh.removeBank(bi)
+				sc.removeBank(bi)
 			}
 			return
 		}
 	}
 }
 
-// launch groups pending tenants by bank key and builds one fleet bank per
-// group, which the next pass starts. Tenants admitted in one scheduler
-// pass with identical specs share a bank; the grouping is invisible in
+// maxBankTenants is the most tenants one bank holds. A pass steps each
+// bank whole on one worker, so a big group of identical specs must split
+// for the pass to spread it over every core; a 64-tenant bank still pays
+// its per-period fixed costs once for many tenants.
+const maxBankTenants = 64
+
+// launch groups pending tenants by bank key and builds fleet banks for
+// each group, which the next pass starts. Tenants admitted in one
+// scheduler pass with identical specs share banks of at most
+// maxBankTenants, filled in admission order; the grouping is invisible in
 // their traces.
-func (sh *shard) launch() {
-	if len(sh.pending) == 0 {
+func (sc *scheduler) launch() {
+	if len(sc.pending) == 0 {
 		return
 	}
 	groups := make(map[bankKey][]*tenant)
 	var order []bankKey
-	for _, tn := range sh.pending {
+	for _, tn := range sc.pending {
 		k := tn.key()
 		if _, ok := groups[k]; !ok {
 			order = append(order, k)
 		}
 		groups[k] = append(groups[k], tn)
 	}
-	sh.pending = sh.pending[:0]
+	sc.pending = sc.pending[:0]
 	for _, k := range order {
-		sh.launchBank(groups[k])
+		g := groups[k]
+		for len(g) > maxBankTenants {
+			sc.launchBank(g[:maxBankTenants])
+			g = g[maxBankTenants:]
+		}
+		sc.launchBank(g)
 	}
 }
 
-func (sh *shard) launchBank(group []*tenant) {
+func (sc *scheduler) launchBank(group []*tenant) {
 	lead := group[0]
 	sp := lead.spec
 	maya := lead.kind.IsMaya()
@@ -196,10 +208,10 @@ func (sh *shard) launchBank(group []*tenant) {
 	var art *core.Design
 	if maya {
 		var err error
-		art, err = sh.s.designs.Get(lead.cfg)
+		art, err = sc.s.designs.Get(lead.cfg)
 		if err != nil {
 			for _, tn := range group {
-				sh.s.fail(tn, err)
+				sc.s.fail(tn, err)
 			}
 			return
 		}
@@ -240,48 +252,48 @@ func (sh *shard) launchBank(group []*tenant) {
 	}
 
 	eng := fleet.New(spec)
-	eng.SetMetrics(sh.s.fleetM)
-	spill := fleet.NewSpill(sh.s.cfg.SpillLimit)
-	spill.SetDropCounter(sh.s.fleetM.SpillDropped)
+	eng.SetMetrics(sc.s.fleetM)
+	spill := fleet.NewSpill(sc.s.cfg.SpillLimit)
+	spill.SetDropCounter(sc.s.fleetM.SpillDropped)
 	eng.SetSpill(spill)
 
 	b := &bank{eng: eng, spill: spill, slots: append([]*tenant(nil), group...)}
-	sh.mu.Lock()
-	sh.banks = append(sh.banks, b)
-	sh.mu.Unlock()
-	sh.s.met.Banks.Add(1)
+	sc.mu.Lock()
+	sc.banks = append(sc.banks, b)
+	sc.mu.Unlock()
+	sc.s.met.Banks.Add(1)
 	for _, tn := range group {
-		sh.s.setState(tn, StateRunning)
+		sc.s.setState(tn, StateRunning)
 	}
 }
 
 // stepOnce is one scheduler pass: every bank advances one control period
-// on the pass workers, then the shard goroutine publishes the banks that
-// finished, in bank order, and drops them.
-func (sh *shard) stepOnce() {
-	sh.eachBank((*bank).advance)
-	for _, b := range sh.banks {
+// on the pass workers, then the scheduler goroutine publishes the banks
+// that finished, in bank order, and drops them.
+func (sc *scheduler) stepOnce() {
+	sc.eachBank((*bank).advance)
+	for _, b := range sc.banks {
 		if b.done {
-			sh.publish(b, StateDone)
+			sc.publish(b, StateDone)
 		}
 	}
-	sh.mu.Lock()
-	before := len(sh.banks)
-	sh.banks = slices.DeleteFunc(sh.banks, func(b *bank) bool { return b.done })
-	removed := before - len(sh.banks)
-	sh.mu.Unlock()
-	sh.s.met.Banks.Add(-float64(removed))
+	sc.mu.Lock()
+	before := len(sc.banks)
+	sc.banks = slices.DeleteFunc(sc.banks, func(b *bank) bool { return b.done })
+	removed := before - len(sc.banks)
+	sc.mu.Unlock()
+	sc.s.met.Banks.Add(-float64(removed))
 }
 
-// eachBank runs fn on every bank, on min(GOMAXPROCS, banks) workers — the
-// rule the fleet's machine phase uses for tenant ranges. The shard
-// goroutine is one worker and starts the others; each claims banks one at
-// a time, and eachBank returns once every bank is done. A worker touches
-// only its bank's engine, spill and results and its tenants' tick
-// counters; banks share nothing else but atomic fleet metrics and
-// read-only designs, so the fan-out cannot show in a trace.
-func (sh *shard) eachBank(fn func(*bank)) {
-	banks := sh.banks
+// eachBank runs fn on every bank, on min(GOMAXPROCS, banks) workers: the
+// daemon's only fan-out, since a fleet engine runs on the goroutine that
+// steps it. The scheduler goroutine is one worker and starts the others;
+// each claims banks one at a time, and eachBank returns once every bank
+// is done. A worker touches only its bank's engine, spill and results and
+// its tenants' tick counters; banks share nothing else but atomic fleet
+// metrics and read-only designs, so the fan-out cannot show in a trace.
+func (sc *scheduler) eachBank(fn func(*bank)) {
+	banks := sc.banks
 	var next atomic.Int32
 	work := func() {
 		for {
@@ -347,60 +359,61 @@ func (b *bank) collect() {
 // publish hands each surviving tenant of a collected bank its result:
 // state is StateDone for natural completion, StateDrained when the daemon
 // stopped the run early.
-func (sh *shard) publish(b *bank, state string) {
+func (sc *scheduler) publish(b *bank, state string) {
 	for slot, tn := range b.slots {
 		if tn != nil {
-			sh.s.transition(tn, state, b.results[slot], b.flights[slot])
+			sc.s.transition(tn, state, b.results[slot], b.flights[slot])
 		}
 	}
 }
 
-func (sh *shard) removeBank(i int) {
-	sh.mu.Lock()
-	sh.banks = append(sh.banks[:i], sh.banks[i+1:]...)
-	sh.mu.Unlock()
-	sh.s.met.Banks.Add(-1)
+func (sc *scheduler) removeBank(i int) {
+	sc.mu.Lock()
+	sc.banks = append(sc.banks[:i], sc.banks[i+1:]...)
+	sc.mu.Unlock()
+	sc.s.met.Banks.Add(-1)
 }
 
 // shutdown drains the command queue (late admissions finalize empty, as
 // drained), then collects every in-flight bank at the current period
 // boundary, in parallel, and publishes them in bank order.
-func (sh *shard) shutdown() {
+func (sc *scheduler) shutdown() {
 	for {
 		select {
-		case cmd := <-sh.cmds:
-			sh.handle(cmd)
+		case cmd := <-sc.cmds:
+			sc.handle(cmd)
 		default:
-			for _, tn := range sh.pending {
-				sh.s.transition(tn, StateDrained, fleet.TenantResult{}, nil)
+			for _, tn := range sc.pending {
+				sc.s.transition(tn, StateDrained, fleet.TenantResult{}, nil)
 			}
-			sh.pending = nil
-			sh.eachBank((*bank).collect)
-			for _, b := range sh.banks {
-				sh.publish(b, StateDrained)
+			sc.pending = nil
+			sc.eachBank((*bank).collect)
+			for _, b := range sc.banks {
+				sc.publish(b, StateDrained)
 			}
-			sh.mu.Lock()
-			sh.banks = nil
-			sh.mu.Unlock()
+			sc.mu.Lock()
+			sc.banks = nil
+			sc.mu.Unlock()
 			return
 		}
 	}
 }
 
-// spillSamples drains this shard's bank spills, translating bank slots to
-// tenant ids.
-func (sh *shard) spillSamples() []SpillSample {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	var out []SpillSample
-	for _, b := range sh.banks {
+// spillSamples drains every bank's spill, translating bank slots to
+// tenant ids. With nothing spilled it returns an empty, non-nil slice,
+// which encodes as a JSON array.
+func (sc *scheduler) spillSamples() []SpillSample {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	out := []SpillSample{}
+	for _, b := range sc.banks {
 		for _, smp := range b.spill.Drain() {
 			id := -1
 			if smp.Tenant < len(b.slots) && b.slots[smp.Tenant] != nil {
 				id = b.slots[smp.Tenant].id
 			}
 			out = append(out, SpillSample{
-				Shard: sh.id, Tenant: id, Step: smp.Step, PowerW: smp.PowerW,
+				Tenant: id, Step: smp.Step, PowerW: smp.PowerW,
 			})
 		}
 	}

@@ -48,7 +48,7 @@ func TestMachineBankTenantIsolation(t *testing.T) {
 // TestMachineBankStepRangeMatchesStepAll steps one bank a period at a time
 // with StepAll and a twin range by range — each tenant range through the
 // whole period before the next — and requires identical power, energy,
-// clock, and sensor reads: the contract the fleet engine's tenant-parallel
+// clock, and sensor reads: the contract the fleet engine's blocked
 // machine phase rests on.
 func TestMachineBankStepRangeMatchesStepAll(t *testing.T) {
 	cfg := Sys1()

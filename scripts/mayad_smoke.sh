@@ -35,7 +35,7 @@ go build -o "$out/mayactl" ./cmd/mayactl
 # small finishes in well under a second) so the overload checks below
 # race against running tenants, not finished ones.
 "$out/mayad" -addr 127.0.0.1:0 -addr-file "$out/addr" \
-    -shards 2 -max-tenants "$tenants" -spool "$spool" -pace 10ms \
+    -max-tenants "$tenants" -spool "$spool" -pace 10ms \
     > "$out/mayad.log" 2>&1 &
 daemon=$!
 trap 'kill "$daemon" 2>/dev/null || true' EXIT
