@@ -18,9 +18,21 @@
 //	GET    /tenants/{id}/trace?format=csv|json|mayt   finished trace
 //	GET    /tenants/{id}/flight                       flight JSONL
 //	GET    /traces.csv         all finished tenants as one fleet CSV
-//	GET    /spill              drain the streaming sample buffers
+//	GET    /spill              drain the period readings spilled since the
+//	                           last drain: {tenant, step, power_w} samples
+//	                           of every tenant, finished and evicted ones
+//	                           included, in the order they were recorded
 //	GET    /healthz            ok / draining
 //	GET    /metrics            Prometheus telemetry (via debugsrv)
+//
+// Routes answer 200, 201, 400, 404, 409 or 503 with a JSON body, apart
+// from trace and flight downloads; an unknown path is a 404, another
+// method on a known path a 405, and a path not in clean form redirects
+// (301).
+//
+// The spill holds the newest -spill samples over all tenants, 64 control
+// periods of each of 64 tenants by default; older ones are dropped and
+// counted in maya_fleet_spill_dropped_total.
 //
 // A tenant admitted with (seed, index) reproduces — byte for byte — slot
 // `index` of `mayactl -fleet -seed <seed>` with the same machine,
@@ -50,8 +62,8 @@ import (
 func main() {
 	addr := flag.String("addr", ":8787", "listen address (host:port; :0 picks a free port)")
 	maxTenants := flag.Int("max-tenants", 64, "resident-tenant cap; admissions beyond it shed with 503")
-	queue := flag.Int("queue", 32, "admission queue depth")
-	spill := flag.Int("spill", 4096, "per-bank spill buffer bound (drop-oldest past it)")
+	queue := flag.Int("queue", 0, "admission queue depth; a full queue sheds with 503 (0 = the daemon default, 32)")
+	spill := flag.Int("spill", 4096, "samples the /spill buffer keeps over all tenants (drop-oldest past it)")
 	spool := flag.String("spool", "", "directory for tenant traces flushed at drain (empty = no spool)")
 	pace := flag.Duration("pace", 0, "sleep between scheduler passes (0 = run flat out)")
 	addrFile := flag.String("addr-file", "", "write the bound listen address to this file (for scripts using :0)")

@@ -15,15 +15,15 @@
 //	-sarif-file FILE    also write findings as SARIF 2.1.0 to FILE (even when clean)
 //	-baseline FILE      drop findings recorded in FILE; fail if entries went stale
 //	-write-baseline FILE  write the current findings to FILE as a new baseline and exit
-//	-nolint-report      list every //nolint:maya suppression; fail on reason-less
-//	                    or unknown-analyzer directives
+//	-nolint-report      list every //nolint:maya suppression with its reason
 //	-run REGEXP         only run analyzers whose name matches
 //	-list               list analyzers and exit
 //	-debug              print type-check warnings to stderr
 //
 // Packages are go-style directory patterns ("./...", "./internal/core");
-// the default is "./...". Exit status is 0 when clean, 1 on findings (or
-// audit problems), and 2 on a usage or load error.
+// the default is "./...". Exit status is 0 when clean, 1 on findings, and
+// 2 on a usage or load error. A //nolint:maya directive without a reason,
+// or naming an unknown analyzer, is a finding.
 package main
 
 import (
@@ -48,7 +48,7 @@ func run() int {
 		sarifFile     = flag.String("sarif-file", "", "also write findings as SARIF 2.1.0 to this file (always written, even when clean)")
 		baselinePath  = flag.String("baseline", "", "drop findings recorded in this baseline file; stale entries fail the run")
 		writeBaseline = flag.String("write-baseline", "", "write the current findings to this file as a new baseline and exit")
-		nolintReport  = flag.Bool("nolint-report", false, "list every //nolint:maya suppression; reason-less or unknown-analyzer directives fail the run")
+		nolintReport  = flag.Bool("nolint-report", false, "list every //nolint:maya suppression with its reason and exit")
 		runExpr       = flag.String("run", "", "only run analyzers whose name matches this regexp")
 		list          = flag.Bool("list", false, "list analyzers and exit")
 		debug         = flag.Bool("debug", false, "print type-check warnings to stderr")
@@ -105,7 +105,8 @@ func run() int {
 	}
 
 	if *nolintReport {
-		return reportNolints(pkgs, root)
+		reportNolints(pkgs, root)
+		return 0
 	}
 
 	diags := lint.Run(pkgs, analyzers)
@@ -179,9 +180,9 @@ func run() int {
 }
 
 // reportNolints prints the suppression audit: every //nolint:maya
-// directive with its reason, then the problems that fail the run.
-func reportNolints(pkgs []*lint.Package, root string) int {
-	entries, problems := lint.NolintReport(pkgs, root)
+// directive with its reason.
+func reportNolints(pkgs []*lint.Package, root string) {
+	entries := lint.NolintReport(pkgs, root)
 	for _, e := range entries {
 		reason := e.Reason
 		if reason == "" {
@@ -197,13 +198,6 @@ func reportNolints(pkgs []*lint.Package, root string) int {
 		fmt.Printf("%s:%d: %s: %s\n", e.File, e.Line, names, reason)
 	}
 	fmt.Fprintf(os.Stderr, "mayalint: %d suppression(s)\n", len(entries))
-	for _, p := range problems {
-		fmt.Fprintf(os.Stderr, "mayalint: %s\n", p)
-	}
-	if len(problems) > 0 {
-		return 1
-	}
-	return 0
 }
 
 func writeJSON(path string, diags []lint.Diagnostic) error {

@@ -7,7 +7,8 @@
 // is attached, exactly as sim.Run calls it. An engine runs on its
 // caller's goroutine and starts none of its own; tenants share nothing,
 // so a caller that wants parallelism steps several engines at once, as
-// mayad's scheduler does.
+// mayad's scheduler does. The engine holds no lock: its only seam with
+// other goroutines is the telemetry registry its Metrics count into.
 //
 // The fleet path is pinned bit-for-bit to the scalar reference: every
 // tenant of a fleet run produces exactly the traces, flight records, and
@@ -103,8 +104,8 @@ type TenantResult struct {
 
 // Engine is one fleet in flight. One caller owns it and calls its methods
 // from one goroutine at a time, and every method runs on that goroutine.
-// Concurrent observers read only through the telemetry registry and the
-// Spill (see race tests).
+// Concurrent observers read only through the telemetry registry (see the
+// race test).
 type Engine struct {
 	spec Spec
 	bank *sim.MachineBank
@@ -126,7 +127,6 @@ type Engine struct {
 	idle    []workload.Workload
 
 	metrics *Metrics
-	spill   *Spill
 
 	// Incremental-run state (Start/StepPeriod/Results). Run wraps the
 	// three; a daemon interleaves them with admissions and evictions.
@@ -237,10 +237,6 @@ func New(spec Spec) *Engine {
 // SetMetrics attaches fleet telemetry (nil detaches).
 func (e *Engine) SetMetrics(m *Metrics) { e.metrics = m }
 
-// SetSpill attaches a concurrent-reader spill buffer: every control period
-// the engine pushes one Sample per tenant into it (nil detaches).
-func (e *Engine) SetSpill(s *Spill) { e.spill = s }
-
 // decideAll runs every tenant's control decision for one step, through
 // the tenant's own (possibly fault-wrapped) policy: the call sim.Run makes
 // at a period boundary.
@@ -274,9 +270,6 @@ func (e *Engine) Start() {
 	e.started = true
 	spec := e.spec
 	T := spec.Tenants
-	if e.metrics != nil {
-		e.metrics.Tenants.Set(float64(T))
-	}
 	e.res = make([]TenantResult, T)
 	for t := range e.res {
 		e.res[t].FinishedTick = -1
@@ -318,8 +311,8 @@ func (e *Engine) Start() {
 // reports whether ticks remain. It must follow Start.
 //
 // The period's machine ticks run as one phase (stepMachines); sensing,
-// the control decision, actuation, and spill pushes follow, and each
-// phase timer reads the clock once.
+// the control decision and actuation follow, and each phase timer reads
+// the clock once.
 func (e *Engine) StepPeriod() bool {
 	if !e.started {
 		panic("fleet: Engine.StepPeriod before Start")
@@ -369,16 +362,16 @@ func (e *Engine) StepPeriod() bool {
 		if e.metrics != nil {
 			e.metrics.ActuateNs.Add(uint64(e.clock() - tPhase))
 		}
-		if e.spill != nil {
-			for t := 0; t < T; t++ {
-				if !e.dead[t] {
-					e.spill.push(Sample{Step: e.step, Tenant: t, PowerW: e.pw[t]})
-				}
-			}
-		}
 	}
 	return e.tick < spec.MaxTicks
 }
+
+// Readings returns the latest period boundary's sensor readings, one per
+// slot, and the step whose decisions they fed. The slice is the engine's
+// own, overwritten at the next boundary. The step advances only at a
+// boundary, so a caller that remembers it sees each period once; right
+// after Start the readings are the unrecorded warmup's.
+func (e *Engine) Readings() (step int, powerW []float64) { return e.step, e.pw }
 
 // phaseTicks is the length of the machine phase starting at tick: up to
 // the next period boundary, or to end if that comes first.

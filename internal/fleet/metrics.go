@@ -15,8 +15,6 @@ type Metrics struct {
 	Ticks *telemetry.Counter
 	// Periods counts control periods (one decision per tenant each).
 	Periods *telemetry.Counter
-	// Tenants records the fleet size of the current run.
-	Tenants *telemetry.Gauge
 	// MachineNs, SenseNs, ControlNs, ActuateNs accumulate host wall time
 	// per control-period phase, one clock read per phase: the machine
 	// phase (every tenant's ticks of the period with their sensor
@@ -30,10 +28,6 @@ type Metrics struct {
 	SenseNs   *telemetry.Counter
 	ControlNs *telemetry.Counter
 	ActuateNs *telemetry.Counter
-	// SpillDropped counts samples a bounded Spill discarded (drop-oldest)
-	// because no subscriber drained them; wire it with
-	// Spill.SetDropCounter.
-	SpillDropped *telemetry.Counter
 }
 
 // NewMetrics registers the fleet instruments. Multiple fleets may share a
@@ -42,13 +36,10 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 	return &Metrics{
 		Ticks:     reg.Counter("maya_fleet_ticks_total", "machine ticks stepped across all tenants"),
 		Periods:   reg.Counter("maya_fleet_periods_total", "fleet control periods executed"),
-		Tenants:   reg.Gauge("maya_fleet_tenants", "tenant count of the current fleet run"),
 		MachineNs: reg.Counter("maya_fleet_machine_ns_total", "host wall ns in the per-period machine phase"),
 		SenseNs:   reg.Counter("maya_fleet_sense_ns_total", "host ns in per-tenant sensor reads"),
 		ControlNs: reg.Counter("maya_fleet_control_ns_total", "host ns in the per-tenant control decisions"),
 		ActuateNs: reg.Counter("maya_fleet_actuate_ns_total", "host ns in the actuator commit across the bank"),
-		SpillDropped: reg.Counter("maya_fleet_spill_dropped_total",
-			"spill samples discarded by drop-oldest because no reader drained"),
 	}
 }
 

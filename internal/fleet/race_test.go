@@ -15,11 +15,11 @@ import (
 )
 
 // TestFleetConcurrentObserver steps a fleet on one goroutine while a reader
-// on another continuously drains the spill buffer and snapshots/exports the
-// telemetry registry. Under -race (the CI race job runs the whole tree)
-// this proves the engine's concurrency contract: the spill mutex and the
-// registry's internal synchronization are the only seams with an outside
-// goroutine, and the engine's state never leaks across them.
+// on another continuously snapshots and exports the telemetry registry.
+// Under -race (the CI race job runs the whole tree) this proves the
+// engine's concurrency contract: the registry's internal synchronization
+// is the only seam with an outside goroutine, and the engine's state never
+// leaks across it.
 func TestFleetConcurrentObserver(t *testing.T) {
 	const tenants, ticks = 64, 1000
 	cfg := sim.Sys1()
@@ -40,20 +40,15 @@ func TestFleetConcurrentObserver(t *testing.T) {
 		MaxTicks:    ticks,
 	})
 	reg := telemetry.NewRegistry()
-	eng.SetMetrics(fleet.NewMetrics(reg))
-	// Sized to the whole run, so the exact drained-sample count below holds
-	// however slowly the reader drains.
-	spill := fleet.NewSpill(tenants * (ticks / 20))
-	eng.SetSpill(spill)
+	m := fleet.NewMetrics(reg)
+	eng.SetMetrics(m)
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
-	drained := 0
 	go func() {
 		defer wg.Done()
 		for {
-			drained += len(spill.Drain())
 			reg.Snapshot()
 			if err := reg.WriteJSONL(io.Discard); err != nil {
 				t.Error(err)
@@ -61,7 +56,6 @@ func TestFleetConcurrentObserver(t *testing.T) {
 			}
 			select {
 			case <-done:
-				drained += len(spill.Drain())
 				return
 			default:
 			}
@@ -74,9 +68,7 @@ func TestFleetConcurrentObserver(t *testing.T) {
 	if len(results) != tenants {
 		t.Fatalf("got %d tenant results, want %d", len(results), tenants)
 	}
-	// One sample per tenant per control period, all drained between
-	// pushes or in the final sweep.
-	if want := tenants * (ticks / 20); drained != want {
-		t.Fatalf("drained %d samples, want %d", drained, want)
+	if got, want := m.Periods.Value(), uint64(ticks/20); got != want {
+		t.Fatalf("maya_fleet_periods_total = %d, want %d", got, want)
 	}
 }

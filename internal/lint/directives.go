@@ -44,7 +44,7 @@ type nolintDirective struct {
 	col       int
 	appliesTo int
 	names     []string // suppressed analyzer names, "maya/" prefix stripped
-	reason    string   // prose after the name list; audited by -nolint-report
+	reason    string   // prose after the name list; Run reports a directive without one
 	used      bool
 }
 

@@ -82,12 +82,12 @@
 //	y := collect(m)
 //
 // The list form //nolint:maya/a,maya/b is accepted; entries for other
-// linters in the same comment are ignored. Suppressions naming an unknown
-// analyzer, or matching no finding, are reported under the pseudo-analyzer
-// "nolint", which cannot itself be suppressed. The prose after the name
-// list is the suppression's reason: `mayalint -nolint-report` enumerates
-// every suppression with its reason and fails on reason-less directives,
-// so the suppression set doubles as an audit trail.
+// linters in the same comment are ignored. The prose after the name list
+// is the suppression's reason. Suppressions naming an unknown analyzer,
+// matching no finding, or giving no reason are reported under the
+// pseudo-analyzer "nolint", which cannot itself be suppressed, and
+// `mayalint -nolint-report` lists every suppression with its reason, so
+// the suppression set doubles as an audit trail.
 //
 // # Baseline
 //
@@ -105,9 +105,9 @@
 //	go run ./cmd/mayalint ./...             # text findings, exit 1 if any
 //	go run ./cmd/mayalint -json ./...       # machine-readable findings
 //	go run ./cmd/mayalint -sarif ./...      # SARIF 2.1.0 for code scanners
-//	go run ./cmd/mayalint -nolint-report    # audit the suppression set
+//	go run ./cmd/mayalint -nolint-report    # list the suppression set
 //	scripts/lint.sh                         # CI entry point: baseline +
-//	                                        # JSON + SARIF + nolint audit
+//	                                        # JSON + SARIF
 //
 // Loading is lenient: files that fail to type-check perfectly still get
 // analyzed with partial type information, so one broken file cannot mask

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"sort"
+	"strings"
 )
 
 // Analyzer is one project rule: a name (used in //nolint:maya/<name>
@@ -69,8 +70,8 @@ func report(fset *token.FileSet, analyzer string, diags *[]Diagnostic, pos token
 }
 
 // NolintName is the pseudo-analyzer under which the framework reports
-// problems with suppression directives themselves (unused or unknown).
-// It cannot be suppressed.
+// problems with suppression directives themselves (unused, unknown, or
+// without a reason). It cannot be suppressed.
 const NolintName = "nolint"
 
 // Analyzers returns every analyzer in the standard order.
@@ -90,11 +91,11 @@ func Analyzers() []*Analyzer {
 }
 
 // Run applies the analyzers to every package, resolves //nolint:maya/<name>
-// suppressions, reports unused or malformed suppressions, and returns the
-// surviving diagnostics sorted by position. The whole-program analyzers
-// run over a Program built from the same packages; build one explicitly
-// with NewProgram and call RunProgram to amortize the call graph across
-// several invocations.
+// suppressions, reports unused, unknown or reason-less suppressions, and
+// returns the surviving diagnostics sorted by position. The whole-program
+// analyzers run over a Program built from the same packages; build one
+// explicitly with NewProgram and call RunProgram to amortize the call
+// graph across several invocations.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	return RunProgram(NewProgram(pkgs), analyzers)
 }
@@ -156,7 +157,9 @@ func RunProgram(prog *Program, analyzers []*Analyzer) []Diagnostic {
 
 // suppress drops diagnostics covered by a nolint directive and reports
 // directives that suppressed nothing (so stale annotations rot away instead
-// of silently masking future findings) or that name no known analyzer.
+// of silently masking future findings), that name no known analyzer, or
+// that give no reason: a suppression without one is a mute button, not an
+// audit trail.
 func suppress(pkg *Package, raw []Diagnostic, ran map[string]bool) []Diagnostic {
 	registered := map[string]bool{}
 	for _, a := range Analyzers() {
@@ -172,6 +175,13 @@ func suppress(pkg *Package, raw []Diagnostic, ran map[string]bool) []Diagnostic 
 		out = append(out, d)
 	}
 	for _, nd := range dirs.nolints {
+		if nd.reason == "" {
+			out = append(out, Diagnostic{
+				Analyzer: NolintName, File: nd.file, Line: nd.line, Col: nd.col,
+				Message: fmt.Sprintf("suppression of maya/%s has no reason; write why beside the directive",
+					strings.Join(nd.names, ",maya/")),
+			})
+		}
 		relevant := false
 		for _, name := range nd.names {
 			if !registered[name] {

@@ -15,8 +15,8 @@ import (
 // other lock user to an unrelated goroutine's progress; in a sharded tick
 // scheduler that is a priority inversion that shows up as missed
 // deadlines, and under shutdown it is how deadlocks assemble. The
-// mutex-guarded seams feeding mayad — fleet.Spill, the telemetry registry
-// — are the surfaces this rule protects.
+// mutex-guarded seams of mayad — its spill ring, Server.mu, the telemetry
+// registry — are the surfaces this rule protects.
 //
 // sync.Cond.Wait is deliberately exempt: a Cond waits with its lock held
 // by design. Locks released on every path before the operation are

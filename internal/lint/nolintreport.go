@@ -7,9 +7,8 @@ import (
 
 // The nolint report is the audit surface for suppressions: every
 // //nolint:maya directive in the tree, with the analyzers it silences and
-// the written reason beside it. A suppression without a reason is not an
-// audit trail, it is a mute button — the report treats it as a problem,
-// as it does one naming an analyzer that does not exist.
+// the written reason beside it. Run refuses a directive that gives no
+// reason or names an analyzer that does not exist; the report only lists.
 
 // Suppression is one //nolint:maya directive.
 type Suppression struct {
@@ -20,14 +19,9 @@ type Suppression struct {
 }
 
 // NolintReport enumerates every suppression in the loaded packages,
-// sorted by position, plus the problems that should fail a CI audit:
-// reason-less directives and directives naming unknown analyzers. root
-// rebases file paths when non-empty.
-func NolintReport(pkgs []*Package, root string) (entries []Suppression, problems []string) {
-	registered := map[string]bool{}
-	for _, a := range Analyzers() {
-		registered[a.Name] = true
-	}
+// sorted by position. root rebases file paths when non-empty.
+func NolintReport(pkgs []*Package, root string) []Suppression {
+	var entries []Suppression
 	seen := map[string]bool{}
 	for _, pkg := range pkgs {
 		for _, nd := range pkg.directives().nolints {
@@ -42,14 +36,6 @@ func NolintReport(pkgs []*Package, root string) (entries []Suppression, problems
 			entries = append(entries, Suppression{
 				File: file, Line: nd.line, Analyzers: nd.names, Reason: nd.reason,
 			})
-			if nd.reason == "" {
-				problems = append(problems, fmt.Sprintf("%s:%d: suppression of maya/%s has no reason; write why beside the directive", file, nd.line, joinNames(nd.names)))
-			}
-			for _, name := range nd.names {
-				if !registered[name] {
-					problems = append(problems, fmt.Sprintf("%s:%d: suppression names unknown analyzer maya/%s", file, nd.line, name))
-				}
-			}
 		}
 	}
 	sort.Slice(entries, func(i, j int) bool {
@@ -58,17 +44,5 @@ func NolintReport(pkgs []*Package, root string) (entries []Suppression, problems
 		}
 		return entries[i].Line < entries[j].Line
 	})
-	sort.Strings(problems)
-	return entries, problems
-}
-
-func joinNames(names []string) string {
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += ",maya/"
-		}
-		out += n
-	}
-	return out
+	return entries
 }

@@ -1,6 +1,7 @@
 // Package nolint is a golden-test fixture for the suppression machinery
-// itself: used suppressions silence exactly one line, unused and unknown
-// ones are reported under the unsuppressible "nolint" pseudo-analyzer.
+// itself: used suppressions silence exactly one line; unused, unknown and
+// reason-less ones are reported under the unsuppressible "nolint"
+// pseudo-analyzer.
 package nolint
 
 func suppressed(a, b float64) bool {
@@ -22,7 +23,8 @@ func unknown(a, b float64) bool {
 }
 
 func reasonless(a, b float64) bool {
-	// A bare suppression still silences the finding; the nolint report is
-	// what refuses it (TestNolintReport).
-	return a == b //nolint:maya/floateq
+	// A bare suppression still silences the finding but is a finding of
+	// its own. The want sits in a block comment before the directive, as
+	// any prose after it would be the directive's reason.
+	return a == b /* want "suppression of maya/floateq has no reason" */ //nolint:maya/floateq
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -53,6 +54,57 @@ func FuzzAdmit(f *testing.F) {
 		}
 		if wt := st.Spec.WarmupTicks; wt < 0 || wt > 1<<20 {
 			t.Fatalf("admitted %q with warmup_ticks %d", body, wt)
+		}
+	})
+}
+
+// handlerStatuses are the statuses Handler documents: its routes' and the
+// mux's own.
+var handlerStatuses = []int{
+	http.StatusOK, http.StatusCreated, http.StatusMovedPermanently,
+	http.StatusBadRequest, http.StatusNotFound, http.StatusMethodNotAllowed,
+	http.StatusConflict, http.StatusServiceUnavailable,
+}
+
+// FuzzHandlers sends an arbitrary method, path and query to the handler
+// of a daemon whose scheduler never starts and which holds one admitted,
+// queued tenant, id 0. Inputs a server could not parse off the wire are
+// skipped. Whatever the request, the handler must not panic, must answer
+// a status Handler documents, and every JSON body must decode.
+func FuzzHandlers(f *testing.F) {
+	for _, seed := range [][3]string{
+		{"GET", "/spill", ""},
+		{"GET", "/traces.csv", ""},
+		{"GET", "/tenants/0/trace", "format=mayt"},
+		{"GET", "/tenants/0/trace", "format=bogus"},
+		{"GET", "/tenants/-1", ""},
+		{"GET", "/tenants/12345678901234567890", ""},
+		{"DELETE", "/tenants/0", ""},
+		{"GET", "/healthz", ""},
+	} {
+		f.Add(seed[0], seed[1], seed[2])
+	}
+	f.Fuzz(func(t *testing.T, method, path, query string) {
+		if !strings.HasPrefix(path, "/") {
+			path = "/" + path
+		}
+		req, err := http.NewRequest(method, "http://mayad"+path, http.NoBody)
+		if err != nil {
+			t.Skip()
+		}
+		req.URL.RawQuery = query
+		srv := mayad.New(testConfig(), nil)
+		if _, err := srv.Admit(mayad.TenantSpec{}); err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+
+		if !slices.Contains(handlerStatuses, rec.Code) {
+			t.Fatalf("%s %s?%s: status %d", method, path, query, rec.Code)
+		}
+		if rec.Header().Get("Content-Type") == "application/json" && !json.Valid(rec.Body.Bytes()) {
+			t.Fatalf("%s %s?%s: status %d, body is not JSON: %q", method, path, query, rec.Code, rec.Body.String())
 		}
 	})
 }

@@ -21,6 +21,11 @@ const retryAfterSeconds = "1"
 // Handler returns the daemon's API mux. cmd/mayad mounts it as the app
 // handler of a hardened debugsrv server, which adds /metrics and pprof
 // and owns the HTTP lifecycle (timeouts, graceful drain).
+//
+// A route answers 200, 201, 400, 404, 409 or 503, always with a JSON body
+// apart from a trace or flight download. The mux itself answers an unknown
+// path with 404 and another method on a known path with 405, both in
+// plain text, and redirects a path that is not in clean form with 301.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /tenants", s.handleAdmit)

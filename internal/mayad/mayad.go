@@ -23,11 +23,17 @@
 // that steps it, and identical specs launch as banks of at most 64
 // tenants, so a big group still spreads over every core. The rest stays
 // serial on the scheduler goroutine: admission, eviction and drain
-// commands, design lookup, every Server.mu state transition (published
-// after the join, in bank order), and dropping finished banks. Banks share
-// only atomic counters and read-only designs, so the fan-out never shows
-// in a trace. Banks record period-level traces only
-// (fleet.Spec.SkipTickTraces).
+// commands, design lookup, and after the join, in bank order, the pass's
+// period readings pushed into the spill, every Server.mu state transition,
+// and dropping finished banks. Banks share only atomic counters and
+// read-only designs, so the fan-out never shows in a trace. Banks record
+// period-level traces only (fleet.Spec.SkipTickTraces).
+//
+// GET /spill is a live tap on those readings. The daemon owns its one
+// buffer: a drop-oldest ring of Config.SpillLimit samples, each labelled
+// with its tenant id when it is pushed, so a tenant's samples outlive its
+// bank and keep its id after an eviction. The ring's mutex is the only
+// lock the scheduler shares with the HTTP handlers apart from Server.mu.
 //
 // The daemon degrades under load instead of falling over: admissions pass
 // through a bounded queue and a MaxTenants cap, and excess requests are
@@ -65,11 +71,11 @@ type Config struct {
 	// admissions beyond it are shed with 503 (default 64).
 	MaxTenants int
 	// QueueDepth bounds the scheduler's command queue; a full queue sheds
-	// the admission instead of blocking the HTTP handler (default 16).
+	// the admission instead of blocking the HTTP handler (default 32).
 	QueueDepth int
-	// SpillLimit bounds each bank's spill buffer (drop-oldest); 0 uses
-	// 4096. A bank holds at most 64 tenants, so the default keeps at
-	// least 64 control periods of every tenant.
+	// SpillLimit bounds the daemon's one spill buffer, which GET /spill
+	// drains, in samples (drop-oldest); 0 uses 4096: the newest 64
+	// control periods of each of the default 64 tenants.
 	SpillLimit int
 	// SpoolDir, when non-empty, receives one trace file per finished
 	// tenant on drain (tenant-<id>.mayt, plus tenant-<id>.flight.jsonl
@@ -90,7 +96,7 @@ func (c Config) withDefaults() Config {
 		c.MaxTenants = 64
 	}
 	if c.QueueDepth <= 0 {
-		c.QueueDepth = 16
+		c.QueueDepth = 32
 	}
 	if c.SpillLimit <= 0 {
 		c.SpillLimit = 4096
@@ -179,6 +185,7 @@ type Server struct {
 	met     *metrics
 	fleetM  *fleet.Metrics
 	designs *designCache
+	spill   *spill
 
 	mu       sync.Mutex
 	tenants  map[int]*tenant
@@ -207,6 +214,7 @@ func New(cfg Config, reg *telemetry.Registry) *Server {
 		designs: &designCache{synth: cfg.DesignFor},
 		tenants: make(map[int]*tenant),
 	}
+	s.spill = newSpill(cfg.SpillLimit, s.met.SpillDropped)
 	s.sched = newScheduler(s)
 	return s
 }
@@ -527,19 +535,13 @@ func (s *Server) fail(tn *tenant, err error) {
 	s.met.Failed.Inc()
 }
 
-// SpillSample is one spilled control-period reading, translated from bank
-// slots to tenant ids (-1 when the slot was already evicted).
-type SpillSample struct {
-	Tenant int     `json:"tenant"`
-	Step   int     `json:"step"`
-	PowerW float64 `json:"power_w"`
-}
-
-// DrainSpill empties every bank's spill buffer: the streaming
-// observation tap. Samples older than each bank's bound have been dropped
-// (drop-oldest, counted in maya_fleet_spill_dropped_total).
+// DrainSpill empties the daemon's spill buffer, the streaming observation
+// tap: every resident, finished or evicted tenant's recorded period
+// readings, oldest first, in the order the scheduler's passes produced
+// them. Samples beyond Config.SpillLimit have been dropped (drop-oldest,
+// counted in maya_fleet_spill_dropped_total).
 func (s *Server) DrainSpill() []SpillSample {
-	return s.sched.spillSamples()
+	return s.spill.drain()
 }
 
 // Drain stops the daemon gracefully: new admissions shed with 503, the

@@ -422,10 +422,59 @@ func TestDrainFlushesPrefixAndSpools(t *testing.T) {
 	}
 }
 
-// TestSpillDrainStreams checks the observation tap: spilled samples carry
-// daemon tenant ids and match the tenants' recorded period samples.
+// drainSpill GETs /spill and decodes the drained samples.
+func drainSpill(t *testing.T, base string) []mayad.SpillSample {
+	t.Helper()
+	code, body := get(t, base+"/spill")
+	if code != http.StatusOK {
+		t.Fatalf("/spill: status %d", code)
+	}
+	var samples []mayad.SpillSample
+	if err := json.Unmarshal(body, &samples); err != nil {
+		t.Fatal(err)
+	}
+	return samples
+}
+
+// spilledBy groups drained samples by tenant id, failing on any sample
+// labelled with an id outside ids.
+func spilledBy(t *testing.T, samples []mayad.SpillSample, ids ...int) map[int][]mayad.SpillSample {
+	t.Helper()
+	out := make(map[int][]mayad.SpillSample)
+	for _, id := range ids {
+		out[id] = nil
+	}
+	for _, smp := range samples {
+		if _, ok := out[smp.Tenant]; !ok {
+			t.Fatalf("spill sample for tenant %d, want one of %v", smp.Tenant, ids)
+		}
+		out[smp.Tenant] = append(out[smp.Tenant], smp)
+	}
+	return out
+}
+
+// checkSpilledPrefix requires a tenant's spilled samples to be a prefix of
+// its recorded run: its period readings, at consecutive steps from the
+// first recorded one.
+func checkSpilledPrefix(t *testing.T, got []mayad.SpillSample, want fleet.TenantResult) {
+	t.Helper()
+	if len(got) > len(want.DefenseSamples) {
+		t.Fatalf("spilled %d samples, the run records %d", len(got), len(want.DefenseSamples))
+	}
+	for i, smp := range got {
+		if smp.Step != want.FirstStep+1+i || smp.PowerW != want.DefenseSamples[i] {
+			t.Fatalf("spilled sample %d is %+v, want step %d power %v",
+				i, smp, want.FirstStep+1+i, want.DefenseSamples[i])
+		}
+	}
+}
+
+// TestSpillDrainStreams checks the observation tap: a tenant that finishes
+// before anyone drains leaves exactly its recorded period readings in
+// /spill, labelled with its id, at consecutive steps.
 func TestSpillDrainStreams(t *testing.T) {
 	const base = 0x5b11
+	ref := refResults(t, base, 1)[0]
 	srv := mayad.New(testConfig(), nil)
 	srv.Start()
 	defer srv.Drain()
@@ -437,22 +486,66 @@ func TestSpillDrainStreams(t *testing.T) {
 	}
 	waitState(t, ts.URL, 0, mayad.StateDone)
 
-	code, body := get(t, ts.URL+"/spill")
-	if code != http.StatusOK {
-		t.Fatalf("/spill: status %d", code)
+	got := spilledBy(t, drainSpill(t, ts.URL), 0)[0]
+	if len(got) != len(ref.DefenseSamples) {
+		t.Fatalf("spilled %d samples, the run records %d", len(got), len(ref.DefenseSamples))
 	}
-	var samples []mayad.SpillSample
-	if err := json.Unmarshal(body, &samples); err != nil {
-		t.Fatal(err)
+	checkSpilledPrefix(t, got, ref)
+	if rest := drainSpill(t, ts.URL); len(rest) != 0 {
+		t.Fatalf("second drain returned %d samples", len(rest))
 	}
-	// The bank is gone once the run finalizes, so a post-completion drain
-	// may legally return nothing; what it must never do is invent
-	// samples for unknown tenants.
-	for _, smp := range samples {
-		if smp.Tenant != 0 {
-			t.Fatalf("spill sample for unknown tenant %d", smp.Tenant)
+}
+
+// TestSpillDrainAfterEviction evicts one of two tenants sharing a bank
+// while nothing drains, then drains once the eviction is done and again
+// once its neighbor has finished: every sample keeps its tenant's id, the
+// evicted tenant's samples are a prefix of its run and the neighbor's are
+// all of its run.
+func TestSpillDrainAfterEviction(t *testing.T) {
+	const base = 0x5b13
+	cfg := testConfig()
+	cfg.Pace = time.Millisecond
+	srv := mayad.New(cfg, nil)
+	defer srv.Drain()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// Admitted before Start with one spec, the two tenants share a bank.
+	var want []fleet.TenantResult
+	for i := 0; i < 2; i++ {
+		sp := mayad.TenantSpec{
+			Machine: "sys1", Defense: "gs", Workload: "blackscholes", Scale: testScale,
+			Seed: base, Index: i, MaxTicks: 4000, WarmupTicks: testWarmup,
 		}
+		if resp, _ := admit(t, ts.URL, sp); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("admit %d failed", i)
+		}
+		want = append(want, soloRun(t, sp).res)
 	}
+	srv.Start()
+	for tries := 0; status(t, ts.URL, 0).Tick == 0; tries++ {
+		if tries == 20000 {
+			t.Fatal("tenant 0 never recorded a period")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if ok, err := srv.Evict(0); !ok || err != nil {
+		t.Fatalf("evict 0: %v %v", ok, err)
+	}
+	waitState(t, ts.URL, 0, mayad.StateEvicted)
+	samples := drainSpill(t, ts.URL)
+	waitState(t, ts.URL, 1, mayad.StateDone)
+	samples = append(samples, drainSpill(t, ts.URL)...)
+
+	by := spilledBy(t, samples, 0, 1)
+	if n := len(by[0]); n == 0 || n == len(want[0].DefenseSamples) {
+		t.Fatalf("evicted tenant spilled %d of %d samples, want a mid-run prefix", n, len(want[0].DefenseSamples))
+	}
+	checkSpilledPrefix(t, by[0], want[0])
+	if len(by[1]) != len(want[1].DefenseSamples) {
+		t.Fatalf("finished tenant spilled %d samples, its run records %d", len(by[1]), len(want[1].DefenseSamples))
+	}
+	checkSpilledPrefix(t, by[1], want[1])
 }
 
 // TestBadSpecsRejected covers admission validation: unknown names 400,

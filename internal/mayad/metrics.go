@@ -2,9 +2,9 @@ package mayad
 
 import "github.com/maya-defense/maya/internal/telemetry"
 
-// metrics are the daemon's own instruments (the fleet engines underneath
-// add the maya_fleet_* series, including fleet_spill_dropped_total's
-// maya_fleet_spill_dropped_total).
+// metrics are the daemon's own instruments; the fleet engines underneath
+// add the maya_fleet_* phase series. The spill's drop counter keeps its
+// established series name, maya_fleet_spill_dropped_total.
 type metrics struct {
 	Admitted *telemetry.Counter
 	// Shed counts admissions rejected with 503 + Retry-After: draining,
@@ -19,6 +19,9 @@ type metrics struct {
 	// Draining is 1 once Drain begins.
 	Draining    *telemetry.Gauge
 	SpoolErrors *telemetry.Counter
+	// SpillDropped counts samples the spill discarded (drop-oldest)
+	// because no /spill reader drained them in time.
+	SpillDropped *telemetry.Counter
 }
 
 func newMetrics(reg *telemetry.Registry) *metrics {
@@ -32,5 +35,7 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		Banks:       reg.Gauge("mayad_banks", "fleet banks currently stepping"),
 		Draining:    reg.Gauge("mayad_draining", "1 once graceful drain has begun"),
 		SpoolErrors: reg.Counter("mayad_spool_errors_total", "tenant spool writes that failed during drain"),
+		SpillDropped: reg.Counter("maya_fleet_spill_dropped_total",
+			"spill samples discarded by drop-oldest because no reader drained"),
 	}
 }

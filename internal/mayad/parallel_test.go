@@ -322,12 +322,12 @@ func TestStatusTickTracksProgress(t *testing.T) {
 	}
 }
 
-// TestSpillDrainDuringEviction drains the spill buffers continuously
-// while pass workers push into them and tenants leave a shared bank
-// mid-run. A drain reads the bank slots that an eviction clears, to
-// translate slots to tenant ids; under -race every such read must be
-// ordered with the eviction. It sets GOMAXPROCS to 4 so the pass fans out
-// on any host; it must not run in parallel.
+// TestSpillDrainDuringEviction drains the spill continuously while the
+// scheduler pushes each pass's readings into it and tenants leave a
+// shared bank mid-run. Under -race every drain must be ordered with the
+// pushes, and the pushes, which read the bank slots, with the evictions
+// that clear them. It sets GOMAXPROCS to 4 so the pass fans out on any
+// host; it must not run in parallel.
 func TestSpillDrainDuringEviction(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const shared = 4

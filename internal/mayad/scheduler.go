@@ -50,11 +50,11 @@ func (tn *tenant) key() bankKey {
 // worker does (see eachBank).
 type bank struct {
 	eng   *fleet.Engine
-	spill *fleet.Spill
 	slots []*tenant
 
 	started bool // Start has run the warmup
 	periods int  // recorded control periods stepped
+	spilled int  // step of the readings last pushed to the spill
 
 	// Set by collect once the run is over: the result and flight JSONL of
 	// every slot, for the scheduler goroutine to publish.
@@ -65,21 +65,19 @@ type bank struct {
 
 // scheduler steps every resident tenant: its goroutine drains commands,
 // launches banks and runs the passes that advance them, and it talks to
-// the rest of the daemon through the bounded cmds queue and brief
-// Server.mu sections.
+// the rest of the daemon through the bounded cmds queue, brief Server.mu
+// sections and the spill. Everything else here belongs to its goroutine
+// and, during a pass, to the pass workers (see eachBank).
 type scheduler struct {
 	s    *Server
 	cmds chan command
 	stop chan struct{}
 
-	// mu guards the banks slice and the bank slots for the spill-drain
-	// reader; only the scheduler goroutine writes either.
-	mu    sync.Mutex
 	banks []*bank
-
-	// pending holds admitted tenants awaiting bank launch; scheduler
-	// goroutine only.
+	// pending holds admitted tenants awaiting bank launch.
 	pending []*tenant
+	// readings is the pass's spill batch, reused across passes.
+	readings []SpillSample
 }
 
 func newScheduler(s *Server) *scheduler {
@@ -152,9 +150,7 @@ func (sc *scheduler) evict(id int) {
 				continue
 			}
 			b.eng.Evict(slot)
-			sc.mu.Lock() // the spill reader iterates b.slots
 			b.slots[slot] = nil
-			sc.mu.Unlock()
 			sc.s.transition(tn, StateEvicted, fleet.TenantResult{}, nil)
 			if b.eng.Alive() == 0 {
 				// Every slot is dead: the bank is pure overhead, drop it.
@@ -253,14 +249,7 @@ func (sc *scheduler) launchBank(group []*tenant) {
 
 	eng := fleet.New(spec)
 	eng.SetMetrics(sc.s.fleetM)
-	spill := fleet.NewSpill(sc.s.cfg.SpillLimit)
-	spill.SetDropCounter(sc.s.fleetM.SpillDropped)
-	eng.SetSpill(spill)
-
-	b := &bank{eng: eng, spill: spill, slots: append([]*tenant(nil), group...)}
-	sc.mu.Lock()
-	sc.banks = append(sc.banks, b)
-	sc.mu.Unlock()
+	sc.banks = append(sc.banks, &bank{eng: eng, slots: append([]*tenant(nil), group...)})
 	sc.s.met.Banks.Add(1)
 	for _, tn := range group {
 		sc.s.setState(tn, StateRunning)
@@ -268,29 +257,51 @@ func (sc *scheduler) launchBank(group []*tenant) {
 }
 
 // stepOnce is one scheduler pass: every bank advances one control period
-// on the pass workers, then the scheduler goroutine publishes the banks
-// that finished, in bank order, and drops them.
+// on the pass workers, then the scheduler goroutine spills the period's
+// readings, publishes the banks that finished, both in bank order, and
+// drops the finished banks.
 func (sc *scheduler) stepOnce() {
 	sc.eachBank((*bank).advance)
+	sc.spillReadings()
 	for _, b := range sc.banks {
 		if b.done {
 			sc.publish(b, StateDone)
 		}
 	}
-	sc.mu.Lock()
 	before := len(sc.banks)
 	sc.banks = slices.DeleteFunc(sc.banks, func(b *bank) bool { return b.done })
-	removed := before - len(sc.banks)
-	sc.mu.Unlock()
-	sc.s.met.Banks.Add(-float64(removed))
+	sc.s.met.Banks.Add(-float64(before - len(sc.banks)))
+}
+
+// spillReadings pushes every bank's readings from a period boundary
+// crossed in this pass into the daemon's spill, in bank and slot order,
+// each labelled with its slot's tenant id. Evicted slots are skipped, and
+// so is a bank whose step stood still: the warmup's readings and a
+// trailing partial period record nothing.
+func (sc *scheduler) spillReadings() {
+	out := sc.readings[:0]
+	for _, b := range sc.banks {
+		step, pw := b.eng.Readings()
+		if step == b.spilled {
+			continue
+		}
+		b.spilled = step
+		for slot, tn := range b.slots {
+			if tn != nil {
+				out = append(out, SpillSample{Tenant: tn.id, Step: step, PowerW: pw[slot]})
+			}
+		}
+	}
+	sc.s.spill.push(out...)
+	sc.readings = out
 }
 
 // eachBank runs fn on every bank, on min(GOMAXPROCS, banks) workers: the
 // daemon's only fan-out, since a fleet engine runs on the goroutine that
 // steps it. The scheduler goroutine is one worker and starts the others;
 // each claims banks one at a time, and eachBank returns once every bank
-// is done. A worker touches only its bank's engine, spill and results and
-// its tenants' tick counters; banks share nothing else but atomic fleet
+// is done. A worker touches only its bank's engine and results and its
+// tenants' tick counters; banks share nothing else but atomic fleet
 // metrics and read-only designs, so the fan-out cannot show in a trace.
 func (sc *scheduler) eachBank(fn func(*bank)) {
 	banks := sc.banks
@@ -323,6 +334,7 @@ func (b *bank) advance() {
 	if !b.started {
 		b.eng.Start()
 		b.started = true
+		b.spilled, _ = b.eng.Readings()
 	}
 	more := b.eng.StepPeriod()
 	b.periods++
@@ -368,9 +380,7 @@ func (sc *scheduler) publish(b *bank, state string) {
 }
 
 func (sc *scheduler) removeBank(i int) {
-	sc.mu.Lock()
 	sc.banks = append(sc.banks[:i], sc.banks[i+1:]...)
-	sc.mu.Unlock()
 	sc.s.met.Banks.Add(-1)
 }
 
@@ -391,31 +401,8 @@ func (sc *scheduler) shutdown() {
 			for _, b := range sc.banks {
 				sc.publish(b, StateDrained)
 			}
-			sc.mu.Lock()
 			sc.banks = nil
-			sc.mu.Unlock()
 			return
 		}
 	}
-}
-
-// spillSamples drains every bank's spill, translating bank slots to
-// tenant ids. With nothing spilled it returns an empty, non-nil slice,
-// which encodes as a JSON array.
-func (sc *scheduler) spillSamples() []SpillSample {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	out := []SpillSample{}
-	for _, b := range sc.banks {
-		for _, smp := range b.spill.Drain() {
-			id := -1
-			if smp.Tenant < len(b.slots) && b.slots[smp.Tenant] != nil {
-				id = b.slots[smp.Tenant].id
-			}
-			out = append(out, SpillSample{
-				Tenant: id, Step: smp.Step, PowerW: smp.PowerW,
-			})
-		}
-	}
-	return out
 }

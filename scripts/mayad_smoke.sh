@@ -7,13 +7,15 @@
 #      seed and parameters (the (seed, index) determinism contract);
 #   2. admissions past -max-tenants shed with 503 + Retry-After and are
 #      counted in mayad_admission_shed_total on /metrics;
-#   3. SIGTERM drains gracefully: the process exits 0 and the finished
+#   3. GET /spill still holds every finished tenant's period readings,
+#      each under its tenant id;
+#   4. SIGTERM drains gracefully: the process exits 0 and the finished
 #      traces are spooled as .mayt files that `mayactl -convert` parses.
 #
 # Usage: scripts/mayad_smoke.sh [outdir]   (default: ./mayad-smoke)
 #
-# Artifacts (daemon log, metrics scrape, both CSVs, spooled traces) land
-# in outdir so CI can upload them on success or failure.
+# Artifacts (daemon log, metrics scrape, spill drain, both CSVs, spooled
+# traces) land in outdir so CI can upload them on success or failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -75,6 +77,18 @@ for _ in $(seq 1 600); do
 done
 [[ "${done_n:-0}" -eq "$tenants" ]] || fail "tenants never finished: $done_n/$tenants done"
 echo "mayad_smoke: $tenants tenants finished"
+
+# Nothing has drained the tap, and 3 x 200 samples fit the default
+# -spill bound of 4096, so it holds every recorded period of every tenant.
+curl -s "$base/spill" > "$out/spill.json"
+periods=$((seconds * 1000 / 20))
+for i in $(seq 0 $((tenants - 1))); do
+    n=$(grep -c "\"tenant\": $i," "$out/spill.json" || true)
+    [[ "$n" -eq "$periods" ]] || fail "/spill holds $n samples of tenant $i, want $periods"
+done
+n=$(grep -c '"tenant":' "$out/spill.json" || true)
+[[ "$n" -eq $((tenants * periods)) ]] || fail "/spill holds $n samples, want $((tenants * periods))"
+echo "mayad_smoke: /spill holds $periods samples of each tenant"
 
 curl -s "$base/traces.csv" > "$out/daemon.csv"
 curl -s "$base/tenants/1/trace?format=csv" > "$out/tenant1.csv"
