@@ -5,8 +5,11 @@
 //
 // Usage:
 //
-//	mayad [-addr :8787] [-max-tenants 64] [-queue 32] [-spill 4096]
+//	mayad [-addr :8787] [-max-tenants n] [-queue n] [-spill n]
 //	      [-spool dir] [-pace 0] [-addr-file path]
+//
+// -max-tenants, -queue and -spill default to 0, which takes the daemon's
+// own default (mayad.Config).
 //
 // API (all JSON unless noted):
 //
@@ -14,7 +17,8 @@
 //	                           503 + Retry-After when shedding load
 //	GET    /tenants            list tenants
 //	GET    /tenants/{id}       one tenant's status
-//	DELETE /tenants/{id}       evict a tenant
+//	DELETE /tenants/{id}       evict a tenant (200 once the eviction is
+//	                           queued; a tenant that finishes first ends done)
 //	GET    /tenants/{id}/trace?format=csv|json|mayt   finished trace
 //	GET    /tenants/{id}/flight                       flight JSONL
 //	GET    /traces.csv         all finished tenants as one fleet CSV
@@ -61,9 +65,9 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8787", "listen address (host:port; :0 picks a free port)")
-	maxTenants := flag.Int("max-tenants", 64, "resident-tenant cap; admissions beyond it shed with 503")
+	maxTenants := flag.Int("max-tenants", 0, "resident-tenant cap; admissions beyond it shed with 503 (0 = the daemon default, 64)")
 	queue := flag.Int("queue", 0, "admission queue depth; a full queue sheds with 503 (0 = the daemon default, 32)")
-	spill := flag.Int("spill", 4096, "samples the /spill buffer keeps over all tenants (drop-oldest past it)")
+	spill := flag.Int("spill", 0, "samples the /spill buffer keeps over all tenants, drop-oldest past it (0 = the daemon default, 4096)")
 	spool := flag.String("spool", "", "directory for tenant traces flushed at drain (empty = no spool)")
 	pace := flag.Duration("pace", 0, "sleep between scheduler passes (0 = run flat out)")
 	addrFile := flag.String("addr-file", "", "write the bound listen address to this file (for scripts using :0)")
@@ -95,7 +99,7 @@ func run(addr, addrFile string, drainTimeout time.Duration, cfg mayad.Config) er
 		return err
 	}
 	dbg.SetDrainTimeout(drainTimeout)
-	fmt.Printf("mayad: listening on %s (max %d tenants)\n", dbg.Addr(), cfg.MaxTenants)
+	fmt.Printf("mayad: listening on %s\n", dbg.Addr())
 	if addrFile != "" {
 		if err := os.WriteFile(addrFile, []byte(dbg.Addr()+"\n"), 0o644); err != nil {
 			dbg.Close()

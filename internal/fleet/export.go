@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 )
 
@@ -18,19 +19,22 @@ import (
 // trace byte-diffs cleanly against a solo mayactl run.
 //
 // The bytes are exactly what encoding/csv writes for these rows (no field
-// can need quoting), but each row is appended into one reused buffer.
-// Fixed-precision strconv formatting is slow, so time_s is formatted once
-// per row index and the knob columns once per distinct (quantized) value;
-// only power_w and target_w are formatted per row.
+// can need quoting), but each row is appended into one reused buffer and
+// written out in 64 KiB chunks. strconv formats a fixed-precision 'f'
+// float with multiprecision decimal arithmetic, so the float columns go
+// through appendFixed, which rounds with integer arithmetic instead. A
+// normal float with 2⁻¹¹ ≤ |v| < 2⁵² is exactly m/2ˢ with m < 2⁵³ and
+// 1 ≤ s ≤ 63, so m·10^prec (prec ≤ 3) fits a uint64: shifting it right by
+// s leaves the digits, and the bits shifted out decide the rounding
+// exactly, half to even, as strconv rounds the exact binary value. A
+// smaller |v|, zero and subnormals included, lies below half of 10⁻³ and
+// prints as zero with its sign; |v| ≥ 2⁵², NaN and ±Inf fall back to
+// strconv.
 func WriteCSV(w io.Writer, results []TenantResult, ids []int) error {
-	bw := bufio.NewWriter(w)
+	bw := bufio.NewWriterSize(w, 64<<10)
 	if _, err := bw.WriteString("tenant,time_s,power_w,target_w,freq_ghz,idle,balloon\n"); err != nil {
 		return err
 	}
-	var times []string // row j's time_s, j·0.02 s to two places
-	freq := knobColumn{prec: 1}
-	idle := knobColumn{prec: 2}
-	balloon := knobColumn{prec: 1}
 	var row []byte
 	for i, res := range results {
 		id := i
@@ -44,24 +48,21 @@ func WriteCSV(w io.Writer, results []TenantResult, ids []int) error {
 		for j, p := range res.DefenseSamples {
 			row = strconv.AppendInt(row[:0], int64(id), 10)
 			row = append(row, ',')
-			for len(times) <= j {
-				times = append(times, strconv.FormatFloat(float64(len(times))*0.02, 'f', 2, 64))
-			}
-			row = append(row, times[j]...)
+			row = appendFixed(row, float64(j)*0.02, 2)
 			row = append(row, ',')
-			row = strconv.AppendFloat(row, p, 'f', 3, 64)
+			row = appendFixed(row, p, 3)
 			row = append(row, ',')
 			if j < len(targets) {
-				row = strconv.AppendFloat(row, targets[j], 'f', 3, 64)
+				row = appendFixed(row, targets[j], 3)
 			}
 			row = append(row, ',')
 			if j < len(res.InputTrace) {
 				in := res.InputTrace[j]
-				row = freq.append(row, in.FreqGHz)
+				row = appendFixed(row, in.FreqGHz, 1)
 				row = append(row, ',')
-				row = idle.append(row, in.Idle)
+				row = appendFixed(row, in.Idle, 2)
 				row = append(row, ',')
-				row = balloon.append(row, in.Balloon)
+				row = appendFixed(row, in.Balloon, 1)
 			} else {
 				row = append(row, ",,"...)
 			}
@@ -74,30 +75,38 @@ func WriteCSV(w io.Writer, results []TenantResult, ids []int) error {
 	return bw.Flush()
 }
 
-// maxKnobValues bounds a knobColumn's memo. The actuator ladders have at
-// most a few dozen settings, so every quantized value fits; values past
-// the bound (inputs that bypassed quantization) are formatted per row.
-const maxKnobValues = 256
+// pow10 is 10^prec for the precisions appendFixed formats.
+var pow10 = [...]uint64{1, 10, 100, 1000}
 
-// knobColumn formats one knob column at prec places, once per distinct
-// value.
-type knobColumn struct {
-	prec int
-	memo map[uint64]string // keyed by the value's bits, so −0 and 0 differ
-}
-
-func (c *knobColumn) append(dst []byte, v float64) []byte {
+// appendFixed appends the bytes of strconv.AppendFloat(dst, v, 'f', prec,
+// 64) for prec 0..3, by the integer arithmetic WriteCSV describes.
+func appendFixed(dst []byte, v float64, prec int) []byte {
 	bits := math.Float64bits(v)
-	if s, ok := c.memo[bits]; ok {
-		return append(dst, s...)
+	s := 1075 - int(bits>>52&0x7ff) // |v| = m/2ˢ
+	if s < 1 {
+		return strconv.AppendFloat(dst, v, 'f', prec, 64)
 	}
-	if len(c.memo) >= maxKnobValues {
-		return strconv.AppendFloat(dst, v, 'f', c.prec, 64)
+	var q uint64 // stays 0 for |v| < 2⁻¹¹
+	if s <= 63 {
+		n := (bits&(1<<52-1) | 1<<52) * pow10[prec]
+		r, half := n&(1<<s-1), uint64(1)<<(s-1)
+		q = n >> s
+		if r > half || r == half && q&1 == 1 {
+			q++
+		}
 	}
-	if c.memo == nil {
-		c.memo = make(map[uint64]string)
+	start := len(dst)
+	if bits>>63 != 0 {
+		dst = append(dst, '-')
+		start++
 	}
-	s := strconv.FormatFloat(v, 'f', c.prec, 64)
-	c.memo[bits] = s
-	return append(dst, s...)
+	for d := 0; d <= prec || q > 0; d++ { // digits last to first
+		if d == prec && d > 0 {
+			dst = append(dst, '.')
+		}
+		dst = append(dst, byte('0'+q%10))
+		q /= 10
+	}
+	slices.Reverse(dst[start:])
+	return dst
 }

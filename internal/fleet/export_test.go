@@ -80,8 +80,8 @@ func assertCSVMatchesReference(t *testing.T, results []fleet.TenantResult, ids [
 // reference on real fleet results, Maya and non-Maya, and on hand-built
 // results reaching every branch: explicit ids, FirstStep past the start or
 // past the end of Targets, short or missing Targets and InputTrace,
-// non-finite, signed-zero and huge values, and more distinct knob values
-// than any actuator ladder has.
+// non-finite, signed-zero and huge values, decimal ties and rounding
+// carries, and knob values off every actuator ladder.
 func TestWriteCSVMatchesReference(t *testing.T) {
 	cfg := sim.Sys1()
 	t.Run("fleet", func(t *testing.T) {
@@ -93,7 +93,8 @@ func TestWriteCSVMatchesReference(t *testing.T) {
 	})
 
 	specials := []float64{
-		0, math.Copysign(0, -1), -1.5, -0.0004, 0.0005, 0.0015, 2.675, 1e21, 1.5e21, -3e22,
+		0, math.Copysign(0, -1), -1.5, -0.0004, 0.0005, 0.0015, 0.0625, 1.0005, 2.675,
+		9.9995, 99.9996, 999.99951, 1e21, 1.5e21, -3e22,
 		math.MaxFloat64, math.SmallestNonzeroFloat64, math.NaN(), math.Inf(1), math.Inf(-1),
 	}
 	r := rng.NewNamed(3, "fleet/export-test")
@@ -112,7 +113,7 @@ func TestWriteCSVMatchesReference(t *testing.T) {
 		out := make([]sim.Inputs, n)
 		for i := range out {
 			if distinct {
-				// Unquantized values: every row is a new memo key.
+				// Unquantized values, as no actuator ladder produces.
 				out[i] = sim.Inputs{FreqGHz: r.Uniform(0, 4), Idle: r.Uniform(0, 1), Balloon: r.Uniform(-1, 1)}
 			} else {
 				out[i] = sim.Inputs{FreqGHz: 1.2 + 0.1*float64(i%9), Idle: 0.04 * float64(i%13), Balloon: 0.1 * float64(i%11)}
@@ -133,7 +134,7 @@ func TestWriteCSVMatchesReference(t *testing.T) {
 		{RunResult: sim.RunResult{DefenseSamples: samples(25), InputTrace: inputs(9, false)}},
 		// Targets shorter than the samples after slicing; no InputTrace.
 		{RunResult: sim.RunResult{DefenseSamples: samples(25), FirstStep: 2}, Targets: samples(10)},
-		// More distinct knob values than the memo holds.
+		// Thousands of distinct, unquantized knob values.
 		{RunResult: sim.RunResult{DefenseSamples: samples(3000), InputTrace: inputs(3000, true)}, Targets: samples(3000)},
 		// A tenant with nothing recorded.
 		{},

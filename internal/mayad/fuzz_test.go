@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/maya-defense/maya/internal/mayad"
 )
@@ -66,17 +67,41 @@ var handlerStatuses = []int{
 	http.StatusConflict, http.StatusServiceUnavailable,
 }
 
-// FuzzHandlers sends an arbitrary method, path and query to the handler
-// of a daemon whose scheduler never starts and which holds one admitted,
-// queued tenant, id 0. Inputs a server could not parse off the wire are
-// skipped. Whatever the request, the handler must not panic, must answer
-// a status Handler documents, and every JSON body must decode.
+// finishedServer returns a drained daemon whose tenant 0 is done: a
+// one-period Maya GS run with a flight recorder, so trace, flight and
+// /traces.csv requests reach their encoders.
+func finishedServer(t *testing.T) *mayad.Server {
+	t.Helper()
+	srv := mayad.New(testConfig(), nil)
+	if _, err := srv.Admit(mayad.TenantSpec{MaxTicks: mayad.PeriodTicks, WarmupTicks: -1, Flight: true}); err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	for srv.Resident() > 0 {
+		time.Sleep(50 * time.Microsecond)
+	}
+	srv.Drain()
+	if st, _ := srv.Status(0); st.State != mayad.StateDone {
+		t.Fatalf("tenant 0 ended %q, want %q", st.State, mayad.StateDone)
+	}
+	return srv
+}
+
+// FuzzHandlers sends an arbitrary method, path and query to the handlers
+// of two daemons: one whose scheduler never starts and which holds one
+// admitted, queued tenant, id 0, and one whose tenant 0 has finished (see
+// finishedServer). Inputs a server could not parse off the wire are
+// skipped. Whatever the request, neither handler may panic, each must
+// answer a status Handler documents, and every JSON body must decode.
 func FuzzHandlers(f *testing.F) {
 	for _, seed := range [][3]string{
 		{"GET", "/spill", ""},
 		{"GET", "/traces.csv", ""},
 		{"GET", "/tenants/0/trace", "format=mayt"},
+		{"GET", "/tenants/0/trace", "format=json"},
+		{"GET", "/tenants/0/trace", "format=csv"},
 		{"GET", "/tenants/0/trace", "format=bogus"},
+		{"GET", "/tenants/0/flight", ""},
 		{"GET", "/tenants/-1", ""},
 		{"GET", "/tenants/12345678901234567890", ""},
 		{"DELETE", "/tenants/0", ""},
@@ -93,18 +118,21 @@ func FuzzHandlers(f *testing.F) {
 			t.Skip()
 		}
 		req.URL.RawQuery = query
-		srv := mayad.New(testConfig(), nil)
-		if _, err := srv.Admit(mayad.TenantSpec{}); err != nil {
+		queued := mayad.New(testConfig(), nil)
+		if _, err := queued.Admit(mayad.TenantSpec{}); err != nil {
 			t.Fatal(err)
 		}
-		rec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rec, req)
+		for i, srv := range []*mayad.Server{queued, finishedServer(t)} {
+			daemon := [...]string{"queued", "finished"}[i]
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, req.Clone(req.Context()))
 
-		if !slices.Contains(handlerStatuses, rec.Code) {
-			t.Fatalf("%s %s?%s: status %d", method, path, query, rec.Code)
-		}
-		if rec.Header().Get("Content-Type") == "application/json" && !json.Valid(rec.Body.Bytes()) {
-			t.Fatalf("%s %s?%s: status %d, body is not JSON: %q", method, path, query, rec.Code, rec.Body.String())
+			if !slices.Contains(handlerStatuses, rec.Code) {
+				t.Fatalf("%s daemon, %s %s?%s: status %d", daemon, method, path, query, rec.Code)
+			}
+			if rec.Header().Get("Content-Type") == "application/json" && !json.Valid(rec.Body.Bytes()) {
+				t.Fatalf("%s daemon, %s %s?%s: status %d, body is not JSON: %q", daemon, method, path, query, rec.Code, rec.Body.String())
+			}
 		}
 	})
 }

@@ -26,6 +26,8 @@ const retryAfterSeconds = "1"
 // apart from a trace or flight download. The mux itself answers an unknown
 // path with 404 and another method on a known path with 405, both in
 // plain text, and redirects a path that is not in clean form with 301.
+// DELETE /tenants/{id} answers 200 once a queued or running tenant's
+// eviction is queued; a tenant that finishes first ends done (see Evict).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /tenants", s.handleAdmit)

@@ -362,7 +362,9 @@ func (s *Server) Admit(sp TenantSpec) (int, error) {
 // Evict removes tenant id. Finished tenants are deleted outright;
 // queued/running ones are evicted through the scheduler (the slot keeps
 // stepping unrecorded, invisible to its bank neighbors). The bool reports
-// whether the tenant existed.
+// whether the tenant existed. A nil error means the eviction was queued,
+// not that it happened: a tenant whose bank finishes first ends done, and
+// mayad_evicted_total counts only the tenants the scheduler evicts.
 func (s *Server) Evict(id int) (bool, error) {
 	s.mu.Lock()
 	tn, ok := s.tenants[id]
@@ -383,7 +385,6 @@ func (s *Server) Evict(id int) (bool, error) {
 		return true, &shedError{"queue full"}
 	}
 	s.mu.Unlock()
-	s.met.Evicted.Inc()
 	return true, nil
 }
 

@@ -136,11 +136,14 @@ func (sc *scheduler) handle(cmd command) {
 	}
 }
 
+// evict moves a queued or banked tenant to evicted and counts it. A
+// tenant that finished before the command arrived is left done.
 func (sc *scheduler) evict(id int) {
 	for i, tn := range sc.pending {
 		if tn.id == id {
 			sc.pending = append(sc.pending[:i], sc.pending[i+1:]...)
 			sc.s.transition(tn, StateEvicted, fleet.TenantResult{}, nil)
+			sc.s.met.Evicted.Inc()
 			return
 		}
 	}
@@ -152,6 +155,7 @@ func (sc *scheduler) evict(id int) {
 			b.eng.Evict(slot)
 			b.slots[slot] = nil
 			sc.s.transition(tn, StateEvicted, fleet.TenantResult{}, nil)
+			sc.s.met.Evicted.Inc()
 			if b.eng.Alive() == 0 {
 				// Every slot is dead: the bank is pure overhead, drop it.
 				sc.removeBank(bi)

@@ -49,3 +49,41 @@ func TestLaunchSplitsGroupsIntoBanks(t *testing.T) {
 		t.Fatalf("bank slots hold tenants %v, want %v", ids, want)
 	}
 }
+
+// TestEvictCountsOnlyEvictions queues an eviction for each of two
+// running tenants sharing a bank. The scheduler handles the first command
+// before the next pass, so that tenant ends evicted; the bank finishes
+// before it handles the second, so that tenant ends done.
+// mayad_evicted_total must count only the first.
+func TestEvictCountsOnlyEvictions(t *testing.T) {
+	srv := New(Config{DesignFor: difftest.DesignFor}, nil)
+	sc := srv.sched
+	for range 2 {
+		if _, err := srv.Admit(TenantSpec{MaxTicks: 2 * PeriodTicks, WarmupTicks: -1}); err != nil {
+			t.Fatal(err)
+		}
+		sc.handle(<-sc.cmds)
+	}
+	sc.launch()
+	sc.stepOnce()
+	evict := func(id int) {
+		t.Helper()
+		if ok, err := srv.Evict(id); !ok || err != nil {
+			t.Fatalf("evict %d: ok %v, err %v", id, ok, err)
+		}
+	}
+	evict(0)
+	sc.handle(<-sc.cmds)
+	evict(1)
+	sc.stepOnce()
+	sc.handle(<-sc.cmds)
+
+	for id, want := range []string{StateEvicted, StateDone} {
+		if st, _ := srv.Status(id); st.State != want {
+			t.Fatalf("tenant %d ended %q, want %q", id, st.State, want)
+		}
+	}
+	if n := srv.met.Evicted.Value(); n != 1 {
+		t.Fatalf("mayad_evicted_total = %d, want 1", n)
+	}
+}
