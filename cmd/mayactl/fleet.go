@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/maya-defense/maya/internal/core"
@@ -113,21 +114,18 @@ func runFleet(o fleetOpts) error {
 			o.csvPath, len(results), len(results[0].DefenseSamples))
 	}
 	if o.flightPath != "" {
-		f, err := os.Create(o.flightPath)
+		err := writeFlight(o.flightPath, func(w io.Writer) error {
+			for t, res := range results {
+				if _, err := fmt.Fprintf(w, "# tenant %d\n", t); err != nil {
+					return err
+				}
+				if err := res.Flight.Flush(w); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 		if err != nil {
-			return err
-		}
-		for t, res := range results {
-			if _, err := fmt.Fprintf(f, "# tenant %d\n", t); err != nil {
-				f.Close()
-				return err
-			}
-			if err := res.Flight.Flush(f); err != nil {
-				f.Close()
-				return err
-			}
-		}
-		if err := f.Close(); err != nil {
 			return err
 		}
 		fmt.Printf("flight:    %s (%d tenants)\n", o.flightPath, len(results))

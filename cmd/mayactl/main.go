@@ -51,6 +51,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/csv"
 	"flag"
@@ -391,14 +392,7 @@ func main() {
 	}
 
 	if flight != nil {
-		f, err := os.Create(*flightPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := flight.Flush(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFlight(*flightPath, flight.Flush); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("flight:    %s (%d records, %d dropped)\n", *flightPath, flight.Total(), flight.Dropped())
@@ -432,6 +426,25 @@ func summarizeTrace(w io.Writer, path string) error {
 		return err
 	}
 	return telemetry.WriteSummaryTable(w, events)
+}
+
+// writeFlight creates path and has body write flight JSONL into it
+// through a buffer: a recorder's Flush encodes one record per write, which
+// straight to the file is one system call per control period.
+func writeFlight(path string, body func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(f)
+	err = body(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // writeTrace exports the tracer's retained spans; the format follows the

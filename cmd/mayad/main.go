@@ -25,7 +25,7 @@
 //	GET    /spill              drain the period readings spilled since the
 //	                           last drain: {tenant, step, power_w} samples
 //	                           of every tenant, finished and evicted ones
-//	                           included, in the order they were recorded
+//	                           included, oldest period first
 //	GET    /healthz            ok / draining
 //	GET    /metrics            Prometheus telemetry (via debugsrv)
 //
@@ -43,10 +43,16 @@
 // defense, workload, and duration, regardless of bank packing or which
 // other tenants are resident.
 //
+// The scheduler steps every bank 25 control periods per pass. -pace is
+// the wall time per control period: after each pass the scheduler sleeps
+// 25 × pace, so a tenant advances one 20 ms period per pace of wall time,
+// plus the time stepping takes.
+//
 // On SIGINT/SIGTERM the daemon drains: admissions shed with 503, banks
-// finalize at the next control-period boundary (every tenant's partial
-// trace is a bit-identical prefix of its full run), traces spool to
-// -spool, and the HTTP server shuts down gracefully.
+// finalize once the running pass ends, at a control-period boundary
+// (every tenant's partial trace is a bit-identical prefix of its full
+// run), traces spool to -spool, and the HTTP server shuts down
+// gracefully.
 package main
 
 import (
@@ -69,7 +75,7 @@ func main() {
 	queue := flag.Int("queue", 0, "admission queue depth; a full queue sheds with 503 (0 = the daemon default, 32)")
 	spill := flag.Int("spill", 0, "samples the /spill buffer keeps over all tenants, drop-oldest past it (0 = the daemon default, 4096)")
 	spool := flag.String("spool", "", "directory for tenant traces flushed at drain (empty = no spool)")
-	pace := flag.Duration("pace", 0, "sleep between scheduler passes (0 = run flat out)")
+	pace := flag.Duration("pace", 0, "wall time per control period: the scheduler sleeps 25 × pace after each 25-period pass (0 = run flat out)")
 	addrFile := flag.String("addr-file", "", "write the bound listen address to this file (for scripts using :0)")
 	drainTimeout := flag.Duration("drain-timeout", debugsrv.DefaultDrainTimeout, "bound on the HTTP graceful-shutdown drain")
 	flag.Parse()

@@ -13,34 +13,40 @@
 // Spec.SeedAt, so neither scheduling order nor co-residency can leak into
 // a tenant's samples.
 //
-// The scheduler advances its banks in passes of one control period. A
-// pass fans the banks out over min(GOMAXPROCS, banks) workers, each
-// claiming one bank at a time: it starts a new bank (the unrecorded
-// warmup), steps it one period — machine ticks, sensing, decisions and
-// actuation — publishes its tenants' progress, and once the run is over
-// reads the results and flushes the flight JSONL. That pass is the only
-// place tenants step concurrently: a fleet engine runs on the worker
-// that steps it, and identical specs launch as banks of at most 64
+// The scheduler advances its banks in passes of 25 control periods (half
+// a second of simulated time). A pass fans the banks out over
+// min(GOMAXPROCS, banks) workers, each claiming one bank at a time: it
+// starts a new bank (the unrecorded warmup), steps it up to 25 periods —
+// machine ticks, sensing, decisions and actuation — storing its tenants'
+// progress and keeping its readings after every period, and once the run
+// is over reads the results and flushes the flight JSONL. That pass is
+// the only place tenants step concurrently: a fleet engine runs on the
+// worker that steps it, and identical specs launch as banks of at most 64
 // tenants, so a big group still spreads over every core. The rest stays
-// serial on the scheduler goroutine: admission, eviction and drain
-// commands, design lookup, and after the join, in bank order, the pass's
-// period readings pushed into the spill, every Server.mu state transition,
-// and dropping finished banks. Banks share only atomic counters and
-// read-only designs, so the fan-out never shows in a trace. Banks record
-// period-level traces only (fleet.Spec.SkipTickTraces).
+// serial on the scheduler goroutine and runs once per pass: admission,
+// eviction and drain commands, design lookup, and after the join the
+// pass's period readings pushed into the spill, every Server.mu state
+// transition in bank order, and dropping finished banks. Banks share only
+// atomic counters and read-only designs, so the fan-out never shows in a
+// trace. Banks record period-level traces only
+// (fleet.Spec.SkipTickTraces).
 //
 // GET /spill is a live tap on those readings. The daemon owns its one
 // buffer: a drop-oldest ring of Config.SpillLimit samples, each labelled
 // with its tenant id when it is pushed, so a tenant's samples outlive its
-// bank and keep its id after an eviction. The ring's mutex is the only
-// lock the scheduler shares with the HTTP handlers apart from Server.mu.
+// bank and keep its id after an eviction. A pass pushes its readings
+// period by period, so each tenant's samples arrive in step order and an
+// overflowing pass drops its oldest periods first. The ring's mutex is
+// the only lock the scheduler shares with the HTTP handlers apart from
+// Server.mu.
 //
 // The daemon degrades under load instead of falling over: admissions pass
 // through a bounded queue and a MaxTenants cap, and excess requests are
 // shed with 503 + Retry-After (counted in mayad_admission_shed_total).
-// Shutdown is a graceful drain: the scheduler stops at a period boundary,
-// in-flight banks are collected, in parallel, into bit-identical prefixes
-// of their full runs, and tenant traces are spooled to disk.
+// Shutdown is a graceful drain: the scheduler stops at the next pass
+// boundary, which is a control-period boundary, in-flight banks are
+// collected, in parallel, into bit-identical prefixes of their full runs,
+// and tenant traces are spooled to disk.
 package mayad
 
 import (
@@ -81,8 +87,10 @@ type Config struct {
 	// tenant on drain (tenant-<id>.mayt, plus tenant-<id>.flight.jsonl
 	// for Maya tenants with flight recording).
 	SpoolDir string
-	// Pace, when > 0, sleeps this long between scheduler passes so a
-	// small fleet does not spin a core; 0 runs flat out (tests, CI).
+	// Pace, when > 0, is the wall time the scheduler takes per control
+	// period, so a small fleet does not spin a core: after each pass of 25
+	// periods it sleeps 25 × Pace (a drain cuts the sleep short). 0 runs
+	// flat out (tests, CI).
 	Pace time.Duration
 	// DesignFor synthesizes the Maya artifact for a machine config. Nil
 	// uses core.DesignFor with core.DefaultDesignOptions — the exact
@@ -538,16 +546,17 @@ func (s *Server) fail(tn *tenant, err error) {
 
 // DrainSpill empties the daemon's spill buffer, the streaming observation
 // tap: every resident, finished or evicted tenant's recorded period
-// readings, oldest first, in the order the scheduler's passes produced
-// them. Samples beyond Config.SpillLimit have been dropped (drop-oldest,
-// counted in maya_fleet_spill_dropped_total).
+// readings, oldest first: pass by pass, and within a pass period by
+// period, in bank and slot order. Samples beyond Config.SpillLimit have
+// been dropped (drop-oldest, counted in maya_fleet_spill_dropped_total).
 func (s *Server) DrainSpill() []SpillSample {
 	return s.spill.drain()
 }
 
 // Drain stops the daemon gracefully: new admissions shed with 503, the
-// scheduler collects its banks at the next period boundary (tenant
-// results become bit-identical prefixes of their full runs), and finished
+// scheduler collects its banks once the running pass ends, at a period
+// boundary (tenant results become bit-identical prefixes of their full
+// runs), and finished
 // traces are spooled to Config.SpoolDir. Idempotent; blocks until the
 // scheduler has exited and the spool is flushed.
 func (s *Server) Drain() {

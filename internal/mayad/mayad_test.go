@@ -25,10 +25,14 @@ import (
 
 // Short-run parameters shared by every test: 2 warmup periods + 20
 // recorded periods keeps a full daemon round-trip in the -race budget.
+// Such a run fits in one scheduler pass of 25 periods, so a test that
+// must reach a tenant mid-run gives it pacedMaxTicks: 100 periods, four
+// passes, each followed by a 25 × Config.Pace sleep.
 const (
-	testWarmup   = 40
-	testMaxTicks = 400
-	testScale    = 0.02
+	testWarmup    = 40
+	testMaxTicks  = 400
+	pacedMaxTicks = 2000
+	testScale     = 0.02
 )
 
 func testConfig() mayad.Config {
@@ -48,9 +52,18 @@ func testSpec(seed uint64, index int) mayad.TenantSpec {
 	}
 }
 
+// pacedSpec is testSpec recording pacedMaxTicks: a tenant that spans
+// several scheduler passes.
+func pacedSpec(seed uint64, index int) mayad.TenantSpec {
+	sp := testSpec(seed, index)
+	sp.MaxTicks = pacedMaxTicks
+	return sp
+}
+
 // refResults runs the mayactl-equivalent solo fleet for base seed S and N
-// tenants: the byte-identity reference every daemon trace must match.
-func refResults(t *testing.T, base uint64, tenants int) []fleet.TenantResult {
+// tenants of maxTicks recorded ticks: the byte-identity reference every
+// daemon trace must match.
+func refResults(t *testing.T, base uint64, tenants, maxTicks int) []fleet.TenantResult {
 	t.Helper()
 	cfg := sim.Sys1()
 	art, err := difftest.DesignFor(cfg)
@@ -67,9 +80,9 @@ func refResults(t *testing.T, base uint64, tenants int) []fleet.TenantResult {
 		NewWorkload: func() workload.Workload {
 			return workload.NewApp("blackscholes").Scale(testScale)
 		},
-		FlightCapacity: testWarmup/mayad.PeriodTicks + testMaxTicks/mayad.PeriodTicks + 8,
+		FlightCapacity: testWarmup/mayad.PeriodTicks + maxTicks/mayad.PeriodTicks + 8,
 		WarmupTicks:    testWarmup,
-		MaxTicks:       testMaxTicks,
+		MaxTicks:       maxTicks,
 	}).Run()
 }
 
@@ -163,6 +176,18 @@ func waitState(t *testing.T, base string, id int, want ...string) mayad.TenantSt
 	return st
 }
 
+// waitRecorded polls a tenant's status until its tick shows a recorded
+// period (1 ms cadence, bounded tries).
+func waitRecorded(t *testing.T, base string, id int) {
+	t.Helper()
+	for tries := 0; status(t, base, id).Tick == 0; tries++ {
+		if tries == 20000 {
+			t.Fatalf("tenant %d never recorded a period", id)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestDaemonMatchesFleetAcrossShards is the tentpole acceptance test: N
 // tenants admitted over HTTP carrying (seed S, index 0..N-1) must produce
 // exactly the bytes of a solo fleet run with base seed S: the combined
@@ -172,7 +197,7 @@ func waitState(t *testing.T, base string, id int, want ...string) mayad.TenantSt
 // the daemon once honoured and must still match byte for byte.
 func TestDaemonMatchesFleetAcrossShards(t *testing.T) {
 	const base, tenants = 0xda3e0, 4
-	ref := refResults(t, base, tenants)
+	ref := refResults(t, base, tenants, testMaxTicks)
 	var refCSV bytes.Buffer
 	if err := fleet.WriteCSV(&refCSV, ref, nil); err != nil {
 		t.Fatal(err)
@@ -249,13 +274,15 @@ func TestDaemonMatchesFleetAcrossShards(t *testing.T) {
 
 // TestChurnSurvivorsMatchSoloRuns evicts one tenant mid-run over HTTP and
 // checks the survivors still finish byte-identical to their solo
-// reference — co-residency and churn must never show in a trace.
+// reference — co-residency and churn must never show in a trace — and
+// that the evicted tenant ends evicted, not done.
 func TestChurnSurvivorsMatchSoloRuns(t *testing.T) {
 	const base, tenants = 0xc0ffee, 3
-	ref := refResults(t, base, tenants)
+	ref := refResults(t, base, tenants, pacedMaxTicks)
 
 	cfg := testConfig()
-	cfg.Pace = time.Millisecond // stretch the run so the evict lands mid-flight
+	// Stretch the four-pass runs (25 ms a pass) so the evict lands mid-flight.
+	cfg.Pace = time.Millisecond
 	srv := mayad.New(cfg, nil)
 	srv.Start()
 	defer srv.Drain()
@@ -263,7 +290,7 @@ func TestChurnSurvivorsMatchSoloRuns(t *testing.T) {
 	defer ts.Close()
 
 	for i := 0; i < tenants; i++ {
-		if resp, _ := admit(t, ts.URL, testSpec(base, i)); resp.StatusCode != http.StatusCreated {
+		if resp, _ := admit(t, ts.URL, pacedSpec(base, i)); resp.StatusCode != http.StatusCreated {
 			t.Fatalf("admit %d failed", i)
 		}
 	}
@@ -295,6 +322,9 @@ func TestChurnSurvivorsMatchSoloRuns(t *testing.T) {
 			t.Fatalf("survivor %d trace differs from solo run", i)
 		}
 	}
+	if st := status(t, ts.URL, 1); st.State != mayad.StateEvicted {
+		t.Fatalf("evicted tenant ended %q, want %q", st.State, mayad.StateEvicted)
+	}
 }
 
 // TestAdmissionShedsWhenFull drives admission past MaxTenants and checks
@@ -315,12 +345,13 @@ func TestAdmissionShedsWhenFull(t *testing.T) {
 	defer dbg.close()
 	base := dbg.url
 
+	// The first two tenants stay resident for four paced passes.
 	for i := 0; i < 2; i++ {
-		if resp, _ := admit(t, base, testSpec(0xfeed, i)); resp.StatusCode != http.StatusCreated {
+		if resp, _ := admit(t, base, pacedSpec(0xfeed, i)); resp.StatusCode != http.StatusCreated {
 			t.Fatalf("admit %d failed", i)
 		}
 	}
-	resp, _ := admit(t, base, testSpec(0xfeed, 2))
+	resp, _ := admit(t, base, pacedSpec(0xfeed, 2))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("overload admit: status %d, want 503", resp.StatusCode)
 	}
@@ -368,7 +399,7 @@ func TestShardQueueShedsWhenStalled(t *testing.T) {
 // the spool directory.
 func TestDrainFlushesPrefixAndSpools(t *testing.T) {
 	const base = 0xd7a1
-	ref := refResults(t, base, 1)
+	ref := refResults(t, base, 1, pacedMaxTicks)
 
 	cfg := testConfig()
 	cfg.Pace = 2 * time.Millisecond
@@ -378,20 +409,20 @@ func TestDrainFlushesPrefixAndSpools(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	if resp, _ := admit(t, ts.URL, testSpec(base, 0)); resp.StatusCode != http.StatusCreated {
+	if resp, _ := admit(t, ts.URL, pacedSpec(base, 0)); resp.StatusCode != http.StatusCreated {
 		t.Fatal("admit failed")
 	}
-	waitState(t, ts.URL, 0, mayad.StateRunning, mayad.StateDone)
+	// Drain once the tenant has recorded a pass, while it sleeps before
+	// the next of its four.
+	waitRecorded(t, ts.URL, 0)
 	srv.Drain()
 
-	st := waitState(t, ts.URL, 0, mayad.StateDrained, mayad.StateDone)
-	if st.Samples == 0 && st.State == mayad.StateDrained {
-		// Drained before the first recorded period: legal, but then the
-		// prefix check is vacuous; the pace above makes this implausible.
-		t.Log("drained with zero samples")
+	st := status(t, ts.URL, 0)
+	if st.State != mayad.StateDrained {
+		t.Fatalf("tenant ended %q after a mid-run drain, want %q", st.State, mayad.StateDrained)
 	}
-	if st.Samples > len(ref[0].DefenseSamples) {
-		t.Fatalf("drained run has %d samples, solo run only %d", st.Samples, len(ref[0].DefenseSamples))
+	if st.Samples == 0 || st.Samples >= len(ref[0].DefenseSamples) {
+		t.Fatalf("drained with %d of %d samples, not mid-run", st.Samples, len(ref[0].DefenseSamples))
 	}
 
 	if resp, _ := admit(t, ts.URL, testSpec(base, 1)); resp.StatusCode != http.StatusServiceUnavailable {
@@ -474,7 +505,7 @@ func checkSpilledPrefix(t *testing.T, got []mayad.SpillSample, want fleet.Tenant
 // /spill, labelled with its id, at consecutive steps.
 func TestSpillDrainStreams(t *testing.T) {
 	const base = 0x5b11
-	ref := refResults(t, base, 1)[0]
+	ref := refResults(t, base, 1, testMaxTicks)[0]
 	srv := mayad.New(testConfig(), nil)
 	srv.Start()
 	defer srv.Drain()
@@ -523,12 +554,7 @@ func TestSpillDrainAfterEviction(t *testing.T) {
 		want = append(want, soloRun(t, sp).res)
 	}
 	srv.Start()
-	for tries := 0; status(t, ts.URL, 0).Tick == 0; tries++ {
-		if tries == 20000 {
-			t.Fatal("tenant 0 never recorded a period")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitRecorded(t, ts.URL, 0)
 	if ok, err := srv.Evict(0); !ok || err != nil {
 		t.Fatalf("evict 0: %v %v", ok, err)
 	}

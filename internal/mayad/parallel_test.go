@@ -247,12 +247,7 @@ func TestParallelDrainKeepsPrefixes(t *testing.T) {
 	}
 	// Drain once every tenant has recorded a period.
 	for _, id := range ids {
-		for tries := 0; status(t, ts.URL, id).Tick == 0; tries++ {
-			if tries == 20000 {
-				t.Fatalf("tenant %d never recorded a period", id)
-			}
-			time.Sleep(time.Millisecond)
-		}
+		waitRecorded(t, ts.URL, id)
 	}
 	srv.Drain()
 

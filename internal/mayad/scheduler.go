@@ -54,7 +54,14 @@ type bank struct {
 
 	started bool // Start has run the warmup
 	periods int  // recorded control periods stepped
-	spilled int  // step of the readings last pushed to the spill
+	spilled int  // step of the readings last kept for the spill
+
+	// The pass's period readings, kept by the pass worker for the
+	// scheduler goroutine to spill after the join: steps[k] is the step
+	// of the k-th period boundary the bank crossed in the pass, and
+	// readings[k*len(slots):(k+1)*len(slots)] are its slots' readings.
+	steps    []int
+	readings []float64
 
 	// Set by collect once the run is over: the result and flight JSONL of
 	// every slot, for the scheduler goroutine to publish.
@@ -89,9 +96,11 @@ func newScheduler(s *Server) *scheduler {
 }
 
 // loop drains commands, launches pending tenants into banks, advances
-// every bank one control period, and repeats. On stop it collects
-// in-flight banks at the period boundary so every tenant holds a
-// bit-identical prefix of its full run.
+// every bank passPeriods control periods, and repeats. With Config.Pace
+// set it sleeps passPeriods × Pace after each pass, waking early for a
+// drain. On stop it collects in-flight banks at the pass boundary, which
+// is a period boundary, so every tenant holds a bit-identical prefix of
+// its full run.
 func (sc *scheduler) loop() {
 	for {
 		if len(sc.banks) == 0 && len(sc.pending) == 0 {
@@ -121,8 +130,13 @@ func (sc *scheduler) loop() {
 		}
 		sc.launch()
 		sc.stepOnce()
-		if sc.s.cfg.Pace > 0 && len(sc.banks) > 0 {
-			time.Sleep(sc.s.cfg.Pace)
+		if pace := sc.s.cfg.Pace; pace > 0 && len(sc.banks) > 0 {
+			t := time.NewTimer(passPeriods * pace)
+			select {
+			case <-t.C:
+			case <-sc.stop:
+				t.Stop()
+			}
 		}
 	}
 }
@@ -260,9 +274,20 @@ func (sc *scheduler) launchBank(group []*tenant) {
 	}
 }
 
-// stepOnce is one scheduler pass: every bank advances one control period
-// on the pass workers, then the scheduler goroutine spills the period's
-// readings, publishes the banks that finished, both in bank order, and
+// passPeriods is how many control periods one scheduler pass advances
+// each bank: half a second of simulated time, or less when the bank
+// finishes. A pass is one fork/join over the banks, so the join, command
+// handling, launches, the spill push and the drain check are paid once
+// per passPeriods periods, and a bank's state stays in one core's cache
+// while its worker steps it. Throughput keeps rising with the quantum;
+// what bounds it is how long a command or a drain waits for the running
+// pass. On a 2-vCPU Xeon a pass takes about 5 ms for the default 64
+// tenants and 40–50 ms for 1000.
+const passPeriods = 25
+
+// stepOnce is one scheduler pass: every bank advances passPeriods control
+// periods on the pass workers, then the scheduler goroutine spills the
+// pass's readings, publishes the banks that finished in bank order, and
 // drops the finished banks.
 func (sc *scheduler) stepOnce() {
 	sc.eachBank((*bank).advance)
@@ -277,22 +302,24 @@ func (sc *scheduler) stepOnce() {
 	sc.s.met.Banks.Add(-float64(before - len(sc.banks)))
 }
 
-// spillReadings pushes every bank's readings from a period boundary
-// crossed in this pass into the daemon's spill, in bank and slot order,
-// each labelled with its slot's tenant id. Evicted slots are skipped, and
-// so is a bank whose step stood still: the warmup's readings and a
-// trailing partial period record nothing.
+// spillReadings pushes the readings the banks kept in this pass into the
+// daemon's spill, period-major: the k-th period boundary of every bank,
+// in bank and slot order, before the (k+1)-th of any bank. Each tenant's
+// samples stay in step order, and when one pass overflows the ring the
+// oldest periods are the ones dropped. Each sample is labelled with its
+// slot's tenant id; evicted slots are skipped.
 func (sc *scheduler) spillReadings() {
 	out := sc.readings[:0]
-	for _, b := range sc.banks {
-		step, pw := b.eng.Readings()
-		if step == b.spilled {
-			continue
-		}
-		b.spilled = step
-		for slot, tn := range b.slots {
-			if tn != nil {
-				out = append(out, SpillSample{Tenant: tn.id, Step: step, PowerW: pw[slot]})
+	for k := range passPeriods {
+		for _, b := range sc.banks {
+			if k >= len(b.steps) {
+				continue
+			}
+			row := b.readings[k*len(b.slots):]
+			for slot, tn := range b.slots {
+				if tn != nil {
+					out = append(out, SpillSample{Tenant: tn.id, Step: b.steps[k], PowerW: row[slot]})
+				}
 			}
 		}
 	}
@@ -332,23 +359,35 @@ func (sc *scheduler) eachBank(fn func(*bank)) {
 }
 
 // advance is one bank's share of a pass: start the bank if it is new
-// (its warmup), step it one control period, publish its tenants'
-// progress, and collect its results once the run is over.
+// (its warmup), then step it passPeriods control periods, publishing its
+// tenants' progress and keeping the readings of every period boundary
+// crossed, and collect its results once the run is over. The warmup's
+// readings and a trailing partial period keep none, since the step stands
+// still.
 func (b *bank) advance() {
 	if !b.started {
 		b.eng.Start()
 		b.started = true
 		b.spilled, _ = b.eng.Readings()
 	}
-	more := b.eng.StepPeriod()
-	b.periods++
-	for _, tn := range b.slots {
-		if tn != nil {
-			tn.tick.Store(int64(min(b.periods*PeriodTicks, tn.spec.MaxTicks)))
+	b.steps, b.readings = b.steps[:0], b.readings[:0]
+	for range passPeriods {
+		more := b.eng.StepPeriod()
+		b.periods++
+		for _, tn := range b.slots {
+			if tn != nil {
+				tn.tick.Store(int64(min(b.periods*PeriodTicks, tn.spec.MaxTicks)))
+			}
 		}
-	}
-	if !more {
-		b.collect()
+		if step, pw := b.eng.Readings(); step != b.spilled {
+			b.spilled = step
+			b.steps = append(b.steps, step)
+			b.readings = append(b.readings, pw...)
+		}
+		if !more {
+			b.collect()
+			return
+		}
 	}
 }
 
@@ -389,8 +428,8 @@ func (sc *scheduler) removeBank(i int) {
 }
 
 // shutdown drains the command queue (late admissions finalize empty, as
-// drained), then collects every in-flight bank at the current period
-// boundary, in parallel, and publishes them in bank order.
+// drained), then collects every in-flight bank at the pass boundary, a
+// period boundary, in parallel, and publishes them in bank order.
 func (sc *scheduler) shutdown() {
 	for {
 		select {
