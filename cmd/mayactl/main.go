@@ -517,9 +517,8 @@ func writeCSV(path string, res sim.RunResult, targets []float64) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer f.Close() // for the error returns; the last one checks Close
 	cw := csv.NewWriter(f)
-	defer cw.Flush()
 	if err := cw.Write([]string{"time_s", "power_w", "target_w", "freq_ghz", "idle", "balloon"}); err != nil {
 		return err
 	}
@@ -543,5 +542,9 @@ func writeCSV(path string, res sim.RunResult, targets []float64) error {
 			return err
 		}
 	}
-	return nil
+	cw.Flush()
+	if err := cw.Error(); err != nil {
+		return err
+	}
+	return f.Close()
 }

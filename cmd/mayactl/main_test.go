@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/maya-defense/maya/internal/sim"
 	"github.com/maya-defense/maya/internal/telemetry"
 )
 
@@ -82,6 +83,19 @@ func TestWriteTraceFormats(t *testing.T) {
 		if len(events) != 1 || events[0].Name != "tick.mask" {
 			t.Fatalf("%s: round-trip lost the span: %+v", name, events)
 		}
+	}
+}
+
+// TestWriteCSVReportsWriteErrors pins that -csv reports a failed write:
+// /dev/full opens, and every write to it fails with ENOSPC. The trace is
+// small enough to sit in the CSV writer's buffer until the final flush.
+func TestWriteCSVReportsWriteErrors(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	res := sim.RunResult{DefenseSamples: []float64{10, 11}, InputTrace: []sim.Inputs{{FreqGHz: 2}, {FreqGHz: 2.2}}}
+	if err := writeCSV("/dev/full", res, []float64{10.5, 10.5}); err == nil {
+		t.Fatal("writeCSV to /dev/full returned nil")
 	}
 }
 

@@ -37,10 +37,10 @@ func churnSpec(t *testing.T, tenants int, seedAt func(int) (uint64, uint64, uint
 }
 
 // TestFleetEvictMidRunLeavesSurvivorsIdentical is the fleet-level half of
-// the daemon's churn-determinism story: evicting a tenant mid-run (slot
-// keeps stepping, recording stops, buffers released) must leave every
-// surviving tenant's full result — trace, targets, flight, inputs —
-// byte-identical to the same fleet run with no eviction.
+// the daemon's churn-determinism story: evicting a tenant mid-run (the
+// slot's run is dropped: it stops stepping and its buffers are released)
+// must leave every surviving tenant's full result — trace, targets,
+// flight, inputs — byte-identical to the same fleet run with no eviction.
 func TestFleetEvictMidRunLeavesSurvivorsIdentical(t *testing.T) {
 	full := fleet.New(churnSpec(t, 4, nil)).Run()
 

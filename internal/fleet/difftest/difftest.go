@@ -3,13 +3,13 @@
 // count) it runs the batched fleet and, per tenant, an independent scalar
 // core.Engine/sim.Run with the same derived seeds, and asserts the two
 // produce bit-for-bit identical traces, flight records, and guard
-// decisions. Both sides step the same sim.Machine and decide through the
-// same policies and fault wrappers (core.Engine with its Controller,
-// FaultyPolicy, FaultySensor); the scalar side drives them through sim.Run.
-// A pass therefore pins what the fleet reimplements: sim.Run's tick and
-// period loop, transcribed over a sim.MachineBank — the same pinning
-// discipline as internal/nn's batch tests, extended to a whole
-// closed-loop system.
+// decisions. Both sides step sim.Loop over the same sim.Machine, policies
+// and fault wrappers (core.Engine with its Controller, FaultyPolicy,
+// FaultySensor); the scalar side wires each tenant by hand and runs it
+// through sim.Run. A pass therefore pins what the fleet adds of its own:
+// its wiring (seeds, faults, guards, flight recorders, sensors) and the
+// order in which it interleaves its tenants' phases — the same pinning
+// discipline as internal/nn's batch tests, for a closed-loop system.
 package difftest
 
 import (

@@ -1,26 +1,28 @@
-// Package fleet steps many defended machines in one process. The
-// machines are the scalar sim.Machine, held contiguously in a
-// sim.MachineBank; a period's machine ticks step in cache blocks of
-// tenants. Every tenant then decides through its own policy: the
-// defense's sim.Policy, which for the Maya kinds is a core.Engine with its
-// own control.Controller, wrapped in fault.FaultyPolicy when a fault plan
-// is attached, exactly as sim.Run calls it. An engine runs on its
+// Package fleet steps many defended machines in one process. Each tenant
+// is one sim.Loop, the control loop sim.Run drives, over a scalar
+// sim.Machine held contiguously in a sim.MachineBank. A period steps the
+// tenants' machine ticks in cache blocks, then senses, decides and
+// actuates across the tenants, one phase at a time. Every tenant decides
+// through its own policy: the defense's sim.Policy, which for the Maya
+// kinds is a core.Engine with its own control.Controller, wrapped in
+// fault.FaultyPolicy when a fault plan is attached. An engine runs on its
 // caller's goroutine and starts none of its own; tenants share nothing,
 // so a caller that wants parallelism steps several engines at once, as
 // mayad's scheduler does. The engine holds no lock: its only seam with
 // other goroutines is the telemetry registry its Metrics count into.
 //
-// The fleet path is pinned bit-for-bit to the scalar reference: every
-// tenant of a fleet run produces exactly the traces, flight records, and
-// guard decisions of an independent scalar core.Engine/sim.Run with the
-// same derived seeds. The difftest subpackage is that proof, table-driven
-// across all five defenses, fault plans, and tenant counts; golden_test.go
-// pins a committed 16-tenant trace. What the fleet adds of its own is
-// sim.Run's tick and period loop, transcribed over the bank.
+// Every tenant of a fleet run produces exactly the traces, flight records,
+// and guard decisions of an independent scalar core.Engine/sim.Run with
+// the same derived seeds. The difftest subpackage pins what the fleet
+// adds of its own, its wiring and the order in which it interleaves its
+// tenants' phases, across all five defenses, fault plans, and tenant
+// counts; golden_test.go pins a committed 16-tenant trace.
 package fleet
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"github.com/maya-defense/maya/internal/core"
 	"github.com/maya-defense/maya/internal/defense"
@@ -102,45 +104,37 @@ type TenantResult struct {
 	Stats fault.Stats
 }
 
-// Engine is one fleet in flight. One caller owns it and calls its methods
+// Engine is one fleet in flight: one sim.Loop per tenant slot over the
+// machines of a sim.MachineBank. One caller owns it and calls its methods
 // from one goroutine at a time, and every method runs on that goroutine.
 // Concurrent observers read only through the telemetry registry (see the
 // race test).
 type Engine struct {
 	spec Spec
 	bank *sim.MachineBank
-
-	// policies decide for each tenant, fault-wrapped when a plan is
-	// attached. For the Maya kinds, engines holds the same tenants'
-	// core.Engine, whose mask targets and flight recorder Results returns.
-	policies []sim.Policy
-	engines  []*core.Engine
-
-	injectors []*fault.Injector
-	sensors   []sim.PowerSensor
-	workloads []workload.Workload
-
-	// Per-period scratch.
-	ins     []sim.Inputs
-	pw      []float64
-	stepRes []sim.StepResult
-	idle    []workload.Workload
+	// tenants holds the slots not evicted, in slot order.
+	tenants []tenant
+	// pw holds every slot's latest period reading, for Readings.
+	pw   []float64
+	step int
 
 	metrics *Metrics
 
-	// Incremental-run state (Start/StepPeriod/Results). Run wraps the
-	// three; a daemon interleaves them with admissions and evictions.
-	res         []TenantResult
-	startEnergy []float64
-	step        int
-	tick        int
-	started     bool
-	finished    bool
-	// dead marks evicted slots: they keep stepping (per-tenant
-	// independence makes that invisible to the survivors) but stop
-	// recording, and their accumulated buffers are released.
-	dead  []bool
-	alive int
+	started  bool
+	finished bool
+}
+
+// tenant is one slot's run: its control loop, plus what Results reads
+// beside the loop's result.
+type tenant struct {
+	slot int
+	loop *sim.Loop
+	// engine is the slot's core.Engine (Maya kinds), whose mask targets
+	// and flight recorder Results returns.
+	engine *core.Engine
+	inj    *fault.Injector
+	// power and wall are the per-tick traces, unless Spec.SkipTickTraces.
+	power, wall []float64
 }
 
 // New assembles a fleet. It panics on an invalid spec (like sim.NewMachine
@@ -152,9 +146,6 @@ func New(spec Spec) *Engine {
 	if spec.PeriodTicks <= 0 {
 		spec.PeriodTicks = 20
 	}
-	if spec.MaxTicks <= 0 {
-		spec.MaxTicks = 1 << 20
-	}
 	maya := spec.Kind == defense.MayaConstant || spec.Kind == defense.MayaGS
 	if maya && spec.Art == nil {
 		panic("fleet: Maya kinds need a synthesized core.Design")
@@ -163,20 +154,9 @@ func New(spec Spec) *Engine {
 
 	T := spec.Tenants
 	e := &Engine{
-		spec:      spec,
-		injectors: make([]*fault.Injector, T),
-		sensors:   make([]sim.PowerSensor, T),
-		workloads: make([]workload.Workload, T),
-		policies:  make([]sim.Policy, T),
-		ins:       make([]sim.Inputs, T),
-		pw:        make([]float64, T),
-		stepRes:   make([]sim.StepResult, T),
-		idle:      make([]workload.Workload, T),
-		dead:      make([]bool, T),
-		alive:     T,
-	}
-	if maya {
-		e.engines = make([]*core.Engine, T)
+		spec:    spec,
+		tenants: make([]tenant, T),
+		pw:      make([]float64, T),
 	}
 
 	seedAt := spec.SeedAt
@@ -191,26 +171,25 @@ func New(spec Spec) *Engine {
 	}
 	e.bank = sim.NewMachineBank(spec.Config, machineSeeds)
 
-	for t := 0; t < T; t++ {
+	for t := range e.tenants {
+		tn := &e.tenants[t]
+		tn.slot = t
+		m := e.bank.Machine(t)
 		_, ws, ps, fs := seedAt(t)
 		if !spec.Plan.Empty() {
-			e.injectors[t] = fault.MustNew(spec.Plan, fs)
-			e.injectors[t].Attach(e.bank.Machine(t))
+			tn.inj = fault.MustNew(spec.Plan, fs)
+			tn.inj.Attach(m)
 		}
 		var sensor sim.PowerSensor = e.bank.Sensor(t)
-		if e.injectors[t] != nil {
-			sensor = e.injectors[t].Sensor(sensor)
+		if tn.inj != nil {
+			sensor = tn.inj.Sensor(sensor)
 		}
-		e.sensors[t] = sensor
 
+		var w workload.Workload = workload.Idle{}
 		if spec.NewWorkload != nil {
-			w := spec.NewWorkload()
+			w = spec.NewWorkload()
 			w.Reset(ws)
-			e.workloads[t] = w
-		} else {
-			e.workloads[t] = workload.Idle{}
 		}
-		e.idle[t] = workload.Idle{}
 
 		pol := d.Policy(ps)
 		if maya {
@@ -224,12 +203,17 @@ func New(spec Spec) *Engine {
 			if spec.FlightCapacity > 0 {
 				eng.SetFlight(telemetry.NewFlightRecorder(spec.FlightCapacity))
 			}
-			e.engines[t] = eng
+			tn.engine = eng
 		}
-		if e.injectors[t] != nil {
-			pol = e.injectors[t].Policy(pol)
+		if tn.inj != nil {
+			pol = tn.inj.Policy(pol)
 		}
-		e.policies[t] = pol
+		tn.loop = sim.NewLoop(m, w, pol, sim.RunSpec{
+			ControlPeriodTicks: spec.PeriodTicks,
+			MaxTicks:           spec.MaxTicks,
+			WarmupTicks:        spec.WarmupTicks,
+			DefenseSensor:      sensor,
+		})
 	}
 	return e
 }
@@ -237,22 +221,10 @@ func New(spec Spec) *Engine {
 // SetMetrics attaches fleet telemetry (nil detaches).
 func (e *Engine) SetMetrics(m *Metrics) { e.metrics = m }
 
-// decideAll runs every tenant's control decision for one step, through
-// the tenant's own (possibly fault-wrapped) policy: the call sim.Run makes
-// at a period boundary.
-func (e *Engine) decideAll(step int) {
-	for t, p := range e.policies {
-		e.ins[t] = p.Decide(step, e.pw[t])
-	}
-}
-
 // Run executes the fleet to MaxTicks and returns one result per tenant.
-// The loop is sim.Run transcribed over the bank: identical per-tenant
-// phase order (step machine → observe sensor → period boundary: read,
-// decide, actuate), so every tenant's recorded trace matches its scalar
-// twin's bit for bit. Run is Start + StepPeriod-to-exhaustion + Results;
-// incremental callers (mayad's scheduler) drive the three
-// directly so admissions and evictions can interleave with the run.
+// Run is Start + StepPeriod-to-exhaustion + Results; incremental callers
+// (mayad's scheduler) drive the three directly so admissions and
+// evictions can interleave with the run.
 func (e *Engine) Run() []TenantResult {
 	e.Start()
 	for e.StepPeriod() {
@@ -260,164 +232,109 @@ func (e *Engine) Run() []TenantResult {
 	return e.Results()
 }
 
-// Start runs the initial decision and the unrecorded warmup, then arms
-// recording: after Start, StepPeriod advances the recorded run one
+// Start starts every tenant's loop: the initial decision and the
+// unrecorded warmup. After Start, StepPeriod advances the recorded run one
 // control period at a time. Start may be called once.
 func (e *Engine) Start() {
 	if e.started {
 		panic("fleet: Engine.Start called twice")
 	}
 	e.started = true
-	spec := e.spec
-	T := spec.Tenants
-	e.res = make([]TenantResult, T)
-	for t := range e.res {
-		e.res[t].FinishedTick = -1
+	for _, tn := range e.tenants {
+		tn.loop.Start()
 	}
-	e.step = 0
-
-	// Initial decision before any power is read.
-	for t := range e.pw {
-		e.pw[t] = 0
-	}
-	e.decideAll(e.step)
-	e.bank.SetInputsAll(e.ins)
-
-	// Unrecorded warmup: the defense regulates the idle fleet.
-	for tick := 0; tick < spec.WarmupTicks; {
-		n := phaseTicks(tick, spec.WarmupTicks, spec.PeriodTicks)
-		e.stepMachines(e.idle, tick, n, false)
-		tick += n
-		if tick%spec.PeriodTicks == 0 {
-			for t := range e.sensors {
-				e.pw[t] = e.sensors[t].ReadW()
-			}
-			e.step++
-			e.decideAll(e.step)
-			e.bank.SetInputsAll(e.ins)
-		}
-	}
-
-	e.startEnergy = make([]float64, T)
-	for t := 0; t < T; t++ {
-		e.startEnergy[t] = e.bank.Machine(t).TrueEnergyJ()
-		e.res[t].FirstStep = e.step
-		e.res[t].InputTrace = append(e.res[t].InputTrace, e.bank.Inputs(t))
+	if len(e.tenants) > 0 {
+		e.step = e.tenants[0].loop.Result().FirstStep
 	}
 }
+
+// blockTenants is how many tenants StepPeriod carries through the whole
+// machine phase at a time. A block's machines, workloads, noise streams
+// and trace tails stay in the core's first-level cache across the phase's
+// ticks, where hundreds of tenants would be fetched from further out on
+// every tick. On a 2-vCPU Xeon, 1000 mayad-shaped tenants stepped in
+// blocks of one ran 8.5 % slower than in blocks of 16 (449k against 491k
+// tenant-periods/s).
+const blockTenants = 16
 
 // StepPeriod advances the recorded run by one control period (or the
 // trailing partial period when MaxTicks is not a period multiple) and
 // reports whether ticks remain. It must follow Start.
 //
-// The period's machine ticks run as one phase (stepMachines); sensing,
-// the control decision and actuation follow, and each phase timer reads
-// the clock once.
+// The period runs as four phases, each across every tenant and each timed
+// by one clock read: the machine ticks up to the period boundary, a block
+// of tenants at a time, then Sense, Decide and Actuate. Every tenant
+// shares the spec, so all of them reach the boundary, or the end of the
+// run, on the same tick; a tenant touches only its own loop, so neither
+// the blocking nor the phase order shows in a result.
 func (e *Engine) StepPeriod() bool {
 	if !e.started {
 		panic("fleet: Engine.StepPeriod before Start")
 	}
-	spec := e.spec
-	T := spec.Tenants
-	if e.tick >= spec.MaxTicks {
+	if len(e.tenants) == 0 || e.tenants[0].loop.Done() {
 		return false
 	}
-	res := e.res
 	tPhase := e.clock()
-	n := phaseTicks(e.tick, spec.MaxTicks, spec.PeriodTicks)
-	e.stepMachines(e.workloads, e.tick, n, true)
-	e.tick += n
+	boundary, ticks := false, 0
+	for lo := 0; lo < len(e.tenants); lo += blockTenants {
+		block := e.tenants[lo:min(lo+blockTenants, len(e.tenants))]
+		for more := true; more; {
+			for i := range block {
+				tn := &block[i]
+				var powerW, wallW float64
+				powerW, wallW, boundary = tn.loop.Tick()
+				if !e.spec.SkipTickTraces {
+					tn.power = append(tn.power, powerW)
+					tn.wall = append(tn.wall, wallW)
+				}
+				more = !boundary && !tn.loop.Done()
+			}
+			ticks += len(block)
+		}
+	}
 	if e.metrics != nil {
-		e.metrics.Ticks.Add(uint64(T * n))
+		e.metrics.Ticks.Add(uint64(ticks))
 		tNow := e.clock()
 		e.metrics.MachineNs.Add(uint64(tNow - tPhase))
 		tPhase = tNow
 	}
-	if e.tick%spec.PeriodTicks == 0 {
-		for t := 0; t < T; t++ {
-			e.pw[t] = e.sensors[t].ReadW()
-			if !e.dead[t] {
-				res[t].DefenseSamples = append(res[t].DefenseSamples, e.pw[t])
-			}
+	if boundary {
+		for i := range e.tenants {
+			tn := &e.tenants[i]
+			e.pw[tn.slot] = tn.loop.Sense()
 		}
 		if e.metrics != nil {
 			tNow := e.clock()
 			e.metrics.SenseNs.Add(uint64(tNow - tPhase))
 			tPhase = tNow
 		}
+		for i := range e.tenants {
+			e.tenants[i].loop.Decide()
+		}
 		e.step++
-		e.decideAll(e.step)
 		if e.metrics != nil {
 			e.metrics.Periods.Inc()
 			tNow := e.clock()
 			e.metrics.ControlNs.Add(uint64(tNow - tPhase))
 			tPhase = tNow
 		}
-		e.bank.SetInputsAll(e.ins)
-		for t := 0; t < T; t++ {
-			if !e.dead[t] {
-				res[t].InputTrace = append(res[t].InputTrace, e.bank.Inputs(t))
-			}
+		for i := range e.tenants {
+			e.tenants[i].loop.Actuate()
 		}
 		if e.metrics != nil {
 			e.metrics.ActuateNs.Add(uint64(e.clock() - tPhase))
 		}
 	}
-	return e.tick < spec.MaxTicks
+	return !e.tenants[0].loop.Done()
 }
 
 // Readings returns the latest period boundary's sensor readings, one per
 // slot, and the step whose decisions they fed. The slice is the engine's
 // own, overwritten at the next boundary. The step advances only at a
-// boundary, so a caller that remembers it sees each period once; right
-// after Start the readings are the unrecorded warmup's.
+// boundary, so a caller that remembers it sees each period once. Right
+// after Start the readings are zero (the warmup's are not kept), and an
+// evicted slot's reading is no longer updated.
 func (e *Engine) Readings() (step int, powerW []float64) { return e.step, e.pw }
-
-// phaseTicks is the length of the machine phase starting at tick: up to
-// the next period boundary, or to end if that comes first.
-func phaseTicks(tick, end, period int) int {
-	return min(period-tick%period, end-tick)
-}
-
-// blockTenants is how many tenants stepMachines carries through the whole
-// phase at a time. A block's machines, workloads, noise streams and trace
-// tails stay in the core's first-level cache across the phase's ticks,
-// where hundreds of tenants would be fetched from further out on every
-// tick. On a 2-vCPU Xeon, blocks of 16 cut the machine phase by 10–15 %
-// against both single tenants (call overhead) and ranges of hundreds of
-// tenants (cache misses).
-const blockTenants = 16
-
-// stepMachines runs n machine ticks of every tenant, tenant t running
-// ws[t], starting at tick: the sensor observes each tick and, when rec is
-// set, the tick lands in the tenant's trace. Tenants step a block at a
-// time through the whole phase. A tenant touches only its own machine,
-// workload, sensor and result, and keeps the statement order of sim.Run's
-// tick loop, so the blocking never shows in a result.
-func (e *Engine) stepMachines(ws []workload.Workload, tick, n int, rec bool) {
-	T, res := e.spec.Tenants, e.res
-	ticks := rec && !e.spec.SkipTickTraces
-	for blo := 0; blo < T; blo += blockTenants {
-		bhi := min(blo+blockTenants, T)
-		for k := 0; k < n; k++ {
-			e.bank.StepRange(blo, bhi, ws, e.stepRes)
-			for t := blo; t < bhi; t++ {
-				r := e.stepRes[t]
-				e.sensors[t].Observe(r)
-				if !rec || e.dead[t] {
-					continue
-				}
-				if ticks {
-					res[t].TickPowerW = append(res[t].TickPowerW, r.PowerW)
-					res[t].TickWallW = append(res[t].TickWallW, r.WallW)
-				}
-				if r.Finished && res[t].FinishedTick < 0 {
-					res[t].FinishedTick = int64(tick+k) + 1
-				}
-			}
-		}
-	}
-}
 
 // Results finalizes and returns one result per tenant slot: exactly what
 // Run returns when the run consumed MaxTicks, and a bit-identical prefix
@@ -431,40 +348,35 @@ func (e *Engine) Results() []TenantResult {
 		panic("fleet: Engine.Results called twice")
 	}
 	e.finished = true
-	res := e.res
-	for t := 0; t < e.spec.Tenants; t++ {
-		if e.dead[t] {
-			continue
+	res := make([]TenantResult, e.spec.Tenants)
+	for _, tn := range e.tenants {
+		r := &res[tn.slot]
+		r.RunResult = tn.loop.Result()
+		r.TickPowerW, r.TickWallW = tn.power, tn.wall
+		if tn.engine != nil {
+			r.Targets = tn.engine.Targets
+			r.Flight = tn.engine.Flight()
 		}
-		res[t].EnergyJ = e.bank.Machine(t).TrueEnergyJ() - e.startEnergy[t]
-		res[t].Seconds = float64(e.tick) * e.spec.Config.TickSeconds
-		if e.engines != nil {
-			res[t].Targets = e.engines[t].Targets
-			res[t].Flight = e.engines[t].Flight()
-		}
-		if e.injectors[t] != nil {
-			res[t].Stats = e.injectors[t].Stats()
+		if tn.inj != nil {
+			r.Stats = tn.inj.Stats()
 		}
 	}
 	return res
 }
 
-// Evict stops recording slot t and releases its accumulated buffers. The
-// slot's machine and controller keep stepping — tenants are fully
-// independent, so the survivors' traces are unchanged whether an evicted
-// neighbor steps or not, and continuing to step costs no extra code path.
-// Evicting every slot leaves a bank that is pure overhead; the owner
-// should drop it.
+// Evict drops slot t's run: its machine and controller stop stepping and
+// its buffers are released. Tenants are fully independent, so the
+// survivors' traces are unchanged. Evicting a slot twice is a no-op; an
+// engine with every slot evicted steps nothing, and its owner should drop
+// it.
 func (e *Engine) Evict(t int) {
-	if e.dead[t] {
-		return
-	}
-	e.dead[t] = true
-	e.alive--
-	if e.res != nil {
-		e.res[t] = TenantResult{}
+	i, ok := slices.BinarySearchFunc(e.tenants, t, func(tn tenant, slot int) int {
+		return cmp.Compare(tn.slot, slot)
+	})
+	if ok {
+		e.tenants = slices.Delete(e.tenants, i, i+1)
 	}
 }
 
 // Alive reports how many slots have not been evicted.
-func (e *Engine) Alive() int { return e.alive }
+func (e *Engine) Alive() int { return len(e.tenants) }

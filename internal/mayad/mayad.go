@@ -368,8 +368,9 @@ func (s *Server) Admit(sp TenantSpec) (int, error) {
 }
 
 // Evict removes tenant id. Finished tenants are deleted outright;
-// queued/running ones are evicted through the scheduler (the slot keeps
-// stepping unrecorded, invisible to its bank neighbors). The bool reports
+// queued/running ones are evicted through the scheduler, which drops the
+// tenant's run from its bank: it stops stepping, and its bank neighbors'
+// traces are unchanged. The bool reports
 // whether the tenant existed. A nil error means the eviction was queued,
 // not that it happened: a tenant whose bank finishes first ends done, and
 // mayad_evicted_total counts only the tenants the scheduler evicts.

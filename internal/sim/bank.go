@@ -3,10 +3,13 @@ package sim
 import "github.com/maya-defense/maya/internal/workload"
 
 // MachineBank holds T machines of one configuration in one contiguous
-// slice, which is how the fleet engine steps a homogeneous fleet. Tenant t
-// is exactly the Machine that NewMachine(cfg, seeds[t]) builds: it steps
+// slice: the fleet engine runs one Loop over each of its machines. Tenant
+// t is exactly the Machine that NewMachine(cfg, seeds[t]) builds: it steps
 // with Machine.Step, takes commands through Machine.SetInputs, and is read
-// through a RAPLSensor, so the bank adds no model of its own.
+// through a RAPLSensor, so the bank adds no model of its own. StepAll,
+// StepRange, SetInputsAll and Inputs step and command the whole bank at
+// once; the fleet engine calls none of them, and they remain for the
+// benchmark module's fleet replay.
 //
 // Each machine keeps its own clock. StepRange touches only the range's
 // machines, so disjoint ranges may step concurrently; the fault filters
