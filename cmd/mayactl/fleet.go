@@ -35,7 +35,7 @@ type fleetOpts struct {
 // derived from (seed, tenant index) — and reports a per-tenant summary.
 // -csv writes one file with a tenant column; -flight writes every tenant's
 // flight trace (Maya designs) separated by `# tenant N` header lines.
-func runFleet(o fleetOpts) error {
+func runFleet(stdout io.Writer, o fleetOpts) error {
 	spec := fleet.Spec{
 		Config:      o.cfg,
 		Kind:        o.kind,
@@ -52,14 +52,14 @@ func runFleet(o fleetOpts) error {
 	if o.workload != "idle" {
 		name, scale := o.workload, o.scale
 		spec.NewWorkload = func() workload.Workload {
-			w, err := newWorkload(name, scale)
+			w, err := workload.New(name, scale)
 			if err != nil {
 				panic(err)
 			}
 			return w
 		}
 	}
-	maya := o.kind == defense.MayaConstant || o.kind == defense.MayaGS
+	maya := o.kind.IsMaya()
 	if o.faults != "" {
 		plan, err := loadFaultPlan(o.faults)
 		if err != nil {
@@ -85,12 +85,12 @@ func runFleet(o fleetOpts) error {
 
 	results := eng.Run()
 
-	fmt.Printf("machine:   %s (%d cores, %.1f–%.1f GHz, TDP %.0f W)\n",
+	fmt.Fprintf(stdout, "machine:   %s (%d cores, %.1f–%.1f GHz, TDP %.0f W)\n",
 		o.cfg.Name, o.cfg.Cores, o.cfg.FminGHz, o.cfg.FmaxGHz, o.cfg.TDP)
-	fmt.Printf("defense:   %s\n", o.kind)
-	fmt.Printf("workload:  %s (scale %.2f) x %d tenants, batched\n", o.workload, o.scale, o.tenants)
-	fmt.Printf("duration:  %.1f s simulated per tenant\n", results[0].Seconds)
-	fmt.Printf("%-7s %10s %8s %10s %8s %10s  %s\n",
+	fmt.Fprintf(stdout, "defense:   %s\n", o.kind)
+	fmt.Fprintf(stdout, "workload:  %s (scale %.2f) x %d tenants, batched\n", o.workload, o.scale, o.tenants)
+	fmt.Fprintf(stdout, "duration:  %.1f s simulated per tenant\n", results[0].Seconds)
+	fmt.Fprintf(stdout, "%-7s %10s %8s %10s %8s %10s  %s\n",
 		"tenant", "energy_j", "avg_w", "median_w", "iqr_w", "finished", "faults")
 	for t, res := range results {
 		b := signal.Box(finiteOnly(res.DefenseSamples))
@@ -102,7 +102,7 @@ func runFleet(o fleetOpts) error {
 		if o.faults != "" {
 			faults = res.Stats.String()
 		}
-		fmt.Printf("%-7d %10.1f %8.1f %10.1f %8.1f %10s  %s\n",
+		fmt.Fprintf(stdout, "%-7d %10.1f %8.1f %10.1f %8.1f %10s  %s\n",
 			t, res.EnergyJ, res.EnergyJ/res.Seconds, b.Median, b.IQR(), fin, faults)
 	}
 
@@ -110,7 +110,7 @@ func runFleet(o fleetOpts) error {
 		if err := writeFleetCSV(o.csvPath, results); err != nil {
 			return err
 		}
-		fmt.Printf("trace:     %s (%d tenants x %d rows)\n",
+		fmt.Fprintf(stdout, "trace:     %s (%d tenants x %d rows)\n",
 			o.csvPath, len(results), len(results[0].DefenseSamples))
 	}
 	if o.flightPath != "" {
@@ -128,11 +128,11 @@ func runFleet(o fleetOpts) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("flight:    %s (%d tenants)\n", o.flightPath, len(results))
+		fmt.Fprintf(stdout, "flight:    %s (%d tenants)\n", o.flightPath, len(results))
 	}
 	if o.showMetrics {
-		fmt.Println("\ntelemetry:")
-		return reg.WriteProm(os.Stdout)
+		fmt.Fprintln(stdout, "\ntelemetry:")
+		return reg.WriteProm(stdout)
 	}
 	return nil
 }

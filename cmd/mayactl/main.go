@@ -1,14 +1,24 @@
-// Command mayactl runs one of the Table V defense designs on a simulated
-// machine while it executes a workload, and reports the power trace, the
-// mask targets (for Maya designs), completion time, and energy.
+// Command mayactl is the command line for single runs of the Maya
+// pipeline: design the controller, generate the mask, run a defense, and
+// attack the defended traces.
 //
 // Usage:
+//
+//	mayactl [flags]
+//	mayactl <command> [args]
+//
+// The commands are attack (Figs 6/8/9), sysid (§V-A), mask (Fig 4,
+// Table II), replay, convert, trace-summary, list, dump-machine and
+// dump-fault-plan; `mayactl -h` describes each and lists the run flags.
+//
+// With no command, mayactl runs one of the Table V defense designs on a
+// simulated machine while it executes a workload, and reports the power
+// trace, the mask targets (for Maya designs), completion time, and energy:
 //
 //	mayactl [-machine sys1|sys2|sys3] [-defense baseline|noisy|random|constant|gs]
 //	        [-workload blackscholes|video/tractor|web/google|instr/imul|...]
 //	        [-seconds 20] [-scale 0.2] [-seed 1] [-csv out.csv]
 //	        [-flight out.jsonl] [-metrics]
-//	mayactl -convert src dst
 //
 // The CSV output has one row per 20 ms control period:
 // time_s,power_w,target_w,freq_ghz,idle,balloon.
@@ -23,13 +33,8 @@
 // -faults injects deterministic substrate faults (sensor glitches, RAPL
 // counter wraparound, stuck actuators, missed deadlines) from a canned plan
 // name or a plan JSON file, and enables the engine's measurement guard for
-// Maya designs. Start from `mayactl -dump-fault-plan kitchen-sink` to write
+// Maya designs. Start from `mayactl dump-fault-plan kitchen-sink` to write
 // your own plan.
-//
-// -convert translates a trace dataset between the CSV, JSON, and binary
-// columnar (MAYT) encodings; the formats are inferred from the two file
-// extensions (.csv, .json, .bin/.mayt). CSV inputs need no side-channel
-// class table — it is rebuilt from the rows.
 //
 // -fleet N steps N co-resident tenants through the batched fleet engine
 // (internal/fleet), on one goroutine, instead of the scalar path: each
@@ -45,9 +50,14 @@
 // breakdown: mask generation, sensor guard, controller step, actuator
 // apply) for Maya designs and writes it as Chrome trace-event JSON (load in
 // Perfetto) or JSONL when the file ends in .jsonl; -trace-sample N keeps
-// every N-th control tick. -trace-summary aggregates any such trace file —
-// from mayactl or cmd/experiments — into a per-phase attribution table.
-// -debug-addr serves net/http/pprof and /metrics while the run executes.
+// every N-th control tick. `mayactl trace-summary` aggregates any such
+// trace file — from mayactl or cmd/experiments — into a per-phase
+// attribution table. -debug-addr serves net/http/pprof and /metrics while
+// the run executes.
+//
+// convert infers the formats from the two file extensions (.csv, .json,
+// .bin/.mayt). CSV inputs need no side-channel class table — it is rebuilt
+// from the rows.
 package main
 
 import (
@@ -75,12 +85,70 @@ import (
 	"github.com/maya-defense/maya/internal/workload"
 )
 
+// A command is one of mayactl's subcommands. A command with nargs >= 0
+// takes exactly that many positional arguments, named by args, and no
+// flags; the others parse their own flags.
+type command struct {
+	name, args, doc string
+	nargs           int
+	run             func(args []string, stdout io.Writer) error
+}
+
+var commands = []command{
+	{"attack", "", "the Fig 6/8/9 attack on a defense's traces", -1, attackCmd},
+	{"sysid", "", "the §V-A design pipeline step by step", -1, sysidCmd},
+	{"mask", "", "a mask target sequence or its spectrum (Fig 4, Table II)", -1, maskCmd},
+	{"replay", "", "record a workload as a demand-trace CSV, or replay one", -1, replayCmd},
+	{"convert", "src dst", "convert a trace dataset (formats by extension: .csv, .json, .bin, .mayt)", 2,
+		func(a []string, w io.Writer) error { return convertDataset(w, a[0], a[1]) }},
+	{"trace-summary", "trace-file", "aggregate a span trace into a per-phase table", 1,
+		func(a []string, w io.Writer) error { return summarizeTrace(w, a[0]) }},
+	{"list", "", "list the built-in workloads", 0, listWorkloads},
+	{"dump-machine", "preset|config.json", "print a machine config as JSON", 1, dumpMachine},
+	{"dump-fault-plan", "plan", "print a canned fault plan as JSON", 1, dumpFaultPlan},
+}
+
+func main() {
+	if err := dispatch(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// dispatch runs the command args name, or the defense run when args start
+// with a flag or are empty.
+func dispatch(args []string, stdout io.Writer) error {
+	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
+		return runDefense(args, stdout)
+	}
+	for _, c := range commands {
+		if c.name != args[0] {
+			continue
+		}
+		if c.nargs >= 0 && len(args)-1 != c.nargs {
+			return fmt.Errorf("usage: mayactl %s %s", c.name, c.args)
+		}
+		return c.run(args[1:], stdout)
+	}
+	return fmt.Errorf("unknown command %q\n%s", args[0], usage())
+}
+
+// usage lists the run mode and the commands.
+func usage() string {
+	var b strings.Builder
+	b.WriteString("usage: mayactl [run flags]         run a defense\n")
+	b.WriteString("       mayactl <command> [args]    (mayactl <command> -h lists its flags)\ncommands:\n")
+	for _, c := range commands {
+		fmt.Fprintf(&b, "  %-16s %s\n", c.name, c.doc)
+	}
+	return b.String()
+}
+
 func machineConfig(name string) (sim.Config, error) {
 	if cfg, ok := sim.PresetByName(name); ok {
 		return cfg, nil
 	}
 	// Anything else is treated as a path to a machine-config JSON file
-	// (start from `mayactl -dump-machine sys1` and tune toward your
+	// (start from `mayactl dump-machine sys1` and tune toward your
 	// hardware's measurements).
 	f, err := os.Open(name)
 	if err != nil {
@@ -98,8 +166,36 @@ func defenseKind(name string) (defense.Kind, error) {
 	return 0, fmt.Errorf("unknown defense %q (%s)", name, strings.Join(defense.KindNames, ", "))
 }
 
-func newWorkload(name string, scale float64) (workload.Workload, error) {
-	return workload.New(name, scale)
+// designFor identifies cfg's plant and synthesizes its Maya controller
+// (§V-A) when kind is a Maya design; the other designs need none, and get
+// nil.
+func designFor(cfg sim.Config, kind defense.Kind) (*core.Design, error) {
+	if !kind.IsMaya() {
+		return nil, nil
+	}
+	log.Printf("designing Maya controller for %s (system identification + synthesis)...", cfg.Name)
+	art, err := core.DesignFor(cfg, core.DefaultDesignOptions())
+	if err != nil {
+		return nil, err
+	}
+	log.Printf("controller: dim=%d, band=[%.1f, %.1f] W, closed-loop ρ=%.3f",
+		art.Controller.Dim(), art.Band.Min, art.Band.Max, art.Report.ClosedLoopRadius)
+	return art, nil
+}
+
+// serveDebug registers maya_build_info on reg and, when addr is set,
+// serves net/http/pprof and reg's /metrics on it until stop is called.
+func serveDebug(addr string, reg *telemetry.Registry) (stop func(), err error) {
+	debugsrv.RegisterBuildInfo(reg)
+	if addr == "" {
+		return func() {}, nil
+	}
+	srv, err := debugsrv.Serve(context.Background(), addr, reg)
+	if err != nil {
+		return nil, fmt.Errorf("debug server: %w", err)
+	}
+	log.Printf("debug server on http://%s (pprof at /debug/pprof/, metrics at /metrics)", srv.Addr())
+	return func() { srv.Close() }, nil
 }
 
 // checkFleet validates -fleet against the flags set on the command line
@@ -124,7 +220,7 @@ func checkFleet(tenants int, set map[string]bool) error {
 // tenant admission, it refuses a run outside 1..1<<20 ticks, the length
 // sim.Run and fleet.New fall back to when given none: a shorter -seconds
 // would run that fallback instead, and a longer one would size -flight's
-// ring past what memory holds.
+// ring, a recording or a collection past what memory holds.
 func runTicks(seconds float64) (int, error) {
 	const maxTicks = 1 << 20
 	if !(seconds*1000 <= maxTicks) { // negated so NaN fails too
@@ -137,125 +233,71 @@ func runTicks(seconds float64) (int, error) {
 	return ticks, nil
 }
 
-func main() {
-	machine := flag.String("machine", "sys1", "machine preset")
-	defName := flag.String("defense", "gs", "defense design")
-	wlName := flag.String("workload", "blackscholes", "workload to protect")
-	seconds := flag.Float64("seconds", 20, "recorded duration")
-	scale := flag.Float64("scale", 0.2, "workload scale factor")
-	seed := flag.Uint64("seed", 1, "run seed (the defense's secret)")
-	csvPath := flag.String("csv", "", "write the per-period trace to this CSV file")
-	flightPath := flag.String("flight", "", "write the flight-recorder trace (Maya designs) to this JSONL file")
-	showMetrics := flag.Bool("metrics", false, "dump the telemetry registry after the run")
-	stopOnFinish := flag.Bool("stop-on-finish", false, "end when the workload completes")
-	showPlot := flag.Bool("plot", false, "render the trace (and mask overlay) as ASCII")
-	dumpMachine := flag.String("dump-machine", "", "print a machine preset as JSON and exit")
-	faultsFlag := flag.String("faults", "", "inject faults from a canned plan ("+strings.Join(fault.PlanNames(), ", ")+") or a plan JSON path")
-	dumpFaultPlan := flag.String("dump-fault-plan", "", "print a canned fault plan as JSON and exit")
-	list := flag.Bool("list", false, "list the built-in workloads and exit")
-	convert := flag.Bool("convert", false, "convert a trace dataset between formats: mayactl -convert src dst")
-	tracePath := flag.String("trace", "", "write the engine's span trace (Maya designs) to this file (.json Chrome trace-event, .jsonl JSONL)")
-	traceSample := flag.Int("trace-sample", 1, "trace every N-th control tick's phase breakdown (1 = all)")
-	traceSummary := flag.String("trace-summary", "", "aggregate a trace file into a per-phase attribution table and exit")
-	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and /metrics on this address during the run")
-	fleetN := flag.Int("fleet", 0, "run N independent tenants through the batched fleet engine (0 = scalar single-tenant path)")
-	flag.Parse()
-
-	if *traceSummary != "" {
-		if err := summarizeTrace(os.Stdout, *traceSummary); err != nil {
-			log.Fatal(err)
-		}
-		return
+// runDefense is the run mode: one defense design protecting one workload,
+// on the scalar path or, with -fleet N, for N tenants.
+func runDefense(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("mayactl", flag.ExitOnError)
+	fs.Usage = func() {
+		fmt.Fprint(fs.Output(), usage(), "run flags:\n")
+		fs.PrintDefaults()
 	}
-
-	if *convert {
-		if flag.NArg() != 2 {
-			log.Fatal("usage: mayactl -convert src dst (formats by extension: .csv, .json, .bin, .mayt)")
-		}
-		if err := convertDataset(flag.Arg(0), flag.Arg(1)); err != nil {
-			log.Fatal(err)
-		}
-		return
+	machine := fs.String("machine", "sys1", "machine preset")
+	defName := fs.String("defense", "gs", "defense design")
+	wlName := fs.String("workload", "blackscholes", "workload to protect")
+	seconds := fs.Float64("seconds", 20, "recorded duration")
+	scale := fs.Float64("scale", 0.2, "workload scale factor")
+	seed := fs.Uint64("seed", 1, "run seed (the defense's secret)")
+	csvPath := fs.String("csv", "", "write the per-period trace to this CSV file")
+	flightPath := fs.String("flight", "", "write the flight-recorder trace (Maya designs) to this JSONL file")
+	showMetrics := fs.Bool("metrics", false, "dump the telemetry registry after the run")
+	stopOnFinish := fs.Bool("stop-on-finish", false, "end when the workload completes")
+	showPlot := fs.Bool("plot", false, "render the trace (and mask overlay) as ASCII")
+	faultsFlag := fs.String("faults", "", "inject faults from a canned plan ("+strings.Join(fault.PlanNames(), ", ")+") or a plan JSON path")
+	tracePath := fs.String("trace", "", "write the engine's span trace (Maya designs) to this file (.json Chrome trace-event, .jsonl JSONL)")
+	traceSample := fs.Int("trace-sample", 1, "trace every N-th control tick's phase breakdown (1 = all)")
+	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof and /metrics on this address during the run")
+	fleetN := fs.Int("fleet", 0, "run N independent tenants through the batched fleet engine (0 = scalar single-tenant path)")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-
-	if *list {
-		fmt.Printf("%-22s %-14s %8s  %s\n", "workload", "suite", "~runtime", "description")
-		for _, e := range workload.Catalog() {
-			rt := "∞"
-			if e.BaselineSeconds > 0 {
-				rt = fmt.Sprintf("%.0f s", e.BaselineSeconds)
-			}
-			fmt.Printf("%-22s %-14s %8s  %s\n", e.Name, e.Suite, rt, e.Description)
-		}
-		return
-	}
-
-	if *dumpMachine != "" {
-		cfg, err := machineConfig(*dumpMachine)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := cfg.WriteJSON(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	if *dumpFaultPlan != "" {
-		plan, ok := fault.PlanByName(*dumpFaultPlan)
-		if !ok {
-			log.Fatalf("unknown fault plan %q (have %s)", *dumpFaultPlan, strings.Join(fault.PlanNames(), ", "))
-		}
-		if err := plan.WriteJSON(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		return
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q\n%s", fs.Arg(0), usage())
 	}
 
 	set := make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if err := checkFleet(*fleetN, set); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cfg, err := machineConfig(*machine)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	kind, err := defenseKind(*defName)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	w, err := newWorkload(*wlName, *scale)
+	w, err := workload.New(*wlName, *scale)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	ticks, err := runTicks(*seconds)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-
-	var art *core.Design
-	if kind == defense.MayaConstant || kind == defense.MayaGS {
-		log.Printf("designing Maya controller for %s (system identification + synthesis)...", cfg.Name)
-		art, err = core.DesignFor(cfg, core.DefaultDesignOptions())
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("controller: dim=%d, band=[%.1f, %.1f] W, closed-loop ρ=%.3f",
-			art.Controller.Dim(), art.Band.Min, art.Band.Max, art.Report.ClosedLoopRadius)
+	art, err := designFor(cfg, kind)
+	if err != nil {
+		return err
 	}
 
 	if *fleetN > 0 {
-		if err := runFleet(fleetOpts{
+		return runFleet(stdout, fleetOpts{
 			cfg: cfg, kind: kind, art: art,
 			workload: *wlName, scale: *scale,
 			tenants: *fleetN, seed: *seed, ticks: ticks,
 			faults: *faultsFlag, csvPath: *csvPath, flightPath: *flightPath,
 			showMetrics: *showMetrics,
-		}); err != nil {
-			log.Fatal(err)
-		}
-		return
+		})
 	}
 
 	m := sim.NewMachine(cfg, *seed)
@@ -264,20 +306,16 @@ func main() {
 	eng, _ := pol.(*core.Engine)
 
 	reg := telemetry.NewRegistry()
-	debugsrv.RegisterBuildInfo(reg)
-	if *debugAddr != "" {
-		srv, err := debugsrv.Serve(context.Background(), *debugAddr, reg)
-		if err != nil {
-			log.Fatalf("debug server: %v", err)
-		}
-		defer srv.Close()
-		log.Printf("debug server on http://%s (pprof at /debug/pprof/, metrics at /metrics)", srv.Addr())
+	stop, err := serveDebug(*debugAddr, reg)
+	if err != nil {
+		return err
 	}
+	defer stop()
 
 	var tr *telemetry.Tracer
 	if *tracePath != "" {
 		if eng == nil {
-			log.Fatalf("-trace needs a Maya design (constant or gs), not %q", *defName)
+			return fmt.Errorf("-trace needs a Maya design (constant or gs), not %q", *defName)
 		}
 		tr = telemetry.NewTracer(telemetry.DefaultTraceCapacity)
 		tr.SetTickSample(*traceSample)
@@ -297,7 +335,7 @@ func main() {
 			eng.SetFlight(flight)
 		}
 	} else if *flightPath != "" {
-		log.Fatalf("-flight needs a Maya design (constant or gs), not %q", *defName)
+		return fmt.Errorf("-flight needs a Maya design (constant or gs), not %q", *defName)
 	}
 
 	spec := sim.RunSpec{
@@ -311,11 +349,11 @@ func main() {
 	if *faultsFlag != "" {
 		plan, err := loadFaultPlan(*faultsFlag)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		inj, err = fault.New(plan, *seed+3)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		inj.SetMetrics(fault.NewMetrics(reg))
 		inj.Attach(m)
@@ -337,17 +375,17 @@ func main() {
 		}
 	}
 
-	fmt.Printf("machine:   %s (%d cores, %.1f–%.1f GHz, TDP %.0f W)\n",
+	fmt.Fprintf(stdout, "machine:   %s (%d cores, %.1f–%.1f GHz, TDP %.0f W)\n",
 		cfg.Name, cfg.Cores, cfg.FminGHz, cfg.FmaxGHz, cfg.TDP)
-	fmt.Printf("defense:   %s\n", kind)
-	fmt.Printf("workload:  %s (scale %.2f)\n", *wlName, *scale)
-	fmt.Printf("duration:  %.1f s simulated\n", res.Seconds)
+	fmt.Fprintf(stdout, "defense:   %s\n", kind)
+	fmt.Fprintf(stdout, "workload:  %s (scale %.2f)\n", *wlName, *scale)
+	fmt.Fprintf(stdout, "duration:  %.1f s simulated\n", res.Seconds)
 	if res.FinishedTick >= 0 {
-		fmt.Printf("finished:  %.1f s\n", float64(res.FinishedTick)/1000)
+		fmt.Fprintf(stdout, "finished:  %.1f s\n", float64(res.FinishedTick)/1000)
 	} else {
-		fmt.Printf("finished:  no (still running at cutoff)\n")
+		fmt.Fprintf(stdout, "finished:  no (still running at cutoff)\n")
 	}
-	fmt.Printf("energy:    %.1f J (avg %.1f W)\n", res.EnergyJ, res.EnergyJ/res.Seconds)
+	fmt.Fprintf(stdout, "energy:    %.1f J (avg %.1f W)\n", res.EnergyJ, res.EnergyJ/res.Seconds)
 	samples := res.DefenseSamples
 	if inj != nil {
 		// Raw faulty readings can be NaN/Inf; keep the summary stats finite.
@@ -358,59 +396,87 @@ func main() {
 		if len(targets) < n {
 			n = len(targets)
 		}
-		fmt.Printf("tracking:  MAD %.2f W over %d periods\n",
+		fmt.Fprintf(stdout, "tracking:  MAD %.2f W over %d periods\n",
 			signal.MeanAbsDeviation(samples[:n], targets[:n]), n)
 	}
 	b := signal.Box(samples)
-	fmt.Printf("power:     median %.1f W, IQR %.1f W, range [%.1f, %.1f] W\n",
+	fmt.Fprintf(stdout, "power:     median %.1f W, IQR %.1f W, range [%.1f, %.1f] W\n",
 		b.Median, b.IQR(), b.Min, b.Max)
 	if inj != nil {
-		fmt.Printf("faults:    plan %s — injected %s\n", inj.Plan().Name, inj.Stats())
+		fmt.Fprintf(stdout, "faults:    plan %s — injected %s\n", inj.Plan().Name, inj.Stats())
 		if em != nil {
-			fmt.Printf("guard:     %d rejects, %d hold-exhausted, %d state re-inits\n",
+			fmt.Fprintf(stdout, "guard:     %d rejects, %d hold-exhausted, %d state re-inits\n",
 				em.GlitchRejects.Value(), em.HoldExhausted.Value(), em.StateReinits.Value())
 		}
 	}
 
 	if *showPlot {
-		fmt.Println("\npower trace ('#'):")
+		fmt.Fprintln(stdout, "\npower trace ('#'):")
 		if len(targets) > 0 {
-			fmt.Println("overlay with mask target ('1' power only, '2' target only, '#' both):")
-			fmt.Print(plot.Overlay(samples, targets, 100, 10))
+			fmt.Fprintln(stdout, "overlay with mask target ('1' power only, '2' target only, '#' both):")
+			fmt.Fprint(stdout, plot.Overlay(samples, targets, 100, 10))
 		} else {
-			fmt.Print(plot.Line(samples, 100, 10))
+			fmt.Fprint(stdout, plot.Line(samples, 100, 10))
 		}
-		fmt.Println("\npower distribution:")
-		fmt.Print(plot.Histogram(samples, 12, 50))
+		fmt.Fprintln(stdout, "\npower distribution:")
+		fmt.Fprint(stdout, plot.Histogram(samples, 12, 50))
 	}
 
 	if *csvPath != "" {
 		if err := writeCSV(*csvPath, res, targets); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("trace:     %s (%d rows)\n", *csvPath, len(res.DefenseSamples))
+		fmt.Fprintf(stdout, "trace:     %s (%d rows)\n", *csvPath, len(res.DefenseSamples))
 	}
 
 	if flight != nil {
 		if err := writeFlight(*flightPath, flight.Flush); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("flight:    %s (%d records, %d dropped)\n", *flightPath, flight.Total(), flight.Dropped())
+		fmt.Fprintf(stdout, "flight:    %s (%d records, %d dropped)\n", *flightPath, flight.Total(), flight.Dropped())
 	}
 
 	if tr != nil {
 		if err := writeTrace(*tracePath, tr); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("spans:     %s (%d spans, %d dropped)\n", *tracePath, tr.Len(), tr.Dropped())
+		fmt.Fprintf(stdout, "spans:     %s (%d spans, %d dropped)\n", *tracePath, tr.Len(), tr.Dropped())
 	}
 
 	if *showMetrics {
-		fmt.Println("\ntelemetry:")
-		if err := reg.WriteProm(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
+		fmt.Fprintln(stdout, "\ntelemetry:")
+		return reg.WriteProm(stdout)
 	}
+	return nil
+}
+
+// listWorkloads prints the workload catalog.
+func listWorkloads(_ []string, stdout io.Writer) error {
+	fmt.Fprintf(stdout, "%-22s %-14s %8s  %s\n", "workload", "suite", "~runtime", "description")
+	for _, e := range workload.Catalog() {
+		rt := "∞"
+		if e.BaselineSeconds > 0 {
+			rt = fmt.Sprintf("%.0f s", e.BaselineSeconds)
+		}
+		fmt.Fprintf(stdout, "%-22s %-14s %8s  %s\n", e.Name, e.Suite, rt, e.Description)
+	}
+	return nil
+}
+
+func dumpMachine(args []string, stdout io.Writer) error {
+	cfg, err := machineConfig(args[0])
+	if err != nil {
+		return err
+	}
+	return cfg.WriteJSON(stdout)
+}
+
+func dumpFaultPlan(args []string, stdout io.Writer) error {
+	plan, ok := fault.PlanByName(args[0])
+	if !ok {
+		return fmt.Errorf("unknown fault plan %q (have %s)", args[0], strings.Join(fault.PlanNames(), ", "))
+	}
+	return plan.WriteJSON(stdout)
 }
 
 // summarizeTrace renders the per-phase attribution table for a trace file
@@ -468,7 +534,7 @@ func writeTrace(path string, tr *telemetry.Tracer) error {
 
 // convertDataset re-encodes a dataset file; formats come from the
 // extensions.
-func convertDataset(src, dst string) error {
+func convertDataset(stdout io.Writer, src, dst string) error {
 	d, err := trace.ReadDatasetFile(src, nil)
 	if err != nil {
 		return err
@@ -480,7 +546,7 @@ func convertDataset(src, dst string) error {
 	for _, tr := range d.Traces {
 		samples += len(tr.Samples)
 	}
-	fmt.Printf("converted %s -> %s (%d classes, %d traces, %d samples)\n",
+	fmt.Fprintf(stdout, "converted %s -> %s (%d classes, %d traces, %d samples)\n",
 		src, dst, d.NumClasses(), len(d.Traces), samples)
 	return nil
 }

@@ -13,8 +13,6 @@
 //	-json-file FILE     also write findings as JSON to FILE (even when clean)
 //	-sarif              write findings as SARIF 2.1.0 to stdout
 //	-sarif-file FILE    also write findings as SARIF 2.1.0 to FILE (even when clean)
-//	-baseline FILE      drop findings recorded in FILE; fail if entries went stale
-//	-write-baseline FILE  write the current findings to FILE as a new baseline and exit
 //	-nolint-report      list every //nolint:maya suppression with its reason
 //	-run REGEXP         only run analyzers whose name matches
 //	-list               list analyzers and exit
@@ -42,16 +40,14 @@ func main() {
 
 func run() int {
 	var (
-		jsonOut       = flag.Bool("json", false, "write findings as JSON to stdout")
-		jsonFile      = flag.String("json-file", "", "also write findings as JSON to this file (always written, even when clean)")
-		sarifOut      = flag.Bool("sarif", false, "write findings as SARIF 2.1.0 to stdout")
-		sarifFile     = flag.String("sarif-file", "", "also write findings as SARIF 2.1.0 to this file (always written, even when clean)")
-		baselinePath  = flag.String("baseline", "", "drop findings recorded in this baseline file; stale entries fail the run")
-		writeBaseline = flag.String("write-baseline", "", "write the current findings to this file as a new baseline and exit")
-		nolintReport  = flag.Bool("nolint-report", false, "list every //nolint:maya suppression with its reason and exit")
-		runExpr       = flag.String("run", "", "only run analyzers whose name matches this regexp")
-		list          = flag.Bool("list", false, "list analyzers and exit")
-		debug         = flag.Bool("debug", false, "print type-check warnings to stderr")
+		jsonOut      = flag.Bool("json", false, "write findings as JSON to stdout")
+		jsonFile     = flag.String("json-file", "", "also write findings as JSON to this file (always written, even when clean)")
+		sarifOut     = flag.Bool("sarif", false, "write findings as SARIF 2.1.0 to stdout")
+		sarifFile    = flag.String("sarif-file", "", "also write findings as SARIF 2.1.0 to this file (always written, even when clean)")
+		nolintReport = flag.Bool("nolint-report", false, "list every //nolint:maya suppression with its reason and exit")
+		runExpr      = flag.String("run", "", "only run analyzers whose name matches this regexp")
+		list         = flag.Bool("list", false, "list analyzers and exit")
+		debug        = flag.Bool("debug", false, "print type-check warnings to stderr")
 	)
 	flag.Parse()
 
@@ -114,29 +110,6 @@ func run() int {
 		diags = []lint.Diagnostic{} // a clean run renders as [], not null
 	}
 
-	if *writeBaseline != "" {
-		b := lint.NewBaseline(diags, root)
-		if err := lint.WriteBaseline(*writeBaseline, b); err != nil {
-			fmt.Fprintf(os.Stderr, "mayalint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "mayalint: wrote %d baseline entr%s to %s\n", len(b.Findings), plural(len(b.Findings), "y", "ies"), *writeBaseline)
-		return 0
-	}
-
-	var stale []lint.BaselineEntry
-	if *baselinePath != "" {
-		b, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mayalint: %v\n", err)
-			return 2
-		}
-		diags, stale = b.Filter(diags, root)
-		if diags == nil {
-			diags = []lint.Diagnostic{}
-		}
-	}
-
 	if *jsonFile != "" {
 		if err := writeJSON(*jsonFile, diags); err != nil {
 			fmt.Fprintf(os.Stderr, "mayalint: %v\n", err)
@@ -170,10 +143,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "mayalint: %d finding(s)\n", len(diags))
 		}
 	}
-	for _, e := range stale {
-		fmt.Fprintf(os.Stderr, "mayalint: stale baseline entry (finding fixed; prune it): %s\n", e)
-	}
-	if len(diags) > 0 || len(stale) > 0 {
+	if len(diags) > 0 {
 		return 1
 	}
 	return 0
@@ -218,11 +188,4 @@ func writeSARIFFile(path string, diags []lint.Diagnostic, analyzers []*lint.Anal
 		return err
 	}
 	return f.Close()
-}
-
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
 }

@@ -11,7 +11,7 @@ import (
 
 // controllerJSON is the on-disk form of a synthesized controller: the plant
 // model pieces and gains, which fully determine the runtime state machine.
-// A deployment synthesizes once (cmd/sysid) and ships this artifact; the
+// A deployment can synthesize once, Save, and ship this artifact; the
 // runtime loads it without re-running identification.
 type controllerJSON struct {
 	Version int         `json:"version"`

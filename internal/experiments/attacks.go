@@ -34,42 +34,98 @@ type AttackResult struct {
 // ID implements Result.
 func (r *AttackResult) ID() string { return r.Artifact }
 
+// AttackSetup is one of the paper's three classification attacks (§VI-A):
+// the machine it watches, the classes it tells apart, and the attacker's
+// tap and features. Figs 6, 8 and 9 and `mayactl attack` run from it.
+type AttackSetup struct {
+	Artifact string // "Fig 6", "Fig 8", "Fig 9"
+	Goal     string
+	Config   sim.Config
+	Classes  []defense.Class
+	// Spec holds the features, with one window spanning the whole trace;
+	// the caller sets Train.Epochs.
+	Spec        attack.Spec
+	Outlet      bool // AC outlet tap instead of the RAPL counters
+	PeriodTicks int  // attacker sampling interval
+	// Paper holds the paper's accuracies against Random Inputs, Maya
+	// Constant and Maya GS, in that order.
+	Paper []float64
+}
+
+// NewAttackSetup returns the setup of the attack named apps (Fig 6),
+// videos (Fig 8) or pages (Fig 9) for traces of traceTicks ticks of
+// workloads at workloadScale.
+func NewAttackSetup(name string, workloadScale float64, traceTicks int) (AttackSetup, error) {
+	s := AttackSetup{Spec: attack.DefaultSpec(), PeriodTicks: 20}
+	// 20 ms samples averaged in blocks of 5: one window per trace.
+	s.Spec.WindowLen = traceTicks / 20 / 5
+	switch name {
+	case "apps": // 11 PARSEC/SPLASH programs on Sys1, RAPL counters
+		s.Artifact, s.Goal, s.Config = "Fig 6", "detect the running application", sim.Sys1()
+		s.Classes = defense.AppClasses(workloadScale)
+		s.Paper = []float64{0.94, 0.62, 0.14}
+	case "videos": // 4 encodes on Sys2
+		s.Artifact, s.Goal, s.Config = "Fig 8", "identify the video being encoded", sim.Sys2()
+		// Sys2's encoder runs a larger machine; scale videos up slightly so
+		// the encode spans the window.
+		s.Classes = defense.VideoClasses(workloadScale * 2)
+		s.Paper = []float64{0.72, 0.90, 0.24}
+	case "pages": // 7 pages on Sys3, AC outlet tap at 50 ms, FFT features
+		s.Artifact, s.Goal, s.Config = "Fig 9", "identify the webpage visited", sim.Sys3()
+		s.Classes = defense.PageClasses(workloadScale * 8)
+		s.Spec = attack.FFTSpec()
+		// 50 ms samples; one whole-trace window — the visit's envelope
+		// (fetch, layout, steady-state) lives in the low-frequency bins,
+		// and its level in the mean feature.
+		s.Spec.WindowLen = traceTicks / 50
+		s.Outlet, s.PeriodTicks = true, 50
+		s.Paper = []float64{0.51, 0.40, 0.10}
+	default:
+		return AttackSetup{}, fmt.Errorf("unknown attack %q (apps, videos, pages)", name)
+	}
+	return s, nil
+}
+
 // attackKinds is the defense order of Figs 6/8/9.
 var attackKinds = []defense.Kind{defense.RandomInputs, defense.MayaConstant, defense.MayaGS}
 
-// runAttack collects per-defense datasets and runs the classifier.
-func runAttack(ctx context.Context, artifact, goal string, cfg sim.Config, classes []defense.Class,
-	spec attack.Spec, sc Scale, outlet bool, attackPeriod int, paper []float64, seed uint64) (*AttackResult, error) {
-
-	d, err := DesignFor(cfg)
+// runAttack collects per-defense datasets for the named attack and runs
+// the classifier.
+func runAttack(ctx context.Context, name string, sc Scale, seed uint64) (*AttackResult, error) {
+	s, err := NewAttackSetup(name, sc.WorkloadScale, sc.TraceTicks)
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, len(classes))
-	for i, c := range classes {
+	d, err := DesignFor(s.Config)
+	if err != nil {
+		return nil, err
+	}
+	names := make([]string, len(s.Classes))
+	for i, c := range s.Classes {
 		names[i] = c.Name
 	}
 	res := &AttackResult{
-		Artifact: artifact, Goal: goal, Machine: cfg.Name,
-		Classes: names, Chance: 1 / float64(len(classes)),
-		PaperAccuracies: paper,
+		Artifact: s.Artifact, Goal: s.Goal, Machine: s.Config.Name,
+		Classes: names, Chance: 1 / float64(len(s.Classes)),
+		PaperAccuracies: s.Paper,
 	}
+	spec := s.Spec
 	spec.Train.Epochs = sc.Epochs
 	for i, kind := range attackKinds {
 		ds, _ := defense.Collect(ctx, defense.CollectSpec{
-			Cfg:               cfg,
-			Design:            defense.NewDesign(kind, cfg, d, 20),
-			Classes:           classes,
+			Cfg:               s.Config,
+			Design:            defense.NewDesign(kind, s.Config, d, 20),
+			Classes:           s.Classes,
 			RunsPerClass:      sc.RunsPerClass,
 			MaxTicks:          sc.TraceTicks,
 			WarmupTicks:       sc.WarmupTicks,
-			AttackPeriodTicks: attackPeriod,
-			Outlet:            outlet,
+			AttackPeriodTicks: s.PeriodTicks,
+			Outlet:            s.Outlet,
 			Seed:              seed + uint64(i+1)*1_000_000_007,
 		})
 		ar, err := attack.Run(ds, spec)
 		if err != nil {
-			return nil, fmt.Errorf("%s vs %v: %w", artifact, kind, err)
+			return nil, fmt.Errorf("%s vs %v: %w", s.Artifact, kind, err)
 		}
 		res.Outcomes = append(res.Outcomes, AttackOutcome{
 			Defense:  kind.String(),
@@ -80,38 +136,19 @@ func runAttack(ctx context.Context, artifact, goal string, cfg sim.Config, class
 	return res, nil
 }
 
-// Fig6 runs the running-application detection attack (11 PARSEC/SPLASH
-// classes on Sys1, RAPL counters).
+// Fig6 runs the running-application detection attack.
 func Fig6(ctx context.Context, sc Scale, seed uint64) (*AttackResult, error) {
-	spec := attack.DefaultSpec()
-	spec.WindowLen = sc.TraceTicks / 20 / 5 // one full-trace window
-	return runAttack(ctx, "Fig 6", "detect the running application", sim.Sys1(),
-		defense.AppClasses(sc.WorkloadScale), spec, sc, false, 20,
-		[]float64{0.94, 0.62, 0.14}, seed)
+	return runAttack(ctx, "apps", sc, seed)
 }
 
-// Fig8 runs the video-identification attack (4 encodes on Sys2).
+// Fig8 runs the video-identification attack.
 func Fig8(ctx context.Context, sc Scale, seed uint64) (*AttackResult, error) {
-	spec := attack.DefaultSpec()
-	spec.WindowLen = sc.TraceTicks / 20 / 5
-	// Sys2's encoder runs a larger machine; scale videos up slightly so the
-	// encode spans the window.
-	return runAttack(ctx, "Fig 8", "identify the video being encoded", sim.Sys2(),
-		defense.VideoClasses(sc.WorkloadScale*2), spec, sc, false, 20,
-		[]float64{0.72, 0.90, 0.24}, seed)
+	return runAttack(ctx, "videos", sc, seed)
 }
 
-// Fig9 runs the webpage-identification attack (7 pages on Sys3, AC outlet
-// tap at 50 ms, FFT features — §VI-A attack 3).
+// Fig9 runs the webpage-identification attack (§VI-A attack 3).
 func Fig9(ctx context.Context, sc Scale, seed uint64) (*AttackResult, error) {
-	spec := attack.FFTSpec()
-	// 50 ms samples; one whole-trace window — the visit's envelope (fetch,
-	// layout, steady-state) lives in the low-frequency bins, and its level
-	// in the mean feature.
-	spec.WindowLen = sc.TraceTicks / 50
-	return runAttack(ctx, "Fig 9", "identify the webpage visited", sim.Sys3(),
-		defense.PageClasses(sc.WorkloadScale*8), spec, sc, true, 50,
-		[]float64{0.51, 0.40, 0.10}, seed)
+	return runAttack(ctx, "pages", sc, seed)
 }
 
 // Render implements Result.

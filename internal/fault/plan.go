@@ -153,7 +153,7 @@ func (p Plan) Validate() error {
 }
 
 // WriteJSON serializes the plan, so users can start from a canned plan
-// (`mayactl -dump-fault-plan <name>`), tune it, and load the result with
+// (`mayactl dump-fault-plan <name>`), tune it, and load the result with
 // `mayactl -faults plan.json`.
 func (p Plan) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

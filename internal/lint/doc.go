@@ -89,24 +89,13 @@
 // `mayalint -nolint-report` lists every suppression with its reason, so
 // the suppression set doubles as an audit trail.
 //
-// # Baseline
-//
-// lint.baseline.json at the module root is the committed ledger of
-// audited legacy findings. Fingerprints are analyzer + module-relative
-// file + message — deliberately line-independent, so edits above a
-// finding do not churn the ledger — with a count per fingerprint. New
-// findings fail CI; baselined ones don't; a baselined finding that gets
-// fixed fails as stale until its entry is pruned, so the ledger only
-// ever shrinks. Regenerate with `mayalint -write-baseline
-// lint.baseline.json` (then audit the diff).
-//
 // # Running
 //
 //	go run ./cmd/mayalint ./...             # text findings, exit 1 if any
 //	go run ./cmd/mayalint -json ./...       # machine-readable findings
 //	go run ./cmd/mayalint -sarif ./...      # SARIF 2.1.0 for code scanners
 //	go run ./cmd/mayalint -nolint-report    # list the suppression set
-//	scripts/lint.sh                         # CI entry point: baseline +
+//	scripts/lint.sh                         # CI entry point: text +
 //	                                        # JSON + SARIF
 //
 // Loading is lenient: files that fail to type-check perfectly still get

@@ -100,11 +100,9 @@ func TestGoldenDiagnostics(t *testing.T) {
 }
 
 // TestRepoIsClean is the self-check: the tree that ships this linter must
-// itself be clean under it, modulo the committed baseline of audited
-// legacy findings (lint.baseline.json). This is the same gate
-// scripts/lint.sh applies in CI, run as a plain test so `go test ./...`
-// catches regressions too. New findings fail; a baseline entry whose
-// finding was fixed fails too, so the ledger only ever shrinks.
+// itself be clean under it. This is the same gate scripts/lint.sh applies
+// in CI, run as a plain test so `go test ./...` catches regressions too:
+// any finding fails.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped with -short")
@@ -117,15 +115,7 @@ func TestRepoIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := LoadBaseline(filepath.Join(root, "lint.baseline.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, stale := baseline.Filter(Run(pkgs, Analyzers()), root)
-	for _, d := range fresh {
+	for _, d := range Run(pkgs, Analyzers()) {
 		t.Errorf("repo not lint-clean:\n  %s", d)
-	}
-	for _, e := range stale {
-		t.Errorf("stale baseline entry (finding fixed; prune it from lint.baseline.json):\n  %s", e)
 	}
 }

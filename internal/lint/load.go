@@ -72,6 +72,16 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 	return pkgs, nil
 }
 
+// ModuleRoot resolves the enclosing module root for dir, for rebasing
+// SARIF URIs and suppression-report paths.
+func ModuleRoot(dir string) (string, error) {
+	root, _, err := findModule(dir)
+	if err != nil {
+		return "", err
+	}
+	return root, nil
+}
+
 // findModule walks up from dir to the enclosing go.mod and returns the
 // module root and module path.
 func findModule(dir string) (root, path string, err error) {

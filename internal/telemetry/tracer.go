@@ -358,7 +358,7 @@ func SpanFromContext(ctx context.Context) SpanContext {
 }
 
 // PhaseStat aggregates every event sharing one span name: the per-phase
-// attribution row behind `mayactl -trace-summary` and the run manifest.
+// attribution row behind `mayactl trace-summary` and the run manifest.
 type PhaseStat struct {
 	Name    string `json:"name"`
 	Count   int    `json:"count"`

@@ -16,7 +16,7 @@ import (
 //     ride along in each event's args so a parse round-trips bit-exactly.
 //   - JSONL: one TraceEvent per line, for jq/grep pipelines and appends.
 //
-// ParseTraceEvents auto-detects either encoding, so `mayactl -trace-summary`
+// ParseTraceEvents auto-detects either encoding, so `mayactl trace-summary`
 // accepts whatever the run emitted.
 
 // chromeEvent is one Chrome trace-event "complete" (ph "X") record.

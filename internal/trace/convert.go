@@ -3,7 +3,7 @@ package trace
 // Compatibility shim between the three dataset encodings. The binary MAYT
 // format is self-describing; CSV needs a class table, which ReadCSVInfer
 // reconstructs from the rows so files written by WriteCSV convert without a
-// side channel. cmd/mayactl -convert is the CLI face of this file.
+// side channel. `mayactl convert` is the CLI face of this file.
 
 import (
 	"encoding/csv"

@@ -4,12 +4,9 @@
 # mayalint-findings.json (an empty array when clean) and mayalint.sarif
 # (SARIF 2.1.0) so CI can upload machine-readable reports as artifacts.
 #
-# The committed baseline (lint.baseline.json) is applied: new findings
-# fail, audited legacy entries don't, and an entry whose finding was fixed
-# fails as stale so the ledger only ever shrinks. Every //nolint:maya
-# directive must carry a written reason and name a real analyzer; one that
-# does not is a finding like any other, so the module is loaded and
-# type-checked once. `mayalint -nolint-report` lists the suppressions.
+# Every //nolint:maya directive must carry a written reason and name a
+# real analyzer; one that does not is a finding like any other, so the
+# module is loaded and type-checked once. `mayalint -nolint-report` lists the suppressions.
 #
 # Usage: scripts/lint.sh [packages...]   (default: ./...)
 #
@@ -19,7 +16,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 go run ./cmd/mayalint \
-    -baseline lint.baseline.json \
     -json-file mayalint-findings.json \
     -sarif-file mayalint.sarif \
     "${@:-./...}"

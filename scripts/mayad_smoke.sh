@@ -10,7 +10,7 @@
 #   3. GET /spill still holds every finished tenant's period readings,
 #      each under its tenant id;
 #   4. SIGTERM drains gracefully: the process exits 0 and the finished
-#      traces are spooled as .mayt files that `mayactl -convert` parses.
+#      traces are spooled as .mayt files that `mayactl convert` parses.
 #
 # Usage: scripts/mayad_smoke.sh [outdir]   (default: ./mayad-smoke)
 #
@@ -119,7 +119,7 @@ trap - EXIT
 for i in $(seq 0 $((tenants - 1))); do
     [[ -s "$spool/tenant-$i.mayt" ]] || fail "missing spooled trace tenant-$i.mayt"
 done
-"$out/mayactl" -convert "$spool/tenant-0.mayt" "$out/tenant-0.csv" \
+"$out/mayactl" convert "$spool/tenant-0.mayt" "$out/tenant-0.csv" \
     || fail "spooled MAYT trace does not parse"
 
 echo "mayad_smoke: OK"
