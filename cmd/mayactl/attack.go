@@ -47,6 +47,14 @@ func attackCmd(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// defense.Collect would clamp -runs to 1, and attack.Run would train
+	// the default epochs for a 0 and Train's own default for a negative.
+	if *runs < 1 {
+		return fmt.Errorf("runs %d: want at least 1 trace per class", *runs)
+	}
+	if *epochs < 1 {
+		return fmt.Errorf("epochs %d: want at least 1", *epochs)
+	}
 	kind, err := defenseKind(*defName)
 	if err != nil {
 		return err

@@ -80,6 +80,47 @@ func TestCommandsBoundSeconds(t *testing.T) {
 	}
 }
 
+// TestAttackBoundsRunsAndEpochs pins that attack refuses -runs and -epochs
+// under 1 before collecting: defense.Collect would record one run per
+// class for -runs 0, and attack.Run would train the default 60 epochs for
+// -epochs 0 and Train's default 40 for a negative count.
+func TestAttackBoundsRunsAndEpochs(t *testing.T) {
+	for _, tc := range []struct{ flag, value string }{
+		{"runs", "0"}, {"runs", "-3"}, {"epochs", "0"}, {"epochs", "-1"},
+	} {
+		args := []string{"attack", "-defense", "random", "-runs", "2", "-seconds", "1", "-epochs", "1", "-" + tc.flag, tc.value}
+		var out bytes.Buffer
+		err := dispatch(args, &out)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.flag+" ") || out.Len() != 0 {
+			t.Errorf("mayactl %s: error %v, printed %q; want the -%s bound and no output", strings.Join(args, " "), err, out.String(), tc.flag)
+		}
+	}
+}
+
+// TestMaskRejectsBadBands pins that mask refuses an empty, inverted or
+// non-finite band before building a generator: the random generators
+// panicked on an inverted band, -mask constant printed its midpoint, and
+// a NaN bound printed NaN targets.
+func TestMaskRejectsBadBands(t *testing.T) {
+	for _, band := range [][]string{
+		{"-min", "30", "-max", "10"},
+		{"-mask", "constant", "-min", "30", "-max", "10"},
+		{"-min", "10", "-max", "10"},
+		{"-min", "NaN"},
+		{"-max", "NaN"},
+		{"-mask", "constant", "-max", "NaN"},
+		{"-min", "-Inf"},
+		{"-max", "Inf"},
+	} {
+		args := append([]string{"mask", "-seconds", "1"}, band...)
+		var out bytes.Buffer
+		err := dispatch(args, &out)
+		if err == nil || !strings.HasPrefix(err.Error(), "band ") || out.Len() != 0 {
+			t.Errorf("mayactl %s: error %v, printed %d bytes; want the band check and no output", strings.Join(args, " "), err, out.Len())
+		}
+	}
+}
+
 // TestCommandsRunOnTinyInputs runs every command once on small inputs.
 func TestCommandsRunOnTinyInputs(t *testing.T) {
 	dir := t.TempDir()

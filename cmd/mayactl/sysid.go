@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 
 	"github.com/maya-defense/maya/internal/control"
 	"github.com/maya-defense/maya/internal/core"
@@ -121,6 +122,11 @@ func maskCmd(args []string, stdout io.Writer) error {
 		return fmt.Errorf("seconds %g at %g Hz is %g samples, want 1 to %d", *seconds, *hz, samples, 1<<20)
 	}
 
+	// The generators panic on an empty band, and NewConstant would print
+	// the midpoint of any two numbers; both would pass NaN through.
+	if math.IsInf(*minW, 0) || math.IsInf(*maxW, 0) || !(*maxW > *minW) {
+		return fmt.Errorf("band [%g, %g] W is empty or not finite, want -min < -max", *minW, *maxW)
+	}
 	band := mask.Band{Min: *minW, Max: *maxW}
 	hold := mask.DefaultHold()
 	var g mask.Generator

@@ -88,7 +88,8 @@ type CollectSpec struct {
 	// Classes are the labels the attacker wants to distinguish.
 	Classes []Class
 	// RunsPerClass is the number of recorded executions per label (the
-	// paper records 1,000 traces per application; tests use fewer).
+	// paper records 1,000 traces per application; tests use fewer). Collect
+	// records one run per label when it is 0 or negative.
 	RunsPerClass int
 	// MaxTicks bounds each run.
 	MaxTicks int

@@ -264,6 +264,106 @@ func TestBatchedEvalMatchesScalar(t *testing.T) {
 	}
 }
 
+// oneHotLevels is the attack's default quantizer level count.
+const oneHotLevels = 10
+
+// oneHotSets builds data shaped like the attack's quantized windows: groups
+// of oneHotLevels features with one nonzero each, so a tenth of the inputs
+// are nonzero and layer 0 reads them sparsely. Group 0 sits at level 0 in
+// every example, as a trace's idle level would, so one feature is nonzero
+// in every row and the gradient kernel runs several row tiles on it. It
+// adds the entries the sparse path must treat exactly as the scalar path
+// does: an all-zero example in each set, a −0 (skipped like +0) and a
+// non-unit value.
+func oneHotSets(seed uint64, n, groups, classes int) (train, val []Example) {
+	r := rng.New(seed)
+	all := make([]Example, n)
+	for i := range all {
+		y := i % classes
+		x := make([]float64, groups*oneHotLevels)
+		x[0] = 1
+		for g := 1; g < groups; g++ {
+			x[g*oneHotLevels+(y*3+g+r.Intn(3))%oneHotLevels] = 1
+		}
+		all[i] = Example{X: x, Y: y}
+	}
+	cut := n * 3 / 4
+	for _, e := range []int{3, cut} {
+		clear(all[e].X)
+	}
+	all[5].X[1] = math.Copysign(0, -1)
+	all[5].X[oneHotLevels+2] = -0.75
+	all[9].X[2*oneHotLevels] = 2.5
+	return all[:cut], all[cut:]
+}
+
+func TestSparseTrainMatchesScalar(t *testing.T) {
+	const groups, classes = 6, 3
+	dim := groups * oneHotLevels
+	train, val := oneHotSets(19, 100, groups, classes) // 75 train rows
+	if sp := sparseInputs(dim, train, val); sp[0] == nil || sp[1] == nil {
+		t.Fatal("one-hot data did not take the sparse path")
+	}
+	for _, bs := range []int{1, 7, 32} { // 7 and 32 leave a partial last batch
+		cfg := TrainConfig{Epochs: 4, BatchSize: bs, LR: 3e-3, WeightDecay: 1e-5}
+		a := NewMLP(rng.New(23), dim, 16, 8, classes)
+		b := NewMLP(rng.New(23), dim, 16, 8, classes)
+		valA := a.Train(rng.New(24), train, val, cfg)
+		valB := scalarTrain(b, rng.New(24), train, val, cfg)
+		if valA != valB {
+			t.Fatalf("batch=%d: best validation accuracy differs: sparse %v scalar %v", bs, valA, valB)
+		}
+		for l := range a.weights {
+			for i, w := range a.weights[l].w {
+				if math.Float64bits(w) != math.Float64bits(b.weights[l].w[i]) {
+					t.Fatalf("batch=%d: layer %d weight %d differs: sparse %x scalar %x",
+						bs, l, i, math.Float64bits(w), math.Float64bits(b.weights[l].w[i]))
+				}
+			}
+			for j, bv := range a.biases[l] {
+				if math.Float64bits(bv) != math.Float64bits(b.biases[l][j]) {
+					t.Fatalf("batch=%d: layer %d bias %d differs: sparse %x scalar %x",
+						bs, l, j, math.Float64bits(bv), math.Float64bits(b.biases[l][j]))
+				}
+			}
+		}
+		for _, set := range [][]Example{train, val} {
+			if got, want := a.Accuracy(set), scalarAccuracy(a, set); got != want {
+				t.Fatalf("batch=%d: sparse accuracy %v, scalar %v", bs, got, want)
+			}
+			a.predictBatches(set, func(i, pred int) {
+				if p := a.Predict(set[i].X); p != pred {
+					t.Fatalf("batch=%d: example %d: sparse pred %d, scalar pred %d", bs, i, pred, p)
+				}
+			})
+		}
+	}
+}
+
+// TestSparseInputsThreshold pins the dense/sparse switch at a quarter of
+// the inputs nonzero, and which entries count: ±0 are left out, NaN and
+// Inf kept, as the scalar forward pass's zero skip treats them.
+func TestSparseInputsThreshold(t *testing.T) {
+	quarter := []Example{{X: []float64{0, 3, 0, 0}}, {X: []float64{0, 0, math.Copysign(0, -1), 2}}, {X: []float64{1, 0, 0, 0}}}
+	if sp := sparseInputs(4, quarter); sp[0] == nil {
+		t.Fatal("inputs exactly a quarter nonzero stayed dense")
+	}
+	if sp := sparseInputs(4, quarter, []Example{{X: make([]float64, 4)}}); sp[0] == nil || sp[1] == nil {
+		t.Fatal("inputs under a quarter nonzero stayed dense")
+	}
+	if sp := sparseInputs(4, quarter, []Example{{X: []float64{1, 1, 0, 0}}}); sp[0] != nil || sp[1] != nil {
+		t.Fatal("inputs over a quarter nonzero went sparse")
+	}
+	x := []float64{math.NaN(), 0, math.Inf(-1), math.Copysign(0, -1), 0, 0, 0, 0, 0, 0, 0, 0}
+	sp := sparseInputs(len(x), []Example{{X: x}})[0]
+	if sp == nil {
+		t.Fatal("a 1/6-nonzero example stayed dense")
+	}
+	if len(sp.idx) != 2 || sp.idx[0] != 0 || sp.idx[1] != 2 || !math.IsNaN(sp.val[0]) || !math.IsInf(sp.val[1], -1) || sp.maxNNZ != 2 {
+		t.Fatalf("pairs %v %v (max %d), want NaN at 0 and -Inf at 2", sp.idx, sp.val, sp.maxNNZ)
+	}
+}
+
 func TestConfusionStringGolden(t *testing.T) {
 	cm := &ConfusionMatrix{
 		Classes: []string{"a", "b", "c"},
@@ -284,14 +384,17 @@ func TestConfusionStringGolden(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Benchmarks: batched vs scalar kernels on an attack-shaped network (dense
-// 2400-dim features — the production QuantizedWindows/FFT feature width for
-// the default 24000-tick traces — with the default 64/32 hidden layers and
-// 11 classes). Dense features are the worst case for the scalar path: it
-// re-streams the full first-layer weight matrix for every example, where the
-// batched kernel streams it once per minibatch. Model initialization runs
-// outside the timer: the benchmarks measure training epochs, and the init
-// cost is identical constant work on both sides.
+// Benchmarks: batched vs scalar kernels on an attack-shaped network: 2400
+// inputs (Fig 6's one-hot window width for the default 24000-tick traces),
+// the default 64/32 hidden layers and 11 classes. benchData's features are
+// uniform and dense, every input nonzero, as the FFT and spectrogram
+// features are, so layer 0 runs the dense kernels. Dense features are the
+// worst case for the scalar path: it re-streams the full first-layer weight
+// matrix for every example, where the batched kernel streams it once per
+// minibatch. BenchmarkTrainOneHot feeds the one-hot windows Figs 6, 8 and
+// 12 train on, a tenth nonzero, which layer 0 reads sparsely. Model
+// initialization runs outside the timer: the benchmarks measure training
+// epochs, and the init cost is identical constant work on both sides.
 
 const (
 	benchDim     = 2400
@@ -332,6 +435,27 @@ func benchTrain(b *testing.B, train, val []Example, fit func(*MLP)) {
 
 func BenchmarkTrainBatched(b *testing.B) {
 	train, val := benchData(b)
+	benchTrain(b, train, val, func(m *MLP) {
+		m.Train(rng.New(2), train, val, benchCfg())
+	})
+}
+
+// BenchmarkTrainOneHot trains on Fig 6's input shape: each example has one
+// nonzero per oneHotLevels-wide group, a quantized level one-hot encoded.
+func BenchmarkTrainOneHot(b *testing.B) {
+	r := rng.New(78)
+	mk := func(n int) []Example {
+		out := make([]Example, n)
+		for i := range out {
+			x := make([]float64, benchDim)
+			for g := 0; g < benchDim; g += oneHotLevels {
+				x[g+r.Intn(oneHotLevels)] = 1
+			}
+			out[i] = Example{X: x, Y: i % benchClasses}
+		}
+		return out
+	}
+	train, val := mk(256), mk(64)
 	benchTrain(b, train, val, func(m *MLP) {
 		m.Train(rng.New(2), train, val, benchCfg())
 	})

@@ -245,11 +245,26 @@ func (r *binReader) count(what string, minBytes int) (int, error) {
 	return int(v), nil
 }
 
+// readAll is io.ReadAll, except that a reader reporting its unread length
+// (*bytes.Reader, *bytes.Buffer, *strings.Reader) is read into one buffer
+// of that size instead of one grown from 512 bytes. The length is a hint
+// only: it still reads to EOF.
+func readAll(rd io.Reader) ([]byte, error) {
+	lr, ok := rd.(interface{ Len() int })
+	if !ok {
+		return io.ReadAll(rd)
+	}
+	var b bytes.Buffer
+	b.Grow(max(lr.Len(), 0) + bytes.MinRead) // the EOF read needs MinRead free
+	_, err := b.ReadFrom(rd)
+	return b.Bytes(), err
+}
+
 // ReadBinary parses a dataset written by WriteBinary. The SHA-256 footer is
 // verified over the full header+body before any field is decoded, so any
 // truncation or bit flip — including in the digest itself — is detected.
 func ReadBinary(rd io.Reader) (*Dataset, error) {
-	data, err := io.ReadAll(rd)
+	data, err := readAll(rd)
 	if err != nil {
 		return nil, err
 	}

@@ -2,10 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+	"testing/iotest"
 
 	"github.com/maya-defense/maya/internal/rng"
 )
@@ -86,6 +89,55 @@ func TestBinaryRoundTripExact(t *testing.T) {
 		t.Fatalf("empty trace decoded with %d samples", n)
 	}
 }
+
+// TestReadBinaryLengthHint pins that sizing the buffer from a reader's
+// Len changes nothing: a bytes.Reader, a bytes.Buffer, a strings.Reader,
+// a plain io.Reader and a one-byte reader decode the same dataset, a
+// truncated blob fails the same way through each, and a Len that
+// understates or overstates the data is only a hint.
+func TestReadBinaryLengthHint(t *testing.T) {
+	var buf bytes.Buffer
+	if err := binaryDataset().WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	blob := buf.Bytes()
+	readers := func(b []byte) map[string]io.Reader {
+		return map[string]io.Reader{
+			"bytes.Reader":   bytes.NewReader(b),
+			"bytes.Buffer":   bytes.NewBuffer(append([]byte(nil), b...)),
+			"strings.Reader": strings.NewReader(string(b)),
+			"io.Reader":      struct{ io.Reader }{bytes.NewReader(b)},
+			"one byte":       iotest.OneByteReader(bytes.NewReader(b)),
+			"short hint":     lenHint{bytes.NewReader(b), 1},
+			"long hint":      lenHint{bytes.NewReader(b), 3 * len(b)},
+		}
+	}
+	want, err := ReadBinary(struct{ io.Reader }{bytes.NewReader(blob)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, rd := range readers(blob) {
+		got, err := ReadBinary(rd)
+		if err != nil || !datasetsEqual(got, want) {
+			t.Errorf("%s: decoded a different dataset (err %v)", name, err)
+		}
+	}
+	short := blob[:len(blob)-5]
+	_, wantErr := ReadBinary(struct{ io.Reader }{bytes.NewReader(short)})
+	for name, rd := range readers(short) {
+		if _, err := ReadBinary(rd); err == nil || err.Error() != wantErr.Error() {
+			t.Errorf("%s: truncated blob gave error %v, want %v", name, err, wantErr)
+		}
+	}
+}
+
+// lenHint is a reader whose Len reports n whatever it holds.
+type lenHint struct {
+	io.Reader
+	n int
+}
+
+func (l lenHint) Len() int { return l.n }
 
 func TestBinaryDeterministicBytes(t *testing.T) {
 	d := binaryDataset()
