@@ -6,7 +6,6 @@ import (
 	"github.com/maya-defense/maya/internal/core"
 	"github.com/maya-defense/maya/internal/rng"
 	"github.com/maya-defense/maya/internal/runner"
-	"github.com/maya-defense/maya/internal/signal"
 	"github.com/maya-defense/maya/internal/sim"
 	"github.com/maya-defense/maya/internal/telemetry"
 	"github.com/maya-defense/maya/internal/trace"
@@ -224,12 +223,29 @@ func runOne(ctx context.Context, spec CollectSpec, label, run int) oneResult {
 		sensor = sim.NewRAPLSensor(m)
 	}
 	att := &sim.Sampler{Sensor: sensor, PeriodTicks: spec.AttackPeriodTicks}
-	res := sim.Run(m, w, pol, sim.RunSpec{
+	l := sim.NewLoop(m, w, pol, sim.RunSpec{
 		MaxTicks:     spec.MaxTicks,
 		StopOnFinish: spec.StopOnFinish,
 		Samplers:     []*sim.Sampler{att},
 		WarmupTicks:  spec.WarmupTicks,
 	})
+	// sim.Run's loop, keeping only the sum of the per-tick power: added in
+	// tick order and divided once, it is signal.Mean of the trace Run
+	// would have built, bit for bit. Collect's MaxTicks is positive, so
+	// at least one tick is summed.
+	l.Start()
+	sumW, ticks := 0.0, 0
+	for !l.Done() {
+		powerW, _, boundary := l.Tick()
+		sumW += powerW
+		ticks++
+		if boundary {
+			l.Sense()
+			l.Decide()
+			l.Actuate()
+		}
+	}
+	res := l.Result()
 	seconds := res.Seconds
 	if res.FinishedTick >= 0 {
 		seconds = float64(res.FinishedTick) * spec.Cfg.TickSeconds
@@ -240,7 +256,7 @@ func runOne(ctx context.Context, spec CollectSpec, label, run int) oneResult {
 			Label:     label,
 			Seconds:   seconds,
 			EnergyJ:   res.EnergyJ,
-			AvgPowerW: signal.Mean(res.TickPowerW),
+			AvgPowerW: sumW / float64(ticks),
 			Finished:  res.FinishedTick >= 0,
 		},
 	}

@@ -10,6 +10,7 @@ import (
 	"github.com/maya-defense/maya/internal/signal"
 	"github.com/maya-defense/maya/internal/sim"
 	"github.com/maya-defense/maya/internal/trace"
+	"github.com/maya-defense/maya/internal/workload"
 )
 
 var (
@@ -247,5 +248,124 @@ func TestCollectDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("workers=%d: run stats %d differ: %+v vs %+v", workers, i, st1[i], stN[i])
 			}
 		}
+	}
+}
+
+// countdown is a one-thread workload that completes on the n-th tick the
+// machine runs it, whatever work that tick does.
+type countdown struct{ left int }
+
+func (c *countdown) Name() string            { return "countdown" }
+func (c *countdown) Demand() workload.Demand { return workload.Demand{Threads: 1, Activity: 1} }
+func (c *countdown) Advance(float64) bool    { c.left--; return c.left == 0 }
+func (c *countdown) Done() bool              { return c.left <= 0 }
+func (c *countdown) TotalWork() float64      { return 0 }
+func (c *countdown) Reset(uint64)            {}
+
+// referenceRun is run (label, run) of spec through sim.Run, with runOne's
+// seeds: the attacker's samples and the run's stats, AvgPowerW being the
+// mean of Run's per-tick power trace.
+func referenceRun(spec CollectSpec, label, run int) ([]float64, RunStats) {
+	base := spec.Seed + uint64(label)*1_000_003 + uint64(run)*7_919
+	m := sim.NewMachine(spec.Cfg, base+1)
+	w := spec.Classes[label].New()
+	w.Reset(base + 2)
+	var sensor sim.PowerSensor = sim.NewRAPLSensor(m)
+	if spec.Outlet {
+		sensor = sim.NewOutletSensor(spec.Cfg, base+4)
+	}
+	att := &sim.Sampler{Sensor: sensor, PeriodTicks: spec.AttackPeriodTicks}
+	res := sim.Run(m, w, spec.Design.Policy(base+3), sim.RunSpec{
+		MaxTicks:     spec.MaxTicks,
+		StopOnFinish: spec.StopOnFinish,
+		Samplers:     []*sim.Sampler{att},
+		WarmupTicks:  spec.WarmupTicks,
+	})
+	seconds := res.Seconds
+	if res.FinishedTick >= 0 {
+		seconds = float64(res.FinishedTick) * spec.Cfg.TickSeconds
+	}
+	return att.Samples, RunStats{
+		Label:     label,
+		Seconds:   seconds,
+		EnergyJ:   res.EnergyJ,
+		AvgPowerW: signal.Mean(res.TickPowerW),
+		Finished:  res.FinishedTick >= 0,
+	}
+}
+
+// TestCollectMatchesRun pins Collect's own control loop, which keeps a
+// running sum where sim.Run keeps per-tick traces, to sim.Run: every
+// run's attacker samples and RunStats equal a sim.Run reference with the
+// same seeds bit for bit, AvgPowerW included. It covers the RAPL and
+// outlet attackers, StopOnFinish on and off, a warmup that ends
+// mid-period, and a workload that completes mid-period, on tick 1013, so
+// that under StopOnFinish the completing tick is the last one summed.
+func TestCollectMatchesRun(t *testing.T) {
+	const period, finishAt = 20, 1013
+	art := sys1Art(t)
+	for _, tc := range []struct {
+		name         string
+		outlet, stop bool
+	}{
+		{"rapl/run-on", false, false},
+		{"rapl/stop", false, true},
+		{"outlet/run-on", true, false},
+		{"outlet/stop", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, attackTicks := sim.Sys1(), 20
+			if tc.outlet {
+				attackTicks = 50
+			}
+			if finishAt%period == 0 {
+				t.Fatal("the countdown class must finish mid-period")
+			}
+			spec := CollectSpec{
+				Cfg:    cfg,
+				Design: NewDesign(MayaGS, cfg, art, period),
+				Classes: []Class{
+					AppClasses(0.02)[0],
+					{Name: "countdown", New: func() workload.Workload { return &countdown{left: finishAt} }},
+				},
+				RunsPerClass:      2,
+				MaxTicks:          3000,
+				StopOnFinish:      tc.stop,
+				AttackPeriodTicks: attackTicks,
+				Outlet:            tc.outlet,
+				Seed:              41,
+				WarmupTicks:       130,
+				Workers:           2,
+			}
+			ds, stats := Collect(context.Background(), spec)
+			if len(stats) != len(spec.Classes)*spec.RunsPerClass || len(ds.Traces) != len(stats) {
+				t.Fatalf("%d traces and %d stats", len(ds.Traces), len(stats))
+			}
+			for i, got := range stats {
+				label, run := i/spec.RunsPerClass, i%spec.RunsPerClass
+				samples, want := referenceRun(spec, label, run)
+				if got.Label != want.Label || got.Finished != want.Finished ||
+					math.Float64bits(got.Seconds) != math.Float64bits(want.Seconds) ||
+					math.Float64bits(got.EnergyJ) != math.Float64bits(want.EnergyJ) ||
+					math.Float64bits(got.AvgPowerW) != math.Float64bits(want.AvgPowerW) {
+					t.Errorf("run %d/%d: stats %+v, sim.Run gives %+v", label, run, got, want)
+				}
+				tr := ds.Traces[i]
+				if tr.Label != label || len(tr.Samples) != len(samples) {
+					t.Fatalf("run %d/%d: trace of label %d with %d samples, want %d and %d",
+						label, run, tr.Label, len(tr.Samples), label, len(samples))
+				}
+				for j := range samples {
+					if math.Float64bits(tr.Samples[j]) != math.Float64bits(samples[j]) {
+						t.Fatalf("run %d/%d: sample %d = %v, want %v", label, run, j, tr.Samples[j], samples[j])
+					}
+				}
+				if label == 1 {
+					if want := float64(finishAt) * cfg.TickSeconds; !got.Finished || got.Seconds != want {
+						t.Errorf("countdown run %d: finished %v after %v s, want after %v s", run, got.Finished, got.Seconds, want)
+					}
+				}
+			}
+		})
 	}
 }

@@ -240,7 +240,15 @@ func (e *Engine) Start() {
 		panic("fleet: Engine.Start called twice")
 	}
 	e.started = true
-	for _, tn := range e.tenants {
+	for i := range e.tenants {
+		tn := &e.tenants[i]
+		// The traces are sized here, not in New, so that timing a run
+		// from Start times their allocation. Under the 1<<20 default
+		// MaxTicks they grow with the run instead.
+		if !e.spec.SkipTickTraces && e.spec.MaxTicks > 0 {
+			tn.power = make([]float64, 0, e.spec.MaxTicks)
+			tn.wall = make([]float64, 0, e.spec.MaxTicks)
+		}
 		tn.loop.Start()
 	}
 	if len(e.tenants) > 0 {

@@ -102,7 +102,11 @@ func (c Config) Knobs() actuator.Set {
 }
 
 // Voltage returns the rail voltage at frequency f (linear V/f table).
-func (c Config) Voltage(f float64) float64 {
+func (c Config) Voltage(f float64) float64 { return c.voltage(f) }
+
+// voltage is Voltage through a pointer: Machine.Step calls it every tick,
+// and the value receiver would copy the whole Config on each call.
+func (c *Config) voltage(f float64) float64 {
 	t := (f - c.FminGHz) / (c.FmaxGHz - c.FminGHz)
 	return c.VMin + t*(c.VMax-c.VMin)
 }
@@ -217,8 +221,13 @@ type Machine struct {
 	// Fault hooks (all inert by default; see internal/fault). They survive
 	// Reset: hooks are wiring, like the config, not run state.
 	inputFilter InputFilter
-	lagScale    float64 // <= 0 means nominal (1)
 	wrapJ       float64 // energy counter wraps modulo this; 0 disables
+
+	// Per-tick coefficients of the first-order filters (see lagCoef): the
+	// three actuation lags, whose time constants the lag-scale hook
+	// scales, and the thermal response. init and SetLagScale set them, so
+	// Step divides by no time constant.
+	aDVFS, aIdle, aBalloon, aThermal float64
 
 	noise *rng.Stream
 }
@@ -237,7 +246,15 @@ func (m *Machine) SetInputFilter(f InputFilter) { m.inputFilter = f }
 
 // SetLagScale multiplies every actuation time constant by scale (> 1 means
 // knobs apply late). Values <= 0 or 1 restore nominal dynamics.
-func (m *Machine) SetLagScale(scale float64) { m.lagScale = scale }
+func (m *Machine) SetLagScale(scale float64) {
+	if scale <= 0 {
+		scale = 1
+	}
+	dt := m.cfg.TickSeconds
+	m.aDVFS = lagCoef(dt, scale*m.cfg.TauDVFS)
+	m.aIdle = lagCoef(dt, scale*m.cfg.TauIdle)
+	m.aBalloon = lagCoef(dt, scale*m.cfg.TauBalloon)
+}
 
 // SetEnergyWrap makes the RAPL-style energy counter returned by EnergyJ
 // wrap modulo wrapJ joules (0 disables). Real counters are finite-width;
@@ -258,6 +275,8 @@ func (m *Machine) init(cfg Config, seed uint64) {
 		panic(err)
 	}
 	*m = Machine{cfg: cfg, knobs: cfg.Knobs()}
+	m.SetLagScale(1)
+	m.aThermal = lagCoef(cfg.TickSeconds, cfg.ThermalTau)
 	m.Reset(seed)
 }
 
@@ -335,17 +354,14 @@ func (m *Machine) Step(w workload.Workload) StepResult {
 	dt := m.cfg.TickSeconds
 
 	// Actuation lags: first-order approach to the commanded values. The
-	// lag scale is a fault hook (extra actuation latency); nominal is 1.
-	ls := m.lagScale
-	if ls <= 0 {
-		ls = 1
-	}
-	m.eff.FreqGHz = lag(m.eff.FreqGHz, m.cmd.FreqGHz, dt, ls*m.cfg.TauDVFS)
-	m.eff.Idle = lag(m.eff.Idle, m.cmd.Idle, dt, ls*m.cfg.TauIdle)
-	m.eff.Balloon = lag(m.eff.Balloon, m.cmd.Balloon, dt, ls*m.cfg.TauBalloon)
+	// coefficients carry the lag scale, a fault hook (extra actuation
+	// latency) whose nominal value is 1.
+	m.eff.FreqGHz = lag(m.eff.FreqGHz, m.cmd.FreqGHz, m.aDVFS)
+	m.eff.Idle = lag(m.eff.Idle, m.cmd.Idle, m.aIdle)
+	m.eff.Balloon = lag(m.eff.Balloon, m.cmd.Balloon, m.aBalloon)
 
 	f := m.eff.FreqGHz
-	v := m.cfg.Voltage(f)
+	v := m.cfg.voltage(f)
 	idle := m.eff.Idle
 	balloon := m.eff.Balloon
 
@@ -421,20 +437,31 @@ func (m *Machine) Step(w workload.Workload) StepResult {
 	wallW := (power + m.cfg.RestOfSystemW) / m.cfg.PSUEfficiency
 	// First-order thermal response toward ambient + R·P.
 	target := m.cfg.AmbientC + m.cfg.ThermalRes*power
-	m.tempC = lag(m.tempC, target, dt, m.cfg.ThermalTau)
+	m.tempC = lag(m.tempC, target, m.aThermal)
 
 	m.tick++
 	return StepResult{PowerW: power, WallW: wallW, WorkDone: workDone, Finished: finished, TempC: m.tempC}
 }
 
-// lag advances a first-order filter toward target with time constant tau.
-func lag(cur, target, dt, tau float64) float64 {
+// lagCoef returns the per-tick coefficient of a first-order filter with
+// time constant tau stepped every dt: min(dt/tau, 1), or -1 when tau <= 0,
+// which makes lag snap to its target.
+func lagCoef(dt, tau float64) float64 {
 	if tau <= 0 {
-		return target
+		return -1
 	}
 	a := dt / tau
 	if a > 1 {
 		a = 1
+	}
+	return a
+}
+
+// lag advances a first-order filter toward target by its per-tick
+// coefficient a, from lagCoef.
+func lag(cur, target, a float64) float64 {
+	if a < 0 {
+		return target
 	}
 	return cur + a*(target-cur)
 }

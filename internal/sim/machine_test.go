@@ -197,6 +197,72 @@ func TestActuationLag(t *testing.T) {
 	}
 }
 
+// TestLagMatchesFormula pins the filters' per-tick coefficients, which
+// the machine computes once per config and lag scale, to the filter they
+// stand for: after every tick the effective inputs and the temperature
+// equal cur + min(dt/(ls·tau), 1)·(target − cur) bit for bit, with ls the
+// lag scale in force (the thermal filter takes none), and exactly target
+// when tau is 0. The lag scale changes mid-run, to 2.5 and back to
+// nominal through 0; the second config has no idle lag and a DVFS time
+// constant below one tick, whose coefficient clamps to 1.
+func TestLagMatchesFormula(t *testing.T) {
+	fast := Sys1()
+	fast.Name = "fast"
+	fast.TauIdle = 0
+	fast.TauDVFS = 0.4 * fast.TickSeconds
+	for _, cfg := range []Config{Sys1(), fast} {
+		t.Run(cfg.Name, func(t *testing.T) {
+			m := NewMachine(cfg, 3)
+			w := workload.NewApp("raytrace")
+			w.Reset(3)
+			dt := cfg.TickSeconds
+			filter := func(cur, target, tau float64) float64 {
+				if tau <= 0 {
+					return target
+				}
+				return cur + min(dt/tau, 1)*(target-cur)
+			}
+			same := func(tick int, what string, got, want float64) {
+				t.Helper()
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("tick %d: %s = %v, want %v", tick, what, got, want)
+				}
+			}
+			ls := 1.0
+			for tick := 0; tick < 600; tick++ {
+				switch tick {
+				case 200:
+					m.SetLagScale(2.5)
+					ls = 2.5
+				case 400:
+					m.SetLagScale(0)
+					ls = 1
+				}
+				// Idle 0.24 -> 0.04 is a step on which cur + 1·(target − cur)
+				// rounds off target, so a snap taken as a unit coefficient
+				// shows.
+				if tick%20 == 0 {
+					m.SetInputs([]Inputs{
+						{FreqGHz: 1.2, Idle: 0.24, Balloon: 0.6},
+						{FreqGHz: 2.0, Idle: 0.04, Balloon: 0.1},
+						{FreqGHz: 1.6, Idle: 0.48, Balloon: 1},
+					}[tick/20%3])
+				}
+				cur, cmd, temp := m.EffectiveInputs(), m.Inputs(), m.TemperatureC()
+				r := m.Step(w)
+				eff := m.EffectiveInputs()
+				same(tick, "DVFS", eff.FreqGHz, filter(cur.FreqGHz, cmd.FreqGHz, ls*cfg.TauDVFS))
+				same(tick, "idle", eff.Idle, filter(cur.Idle, cmd.Idle, ls*cfg.TauIdle))
+				same(tick, "balloon", eff.Balloon, filter(cur.Balloon, cmd.Balloon, ls*cfg.TauBalloon))
+				same(tick, "temperature", m.TemperatureC(), filter(temp, cfg.AmbientC+cfg.ThermalRes*r.PowerW, cfg.ThermalTau))
+				if cfg.TauIdle == 0 {
+					same(tick, "snapped idle", eff.Idle, cmd.Idle)
+				}
+			}
+		})
+	}
+}
+
 func TestInputQuantization(t *testing.T) {
 	m := NewMachine(Sys1(), 7)
 	m.SetInputs(Inputs{FreqGHz: 1.5701, Idle: 0.13, Balloon: 0.26})

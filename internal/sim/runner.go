@@ -55,8 +55,8 @@ type RunResult struct {
 	DefenseSamples []float64
 	// InputTrace holds the commanded inputs chosen at each control period.
 	InputTrace []Inputs
-	// TickPowerW is the true per-tick core power: ground truth for tests
-	// and the source of defense.Collect's average power. A fleet run with
+	// TickPowerW is the true per-tick core power: ground truth for tests,
+	// the examples and the fleet's differential harness. A fleet run with
 	// fleet.Spec.SkipTickTraces leaves it and TickWallW nil.
 	TickPowerW []float64
 	// TickWallW is the true per-tick wall power.
@@ -81,7 +81,12 @@ type RunResult struct {
 func Run(m *Machine, w workload.Workload, p Policy, spec RunSpec) RunResult {
 	l := NewLoop(m, w, p, spec)
 	l.Start()
+	// A caller's MaxTicks sizes the traces once; under the 1<<20 default
+	// they grow with the run instead.
 	var power, wall []float64
+	if spec.MaxTicks > 0 {
+		power, wall = make([]float64, 0, spec.MaxTicks), make([]float64, 0, spec.MaxTicks)
+	}
 	for !l.Done() {
 		powerW, wallW, boundary := l.Tick()
 		power = append(power, powerW)
@@ -100,9 +105,11 @@ func Run(m *Machine, w workload.Workload, p Policy, spec RunSpec) RunResult {
 // Loop is one run of the control loop on one machine, advanced by its
 // caller: Start, then Tick until Done, with Sense, Decide and Actuate, in
 // that order, after each Tick that ends a control period. Run drives one
-// Loop to its end; the fleet engine advances one per tenant, each phase
-// across all its tenants. A Loop keeps the period-level result; the
-// per-tick traces are the caller's to keep, from what Tick returns.
+// Loop to its end, and so does defense.Collect, which keeps a running sum
+// of the tick power instead of Run's traces; the fleet engine advances one
+// per tenant, each phase across all its tenants. A Loop keeps the
+// period-level result; the per-tick traces are the caller's to keep, from
+// what Tick returns.
 type Loop struct {
 	m      *Machine
 	w      workload.Workload
@@ -113,6 +120,8 @@ type Loop struct {
 
 	step        int     // the policy step whose decision is in force
 	tick        int     // recorded ticks stepped
+	untilPeriod int     // ticks left in the current control period
+	untilSample []int   // ticks left in each sampler's current period
 	powerW      float64 // Sense's reading, for Decide
 	in          Inputs  // Decide's inputs, for Actuate
 	startEnergy float64
@@ -133,7 +142,12 @@ func NewLoop(m *Machine, w workload.Workload, p Policy, spec RunSpec) *Loop {
 	if sensor == nil {
 		sensor = NewRAPLSensor(m)
 	}
-	return &Loop{m: m, w: w, p: p, spec: spec, sensor: sensor, res: RunResult{FinishedTick: -1}}
+	l := &Loop{m: m, w: w, p: p, spec: spec, sensor: sensor, res: RunResult{FinishedTick: -1}}
+	l.untilSample = make([]int, len(spec.Samplers))
+	for i, s := range spec.Samplers {
+		l.untilSample[i] = s.PeriodTicks
+	}
+	return l
 }
 
 // Start lets the policy choose the initial inputs before any power is
@@ -143,17 +157,21 @@ func (l *Loop) Start() {
 
 	// Unrecorded warmup: the defense regulates the idle machine.
 	var idle workload.Idle
-	for tick := 1; tick <= l.spec.WarmupTicks; tick++ {
+	l.untilPeriod = l.spec.ControlPeriodTicks
+	for range l.spec.WarmupTicks {
 		// Feed the defense sensor per the PowerSensor contract (a no-op for
 		// the default RAPLSensor, whose state lives in the machine).
 		l.sensor.Observe(l.m.Step(idle))
-		if tick%l.spec.ControlPeriodTicks == 0 {
+		if l.untilPeriod--; l.untilPeriod == 0 {
+			l.untilPeriod = l.spec.ControlPeriodTicks
 			pw := l.sensor.ReadW()
 			l.step++
 			l.m.SetInputs(l.p.Decide(l.step, pw))
 		}
 	}
 
+	// Recorded periods start with the recording.
+	l.untilPeriod = l.spec.ControlPeriodTicks
 	l.startEnergy = l.m.TrueEnergyJ()
 	l.res.FirstStep = l.step
 	l.res.InputTrace = append(l.res.InputTrace, l.m.Inputs())
@@ -171,9 +189,10 @@ func (l *Loop) Tick() (powerW, wallW float64, boundary bool) {
 	r := l.m.Step(l.w)
 	l.tick++
 	l.sensor.Observe(r)
-	for _, s := range l.spec.Samplers {
+	for i, s := range l.spec.Samplers {
 		s.Sensor.Observe(r)
-		if s.PeriodTicks > 0 && l.tick%s.PeriodTicks == 0 {
+		if l.untilSample[i]--; l.untilSample[i] == 0 {
+			l.untilSample[i] = s.PeriodTicks
 			s.Samples = append(s.Samples, s.Sensor.ReadW())
 		}
 	}
@@ -185,7 +204,11 @@ func (l *Loop) Tick() (powerW, wallW float64, boundary bool) {
 			return r.PowerW, r.WallW, false
 		}
 	}
-	return r.PowerW, r.WallW, l.tick%l.spec.ControlPeriodTicks == 0
+	if l.untilPeriod--; l.untilPeriod > 0 {
+		return r.PowerW, r.WallW, false
+	}
+	l.untilPeriod = l.spec.ControlPeriodTicks
+	return r.PowerW, r.WallW, true
 }
 
 // Done reports whether the run is over: MaxTicks ticks recorded, or the
@@ -219,7 +242,7 @@ func (l *Loop) Actuate() {
 func (l *Loop) Result() RunResult {
 	res := l.res
 	res.EnergyJ = l.m.TrueEnergyJ() - l.startEnergy
-	res.Seconds = float64(l.tick) * l.m.Config().TickSeconds
+	res.Seconds = float64(l.tick) * l.m.cfg.TickSeconds
 	return res
 }
 

@@ -128,3 +128,48 @@ func TestRunStopOnFinishAtPeriodBoundary(t *testing.T) {
 		})
 	}
 }
+
+// TestLoopBoundaryMatchesModulo pins the loop's counted-down control
+// periods to the modulo they replace: the recorded tick numbered tick
+// (from 1) ends a period exactly when tick % P == 0, and a sampler of
+// period S has kept tick / S samples, whatever the warmup left of its
+// last period. The warmup decides at each of its own boundaries.
+func TestLoopBoundaryMatchesModulo(t *testing.T) {
+	const maxTicks, sampleTicks = 100, 3
+	for _, period := range []int{1, 7, 20} {
+		for _, warmup := range []int{0, 13, 40} {
+			m := NewMachine(Sys1(), 1)
+			decides := 0
+			pol := PolicyFunc(func(int, float64) Inputs {
+				decides++
+				return Inputs{FreqGHz: m.Config().FmaxGHz}
+			})
+			sampler := &Sampler{Sensor: &tickCounter{}, PeriodTicks: sampleTicks}
+			l := NewLoop(m, workload.Idle{}, pol, RunSpec{
+				ControlPeriodTicks: period,
+				MaxTicks:           maxTicks,
+				Samplers:           []*Sampler{sampler},
+				WarmupTicks:        warmup,
+			})
+			l.Start()
+			if want := 1 + warmup/period; decides != want {
+				t.Errorf("P=%d warmup=%d: warmup decided %d times, want %d", period, warmup, decides, want)
+			}
+			for tick := 1; !l.Done(); tick++ {
+				_, _, boundary := l.Tick()
+				if boundary != (tick%period == 0) {
+					t.Fatalf("P=%d warmup=%d: tick %d boundary = %v", period, warmup, tick, boundary)
+				}
+				if len(sampler.Samples) != tick/sampleTicks {
+					t.Fatalf("P=%d warmup=%d: tick %d: %d samples, want %d",
+						period, warmup, tick, len(sampler.Samples), tick/sampleTicks)
+				}
+				if boundary {
+					l.Sense()
+					l.Decide()
+					l.Actuate()
+				}
+			}
+		}
+	}
+}

@@ -52,7 +52,7 @@ func (s *RAPLSensor) Observe(StepResult) {}
 func (s *RAPLSensor) ReadW() float64 {
 	e := s.m.EnergyJ()
 	t := s.m.Tick()
-	dt := float64(t-s.lastT) * s.m.Config().TickSeconds
+	dt := float64(t-s.lastT) * s.m.cfg.TickSeconds
 	if dt <= 0 {
 		return 0
 	}
@@ -70,10 +70,10 @@ func (s *RAPLSensor) ReadW() float64 {
 // power includes PSU losses, the rest-of-system load, and line ripple —
 // a noisier, system-level view compared to RAPL.
 type OutletSensor struct {
-	cfg        Config
 	sumSq      float64
 	n          int
 	tickAngle  float64 // accumulated AC phase
+	angleStep  float64 // AC phase advance per tick
 	ripple     float64 // relative double-line-frequency ripple amplitude
 	noise      *rng.Stream
 	sensorVarW float64 // instrument noise stddev in watts
@@ -81,50 +81,52 @@ type OutletSensor struct {
 	// current follows load changes with a time constant set by its output
 	// capacitance, so fast power swings are attenuated before they reach
 	// the wall (a real effect that limits sub-second leakage through
-	// outlet taps).
+	// outlet taps). psuA is its per-tick coefficient.
 	psuState float64
-	psuTau   float64
+	psuA     float64
 	// gridState is the Ornstein-Uhlenbeck grid-noise process: an outlet
 	// shares its power network with other loads (the attack of Shao et al.
 	// works *across a building*), so the receiver sees a nonstationary
-	// watts-scale noise floor on top of the victim's draw.
+	// watts-scale noise floor on top of the victim's draw. Each tick it
+	// decays by gridDecay of itself and takes a gridKick-scaled normal
+	// draw.
 	gridState float64
-	gridTau   float64
-	gridStd   float64
+	gridDecay float64
+	gridKick  float64
 }
 
 // NewOutletSensor builds an outlet tap for machines with the given config.
 func NewOutletSensor(cfg Config, seed uint64) *OutletSensor {
+	const (
+		psuTau  = 0.12 // PSU bulk-capacitor time constant, s
+		gridTau = 2.0  // grid-noise reversion time, s
+		gridStd = 0.7  // grid-noise stationary stddev, W
+	)
+	dt := cfg.TickSeconds
 	return &OutletSensor{
-		cfg:        cfg,
+		angleStep:  2 * math.Pi * 120 * dt,
 		ripple:     0.02,
 		noise:      rng.NewNamed(seed, "sim/outlet/"+cfg.Name),
 		sensorVarW: 0.15,
-		psuTau:     0.12,
-		gridTau:    2.0,
-		gridStd:    0.7,
+		psuA:       min(dt/psuTau, 1),
+		gridDecay:  dt / gridTau,
+		gridKick:   gridStd * math.Sqrt(2*dt/gridTau),
 	}
 }
 
 // Observe implements PowerSensor: it accumulates one tick of wall power
 // with PSU smoothing and 120 Hz rectifier ripple.
 func (s *OutletSensor) Observe(r StepResult) {
-	s.tickAngle += 2 * math.Pi * 120 * s.cfg.TickSeconds
+	s.tickAngle += s.angleStep
 	if s.tickAngle > 2*math.Pi {
 		s.tickAngle -= 2 * math.Pi
 	}
 	if s.psuState == 0 {
 		s.psuState = r.WallW
 	}
-	a := s.cfg.TickSeconds / s.psuTau
-	if a > 1 {
-		a = 1
-	}
-	s.psuState += a * (r.WallW - s.psuState)
+	s.psuState += s.psuA * (r.WallW - s.psuState)
 	// Grid noise: mean-reverting wander of the shared network's load.
-	dt := s.cfg.TickSeconds
-	s.gridState += -(dt/s.gridTau)*s.gridState +
-		s.gridStd*math.Sqrt(2*dt/s.gridTau)*s.noise.NormFloat64()
+	s.gridState += -s.gridDecay*s.gridState + s.gridKick*s.noise.NormFloat64()
 	w := (s.psuState + s.gridState) * (1 + s.ripple*math.Sin(s.tickAngle))
 	s.sumSq += w * w
 	s.n++

@@ -152,7 +152,7 @@ func (p *Program) Demand() Demand {
 	if p.Done() {
 		return Demand{}
 	}
-	ph := p.jphases[p.idx]
+	ph := &p.jphases[p.idx]
 	act := ph.Activity
 	if ph.Osc != nil && ph.Osc.PeriodWork > 0 {
 		act += ph.Osc.Amp * math.Sin(2*math.Pi*p.done/ph.Osc.PeriodWork)

@@ -13,9 +13,9 @@
 # With -z the script becomes a zero-allocation gate: after recording, it
 # fails if any matched benchmark reports allocs/op > 0. CI uses this to
 # enforce that the telemetry hot path (counter/gauge/histogram record and
-# flight-recorder append) never allocates:
+# flight-recorder append) and the simulated machine's tick never allocate:
 #
-#   scripts/bench.sh -z TelemetryHotPath
+#   scripts/bench.sh -z 'TelemetryHotPath|MachineTick'
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
