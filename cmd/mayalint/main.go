@@ -82,18 +82,14 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "mayalint: %v\n", err)
 		return 2
 	}
-	root, err := lint.ModuleRoot(cwd)
+	prog, err := lint.Load(cwd, patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mayalint: %v\n", err)
 		return 2
 	}
-	pkgs, err := lint.Load(cwd, patterns)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mayalint: %v\n", err)
-		return 2
-	}
+	root := prog.Root
 	if *debug {
-		for _, p := range pkgs {
+		for _, p := range prog.Pkgs {
 			for _, e := range p.TypeErrors {
 				fmt.Fprintf(os.Stderr, "mayalint: typecheck %s: %v\n", p.Path, e)
 			}
@@ -101,11 +97,11 @@ func run() int {
 	}
 
 	if *nolintReport {
-		reportNolints(pkgs, root)
+		reportNolints(prog.Pkgs, root)
 		return 0
 	}
 
-	diags := lint.Run(pkgs, analyzers)
+	diags := lint.Run(prog, analyzers)
 	if diags == nil {
 		diags = []lint.Diagnostic{} // a clean run renders as [], not null
 	}

@@ -14,11 +14,11 @@ func BenchmarkLintRepo(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pkgs, err := Load(root, []string{"./..."})
+		prog, err := Load(root, []string{"./..."})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if diags := Run(pkgs, Analyzers()); len(diags) != 0 {
+		if diags := Run(prog, Analyzers()); len(diags) != 0 {
 			b.Fatalf("repo not lint-clean during benchmark: %d findings", len(diags))
 		}
 	}

@@ -1,7 +1,5 @@
 package lint
 
-import "go/ast"
-
 // CacheKey audits functions marked //maya:cachekey — the experiment-cache
 // key-derivation sites. A cache key must be a pure function of (code
 // version, configuration, seed): if a wall-clock read or a map's randomized
@@ -19,32 +17,24 @@ import "go/ast"
 // would. The diagnostic lands on the call edge inside the cachekey
 // function and names the offending site with its blame chain.
 var CacheKey = &Analyzer{
-	Name:       "cachekey",
-	Doc:        "wall-clock or map-iteration input inside (or reachable from) //maya:cachekey key-derivation functions",
-	Run:        runCacheKey,
-	RunProgram: runCacheKeyProgram,
+	Name: "cachekey",
+	Doc:  "wall-clock or map-iteration input inside (or reachable from) //maya:cachekey key-derivation functions",
+	Run:  runCacheKey,
 }
 
-// runCacheKeyProgram walks each cachekey function's callee cone and
-// reports reachable wall-clock reads (blessed or not — blessings do not
-// apply under a key derivation), map ranges, and math/rand uses.
-func runCacheKeyProgram(pass *ProgramPass) {
+// runCacheKey audits each cachekey function's own body, then walks its
+// callee cone and reports reachable wall-clock reads (blessed or not —
+// blessings do not apply under a key derivation), map ranges, and
+// math/rand uses.
+func runCacheKey(pass *Pass) {
 	g := pass.Prog.Graph()
 	for _, root := range g.Nodes {
 		if !root.Pkg.funcDirective(root.Decl, DirCachekey) {
 			continue
 		}
-		for _, e := range root.Out {
-			if !followKey(e) {
-				continue
-			}
-			start := &Visit{Node: e.Callee, Via: e}
-			reportKeyTaint(pass, root, start)
-			g.Cone(start, func(e2 *Edge) bool { return followKey(e2) }, func(v *Visit) bool {
-				reportKeyTaint(pass, root, v)
-				return true
-			})
-		}
+		report := func(v *Visit) { reportKeyTaint(pass, root, v) }
+		report(&Visit{Node: root})
+		g.edgeCones(root, followKey, report)
 	}
 }
 
@@ -59,8 +49,20 @@ func followKey(e *Edge) bool {
 	return !callee.File.Test
 }
 
-func reportKeyTaint(pass *ProgramPass, root *Node, v *Visit) {
+// reportKeyTaint reports v's facts: at depth 0, the derivation's own wall
+// reads and map ranges at their sites; below it, every fact on the call
+// edge leaving the derivation, with its blame chain.
+func reportKeyTaint(pass *Pass, root *Node, v *Visit) {
 	facts := v.Node.Facts()
+	if v.Via == nil {
+		for _, w := range facts.wall {
+			pass.Reportf(w.pos, "wall-clock read time.%s inside a cache-key derivation; keys must be pure functions of code version, config, and seed (//maya:wallclock does not apply here)", w.name)
+		}
+		for _, pos := range facts.mapRanges {
+			pass.Reportf(pos, "map range inside a cache-key derivation; iteration order is randomized per run — hash fields in declaration order or sort the keys outside")
+		}
+		return
+	}
 	edge := v.Path()[0]
 	for _, w := range facts.wall {
 		pass.Reportf(edge.Pos, "cache-key derivation %s reaches a wall-clock read time.%s at %s (%s); keys must be pure functions of code version, config, and seed (//maya:wallclock does not apply here)",
@@ -73,30 +75,5 @@ func reportKeyTaint(pass *ProgramPass, root *Node, v *Visit) {
 	for _, pos := range facts.mathRand {
 		pass.Reportf(edge.Pos, "cache-key derivation %s reaches a math/rand use at %s (%s); keys must be seed-derived via internal/rng",
 			root.Decl.Name.Name, pass.Prog.relPos(pos), v.Chain())
-	}
-}
-
-func runCacheKey(pass *Pass) {
-	pkg := pass.Pkg
-	for _, f := range pkg.Files {
-		for _, decl := range f.AST.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || !pkg.funcDirective(fd, DirCachekey) || fd.Body == nil {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				switch v := n.(type) {
-				case *ast.CallExpr:
-					if pkgPath, name := pkg.callPkgFunc(v); pkgPath == "time" && (name == "Now" || name == "Since") {
-						pass.Reportf(v.Pos(), "wall-clock read time.%s inside a cache-key derivation; keys must be pure functions of code version, config, and seed (//maya:wallclock does not apply here)", name)
-					}
-				case *ast.RangeStmt:
-					if mapUnder(pkg.typeOf(v.X)) {
-						pass.Reportf(v.Pos(), "map range inside a cache-key derivation; iteration order is randomized per run — hash fields in declaration order or sort the keys outside")
-					}
-				}
-				return true
-			})
-		}
 	}
 }

@@ -10,18 +10,16 @@ import (
 )
 
 // This file is the interprocedural half of the framework: a whole-program
-// call graph over go/types, built once per Run and shared by every
-// analyzer with a RunProgram hook. Nodes are the module's declared
-// functions and methods (generic instantiations collapse onto their
-// origin); edges record the call site so diagnostics can carry per-edge
-// blame chains. Three resolution strategies cover the repo's call shapes:
+// call graph over go/types, built once per Program and shared by every
+// analyzer that walks it. Nodes are the program's declared functions and
+// methods (generic instantiations collapse onto their origin); edges
+// record the call site so diagnostics can carry per-edge blame chains.
+// Three resolution strategies cover the repo's call shapes:
 //
 //   - static: direct function calls and concrete-receiver method calls,
-//     resolved through go/types object identity within a unit and through
-//     a canonical symbol key (types.Func.FullName) across units — the
-//     source importer re-checks dependencies, so the same function is a
-//     different *types.Func object in each unit and pointer identity
-//     cannot be trusted across packages;
+//     resolved by go/types object identity — Load checks each directory
+//     once and resolves module imports to those same units, so a function
+//     is one *types.Func wherever it is referenced;
 //   - interface: calls through an interface method link to every module
 //     method with the same name and signature (class-hierarchy style);
 //   - value: calls through function-typed variables, parameters, and
@@ -33,40 +31,22 @@ import (
 // Interface and value edges are deliberately imprecise (they
 // over-approximate); analyzers choose per rule whether to follow them.
 
-// Program aggregates the loaded packages for whole-program analyzers.
+// Program is the packages Load matched, with the call graph and function
+// facts every analyzer shares.
 type Program struct {
 	Pkgs []*Package
 	Fset *token.FileSet
 	// Root is the module root directory, for rendering positions in
 	// diagnostics relative to the repository.
 	Root string
-	// owner maps a file path to the unit that type-checked it, so
-	// program-level diagnostics route to the right suppression index.
+	// owner maps a file path to the unit that type-checked it, so every
+	// diagnostic routes to the right suppression index.
 	owner map[string]*Package
 	graph *CallGraph
 }
 
-// NewProgram wraps the loaded packages. The call graph is built lazily on
-// first use so runs of purely per-package analyzers pay nothing for it.
-func NewProgram(pkgs []*Package) *Program {
-	pr := &Program{Pkgs: pkgs, owner: map[string]*Package{}}
-	for _, p := range pkgs {
-		if pr.Fset == nil {
-			pr.Fset = p.Fset
-		}
-		if pr.Root == "" {
-			if root, _, err := findModule(p.Dir); err == nil {
-				pr.Root = root
-			}
-		}
-		for _, f := range p.Files {
-			pr.owner[f.Name] = p
-		}
-	}
-	return pr
-}
-
-// Graph builds (once) and returns the whole-program call graph.
+// Graph builds (once) and returns the whole-program call graph, so runs
+// of purely per-package analyzers pay nothing for it.
 func (pr *Program) Graph() *CallGraph {
 	if pr.graph == nil {
 		pr.graph = buildGraph(pr)
@@ -131,12 +111,8 @@ func trimModule(s string) string {
 
 // CallGraph is the whole-program call graph.
 type CallGraph struct {
-	prog  *Program
 	Nodes []*Node // deterministic order: package, file, declaration
-	byKey map[string]*Node
-	// byFn resolves same-unit references by object identity; each unit's
-	// definitions register their own *types.Func.
-	byFn map[*types.Func]*Node
+	byFn  map[*types.Func]*Node
 	// addrTaken maps a signature key to nodes whose address escapes into a
 	// function value somewhere in the program.
 	addrTaken map[string][]*Node
@@ -150,17 +126,11 @@ func (g *CallGraph) NodeOf(fn *types.Func) *Node {
 	if fn == nil {
 		return nil
 	}
-	fn = fn.Origin()
-	if n := g.byFn[fn]; n != nil {
-		return n
-	}
-	return g.byKey[fn.FullName()]
+	return g.byFn[fn.Origin()]
 }
 
 func buildGraph(pr *Program) *CallGraph {
 	g := &CallGraph{
-		prog:      pr,
-		byKey:     map[string]*Node{},
 		byFn:      map[*types.Func]*Node{},
 		addrTaken: map[string][]*Node{},
 		methods:   map[string][]*Node{},
@@ -177,16 +147,7 @@ func buildGraph(pr *Program) *CallGraph {
 				if fn == nil {
 					continue // type error; lenient loading
 				}
-				key := fn.FullName()
-				if _, taken := g.byKey[key]; taken {
-					// External test units are checked under the compiled
-					// package's path, so a same-named helper collides;
-					// disambiguate (such symbols are never called
-					// cross-package anyway).
-					key = key + "#" + pkg.Path
-				}
-				n := &Node{Key: key, Fn: fn, Decl: fd, Pkg: pkg, File: f}
-				g.byKey[key] = n
+				n := &Node{Key: fn.FullName(), Fn: fn, Decl: fd, Pkg: pkg, File: f}
 				g.byFn[fn] = n
 				g.Nodes = append(g.Nodes, n)
 				if recv := fn.Type().(*types.Signature).Recv(); recv != nil && !types.IsInterface(recv.Type()) {
@@ -272,30 +233,9 @@ func (g *CallGraph) collectEdges(n *Node) {
 	})
 }
 
-// calleeFunc resolves a call's callee to a declared function, unwrapping
-// explicit generic instantiation (f[T](...)).
-func calleeFunc(pkg *Package, call *ast.CallExpr) *types.Func {
-	fun := ast.Unparen(call.Fun)
-	switch ix := fun.(type) {
-	case *ast.IndexExpr:
-		fun = ast.Unparen(ix.X)
-	case *ast.IndexListExpr:
-		fun = ast.Unparen(ix.X)
-	}
-	switch v := fun.(type) {
-	case *ast.Ident:
-		fn, _ := pkg.Info.Uses[v].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := pkg.Info.Uses[v.Sel].(*types.Func)
-		return fn
-	}
-	return nil
-}
-
 func (g *CallGraph) resolveCall(n *Node, call *ast.CallExpr, spawned bool) {
 	pkg := n.Pkg
-	if fn := calleeFunc(pkg, call); fn != nil {
+	if fn := pkg.calleeFunc(call); fn != nil {
 		sig, ok := fn.Type().(*types.Signature)
 		if !ok {
 			return
@@ -334,16 +274,15 @@ func (g *CallGraph) addEdge(caller, callee *Node, pos token.Pos, kind EdgeKind, 
 }
 
 // methodKey identifies a method by name and receiver-less signature, the
-// matching rule for interface dispatch. Signatures are compared as
-// package-path-qualified strings because objects from different
-// type-checker universes (each unit re-checks its imports from source) are
-// never pointer-identical.
+// matching rule for interface dispatch. Signatures match as
+// package-path-qualified strings: identical signatures written in two
+// places are distinct *types.Signature values, so a string is the map key.
 func methodKey(name string, sig *types.Signature) string {
 	return name + "|" + sigKey(sig)
 }
 
 // sigKey renders a signature's parameter and result types (receiver
-// excluded) as a canonical, universe-independent string.
+// excluded) as a canonical string.
 func sigKey(sig *types.Signature) string {
 	var b strings.Builder
 	qual := func(p *types.Package) string { return p.Path() }
@@ -405,13 +344,16 @@ func (v *Visit) Chain() string {
 	return b.String()
 }
 
-// Cone walks the callee cone of start.Node in breadth-first order
-// (excluding start itself), following only edges accepted by follow, and
-// calls visit for each node the first time it is reached. Paths chain
-// through start, so a seeded start (carrying the edge from the true root)
-// yields full blame chains. A nil follow accepts every edge; visit
-// returning false prunes the walk below that node.
+// Cone walks the callee cone of start.Node in breadth-first order, start
+// included, following only edges accepted by follow, and calls visit for
+// each node the first time it is reached. Paths chain through start, so a
+// seeded start (carrying the edge from the true root) yields full blame
+// chains. A nil follow accepts every edge; visit returning false prunes
+// the walk below that node.
 func (g *CallGraph) Cone(start *Visit, follow func(*Edge) bool, visit func(*Visit) (descend bool)) {
+	if !visit(start) {
+		return
+	}
 	seen := map[*Node]bool{start.Node: true}
 	queue := []*Visit{start}
 	for len(queue) > 0 {
@@ -426,6 +368,20 @@ func (g *CallGraph) Cone(start *Visit, follow func(*Edge) bool, visit func(*Visi
 			if visit(next) {
 				queue = append(queue, next)
 			}
+		}
+	}
+}
+
+// edgeCones visits, for each of root's out-edges that follow accepts, the
+// cone below that edge: one walk per edge, so a node reached through two
+// edges is visited, and blamed, once per edge.
+func (g *CallGraph) edgeCones(root *Node, follow func(*Edge) bool, visit func(*Visit)) {
+	for _, e := range root.Out {
+		if follow(e) {
+			g.Cone(&Visit{Node: e.Callee, Via: e}, follow, func(v *Visit) bool {
+				visit(v)
+				return true
+			})
 		}
 	}
 }

@@ -1,20 +1,15 @@
 package lint
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// loadCallgraphFixture builds the whole-program graph over the fixture
-// tree once per test run.
+// loadCallgraphFixture returns the whole-program graph over the fixture
+// tree, built once per test binary.
 func loadCallgraphFixture(t *testing.T) *CallGraph {
 	t.Helper()
-	pkgs, err := Load(filepath.Join("testdata", "src"), []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return NewProgram(pkgs).Graph()
+	return fixtureProgram(t).Graph()
 }
 
 // nodeBySuffix finds the unique node whose key ends in suffix.
@@ -120,6 +115,38 @@ func TestCallGraphSpawnedEdges(t *testing.T) {
 	}
 	if !e.Spawned {
 		t.Errorf("emit → drain not marked Spawned")
+	}
+}
+
+func TestCallGraphCrossPackage(t *testing.T) {
+	g := loadCallgraphFixture(t)
+	// caller.Advance calls into the callgraph fixture package, which the
+	// loader meets as an import before it reaches it as a pattern match.
+	advance := nodeBySuffix(t, g, "caller.Advance")
+	for _, suffix := range []string{"callgraph.NewRing", "callgraph.Ring).Advance"} {
+		callee := nodeBySuffix(t, g, suffix)
+		e := edgeTo(advance, callee)
+		if e == nil {
+			t.Errorf("no edge caller.Advance → %s; out-edges: %v", callee.Key, edgeKeys(advance))
+			continue
+		}
+		if e.Kind != KindStatic {
+			t.Errorf("caller.Advance → %s kind = %v, want KindStatic", callee.Key, e.Kind)
+		}
+	}
+}
+
+func TestCallGraphExternalTest(t *testing.T) {
+	g := loadCallgraphFixture(t)
+	// The callgraph fixture's external _test package calls its own package.
+	ext := nodeBySuffix(t, g, ".TestUseMapFromOutside")
+	useMap := nodeBySuffix(t, g, "callgraph.UseMap")
+	e := edgeTo(ext, useMap)
+	if e == nil {
+		t.Fatalf("no edge TestUseMapFromOutside → UseMap; out-edges: %v", edgeKeys(ext))
+	}
+	if e.Kind != KindStatic {
+		t.Errorf("TestUseMapFromOutside → UseMap kind = %v, want KindStatic", e.Kind)
 	}
 }
 

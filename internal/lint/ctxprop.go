@@ -22,12 +22,12 @@ import (
 // Goroutines that never block are exempt: a fire-and-forget computation
 // that runs to completion needs no cancellation hook.
 var CtxProp = &Analyzer{
-	Name:       "ctxprop",
-	Doc:        "context.Background()/TODO() passed, or a blocking goroutine spawned, while a context.Context is in scope",
-	RunProgram: runCtxProp,
+	Name: "ctxprop",
+	Doc:  "context.Background()/TODO() passed, or a blocking goroutine spawned, while a context.Context is in scope",
+	Run:  runCtxProp,
 }
 
-func runCtxProp(pass *ProgramPass) {
+func runCtxProp(pass *Pass) {
 	g := pass.Prog.Graph()
 	for _, n := range g.Nodes {
 		ctxParams := contextParams(n.Fn)
@@ -65,7 +65,7 @@ func isContextType(t types.Type) bool {
 	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
 }
 
-func checkCtxFunc(pass *ProgramPass, g *CallGraph, n *Node, ctxParams []*types.Var) {
+func checkCtxFunc(pass *Pass, g *CallGraph, n *Node, ctxParams []*types.Var) {
 	pkg := n.Pkg
 	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
 		switch v := node.(type) {
@@ -100,7 +100,7 @@ func freshContextCall(pkg *Package, e ast.Expr) string {
 
 // checkSpawn flags a go statement whose goroutine blocks but neither
 // receives nor captures any in-scope Context.
-func checkSpawn(pass *ProgramPass, g *CallGraph, n *Node, stmt *ast.GoStmt, ctxParams []*types.Var) {
+func checkSpawn(pass *Pass, g *CallGraph, n *Node, stmt *ast.GoStmt, ctxParams []*types.Var) {
 	pkg := n.Pkg
 	// Receives the context as an argument?
 	for _, arg := range stmt.Call.Args {
@@ -122,7 +122,7 @@ func checkSpawn(pass *ProgramPass, g *CallGraph, n *Node, stmt *ast.GoStmt, ctxP
 		// graph. A callee that takes its own Context parameter is exempt
 		// even if the caller passed a different one — that is a wiring
 		// choice, not a dropped scope.
-		fn := calleeFunc(pkg, stmt.Call)
+		fn := pkg.calleeFunc(stmt.Call)
 		if fn == nil || len(contextParams(fn)) > 0 {
 			return
 		}

@@ -35,29 +35,15 @@ func writerSink(n *Node) bool {
 	return false
 }
 
-func runDetWallclockProgram(pass *ProgramPass) {
+// traceWriterWall reports blessed wall-clock reads in each writer's own
+// body and in the cone below each of its call edges.
+func traceWriterWall(pass *Pass) {
 	g := pass.Prog.Graph()
 	for _, root := range g.Nodes {
-		if !writerSink(root) {
-			continue
-		}
-		// The writer's own body: a blessed read here is just as much a
-		// leak into the artifact as one a call deep.
-		for _, w := range root.Facts().wall {
-			if w.blessed {
-				pass.Reportf(w.pos, "trace/flight writer %s contains a //maya:wallclock-blessed read time.%s; blessed accounting must never feed serialized artifacts", root.Decl.Name.Name, w.name)
-			}
-		}
-		for _, e := range root.Out {
-			if !followWriter(e) {
-				continue
-			}
-			start := &Visit{Node: e.Callee, Via: e}
-			reportWriterWall(pass, root, start)
-			g.Cone(start, func(e2 *Edge) bool { return followWriter(e2) }, func(v *Visit) bool {
-				reportWriterWall(pass, root, v)
-				return true
-			})
+		if writerSink(root) {
+			report := func(v *Visit) { reportWriterWall(pass, root, v) }
+			report(&Visit{Node: root})
+			g.edgeCones(root, followWriter, report)
 		}
 	}
 }
@@ -68,41 +54,36 @@ func followWriter(e *Edge) bool {
 	return !writerSink(e.Callee) && !e.Callee.File.Test
 }
 
-func reportWriterWall(pass *ProgramPass, root *Node, v *Visit) {
+func reportWriterWall(pass *Pass, root *Node, v *Visit) {
 	for _, w := range v.Node.Facts().wall {
 		if !w.blessed {
-			continue // flagged at its site by the per-package pass
+			continue // flagged at its site by the per-package check
+		}
+		if v.Via == nil {
+			// The writer's own body: a blessed read here is just as much a
+			// leak into the artifact as one a call deep.
+			pass.Reportf(w.pos, "trace/flight writer %s contains a //maya:wallclock-blessed read time.%s; blessed accounting must never feed serialized artifacts", root.Decl.Name.Name, w.name)
+			continue
 		}
 		pass.Reportf(v.Path()[0].Pos, "trace/flight writer %s reaches a //maya:wallclock-blessed read time.%s at %s (%s); blessed accounting must never feed serialized artifacts",
 			root.Decl.Name.Name, w.name, pass.Prog.relPos(w.pos), v.Chain())
 	}
 }
 
-// runDetRandProgram traces math/rand uses — which survive in the tree only
+// traceWriterRand traces math/rand uses — which survive in the tree only
 // under an audited //nolint:maya/detrand suppression — into the
 // determinism sinks: //maya:cachekey derivations are covered by the
-// cachekey cone walk, so this pass covers the trace/flight writers.
-func runDetRandProgram(pass *ProgramPass) {
+// cachekey cone walk, so this walk covers the trace/flight writers.
+func traceWriterRand(pass *Pass) {
 	g := pass.Prog.Graph()
 	for _, root := range g.Nodes {
-		if !writerSink(root) {
-			continue
-		}
-		for _, e := range root.Out {
-			if !followWriter(e) {
-				continue
-			}
-			start := &Visit{Node: e.Callee, Via: e}
-			reportWriterRand(pass, root, start)
-			g.Cone(start, func(e2 *Edge) bool { return followWriter(e2) }, func(v *Visit) bool {
-				reportWriterRand(pass, root, v)
-				return true
-			})
+		if writerSink(root) {
+			g.edgeCones(root, followWriter, func(v *Visit) { reportWriterRand(pass, root, v) })
 		}
 	}
 }
 
-func reportWriterRand(pass *ProgramPass, root *Node, v *Visit) {
+func reportWriterRand(pass *Pass, root *Node, v *Visit) {
 	for _, pos := range v.Node.Facts().mathRand {
 		pass.Reportf(v.Path()[0].Pos, "trace/flight writer %s reaches a math/rand use at %s (%s); suppressed math/rand must stay out of serialized artifacts",
 			root.Decl.Name.Name, pass.Prog.relPos(pos), v.Chain())

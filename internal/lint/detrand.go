@@ -11,22 +11,24 @@ import "strconv"
 // into the trace/flight writers, where it would corrupt reproducible
 // artifacts.
 var DetRand = &Analyzer{
-	Name:       "detrand",
-	Doc:        "math/rand is banned; use internal/rng so streams are seed-derived and reproducible",
-	Run:        runDetRand,
-	RunProgram: runDetRandProgram,
+	Name: "detrand",
+	Doc:  "math/rand is banned; use internal/rng so streams are seed-derived and reproducible",
+	Run:  runDetRand,
 }
 
 func runDetRand(pass *Pass) {
-	for _, f := range pass.Pkg.Files {
-		for _, imp := range f.AST.Imports {
-			path, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				continue
-			}
-			if path == "math/rand" || path == "math/rand/v2" {
-				pass.Reportf(imp.Pos(), "import of %s; use internal/rng (seed-derived, splittable streams) instead", path)
+	for _, pkg := range pass.Prog.Pkgs {
+		for _, f := range pkg.Files {
+			for _, imp := range f.AST.Imports {
+				path, err := strconv.Unquote(imp.Path.Value)
+				if err != nil {
+					continue
+				}
+				if path == "math/rand" || path == "math/rand/v2" {
+					pass.Reportf(imp.Pos(), "import of %s; use internal/rng (seed-derived, splittable streams) instead", path)
+				}
 			}
 		}
 	}
+	traceWriterRand(pass)
 }

@@ -14,29 +14,30 @@ import "go/ast"
 // because accounting values must never be serialized into artifacts the
 // byte-identity gates compare.
 var DetWallclock = &Analyzer{
-	Name:       "detwallclock",
-	Doc:        "time.Now/time.Since outside //maya:wallclock sites; blessed reads reachable from trace/flight writers",
-	Run:        runDetWallclock,
-	RunProgram: runDetWallclockProgram,
+	Name: "detwallclock",
+	Doc:  "time.Now/time.Since outside //maya:wallclock sites; blessed reads reachable from trace/flight writers",
+	Run:  runDetWallclock,
 }
 
 func runDetWallclock(pass *Pass) {
-	pkg := pass.Pkg
-	for _, f := range pkg.Files {
-		ast.Inspect(f.AST, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
+	for _, pkg := range pass.Prog.Pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f.AST, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				pkgPath, name := pkg.callPkgFunc(call)
+				if pkgPath != "time" || (name != "Now" && name != "Since") {
+					return true
+				}
+				if pkg.blessed(f, call.Pos(), DirWallclock) {
+					return true
+				}
+				pass.Reportf(call.Pos(), "wall-clock read time.%s outside a //maya:wallclock site; decisions and reports must be functions of the seed", name)
 				return true
-			}
-			pkgPath, name := pkg.callPkgFunc(call)
-			if pkgPath != "time" || (name != "Now" && name != "Since") {
-				return true
-			}
-			if pkg.blessed(f, call.Pos(), DirWallclock) {
-				return true
-			}
-			pass.Reportf(call.Pos(), "wall-clock read time.%s outside a //maya:wallclock site; decisions and reports must be functions of the seed", name)
-			return true
-		})
+			})
+		}
 	}
+	traceWriterWall(pass)
 }

@@ -45,7 +45,6 @@ type nolintDirective struct {
 	appliesTo int
 	names     []string // suppressed analyzer names, "maya/" prefix stripped
 	reason    string   // prose after the name list; Run reports a directive without one
-	used      bool
 }
 
 type directiveIndex struct {

@@ -8,18 +8,22 @@
 //
 // # The interprocedural engine
 //
-// Beyond the per-package passes, the framework builds a whole-program
-// call graph over go/types (callgraph.go): static calls and concrete
-// method calls resolve exactly; interface calls resolve by method
-// name+signature over the program's concrete method sets; calls through
-// function values — the runner/fleet callback fields — resolve to every
-// address-taken function of the same signature. Generic instantiations
-// collapse onto their origin declaration. Each graph node carries a
-// computed fact summary (facts.go): allocation sites, wall-clock reads
-// (with their //maya:wallclock blessing), blocking operations, map
-// ranges, and math/rand uses. Analyzers walk callee cones over these
-// summaries and report with full blame chains ("a → b → c"), so a
-// finding three calls deep lands on the call edge the author can see.
+// Load type-checks each directory once and resolves module imports to
+// those same units, so a declared function is one *types.Func
+// program-wide. The whole-program call graph (callgraph.go) therefore
+// resolves static calls and concrete method calls by object identity;
+// interface calls resolve by method name+signature over the program's
+// concrete method sets; calls through function values — the runner/fleet
+// callback fields — resolve to every address-taken function of the same
+// signature. Generic instantiations collapse onto their origin
+// declaration. Each graph node
+// carries a computed fact summary (facts.go): allocation sites, wall-clock
+// reads (with their //maya:wallclock blessing), blocking operations, map
+// ranges, and math/rand uses. Each analyzer makes one pass over the
+// Program: it reads an annotated function's own facts, then walks the
+// callee cone below each of its call edges over the same summaries and
+// reports with full blame chains ("a → b → c"), so a finding three calls
+// deep lands on the call edge the author can see.
 //
 // # Analyzers
 //
@@ -28,8 +32,8 @@
 //     writers (blessed accounting must never feed serialized artifacts).
 //   - detrand: any import of math/rand; use internal/rng. Suppressed
 //     survivors are still traced into trace/flight writer cones.
-//   - maprange: order-sensitive work (append, output, JSON, telemetry)
-//     inside a map range.
+//   - maprange: order-sensitive work (append, output, JSON, telemetry,
+//     float or string accumulation) inside a map range.
 //   - rngshare: a *rng.Stream crossing a goroutine boundary without child
 //     derivation — directly, via struct fields or composite literals, or
 //     through a callee that leaks its stream parameter (escape analysis

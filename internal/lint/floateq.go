@@ -21,29 +21,30 @@ var FloatEq = &Analyzer{
 }
 
 func runFloatEq(pass *Pass) {
-	pkg := pass.Pkg
-	for _, f := range pkg.Files {
-		if f.Test {
-			continue
+	for _, pkg := range pass.Prog.Pkgs {
+		for _, f := range pkg.Files {
+			if f.Test {
+				continue
+			}
+			ast.Inspect(f.AST, func(n ast.Node) bool {
+				bin, ok := n.(*ast.BinaryExpr)
+				if !ok || (bin.Op != token.EQL && bin.Op != token.NEQ) {
+					return true
+				}
+				if !isFloat(pkg.typeOf(bin.X)) && !isFloat(pkg.typeOf(bin.Y)) {
+					return true
+				}
+				// A comparison folded to a constant is decided at compile time.
+				if tv, ok := pkg.Info.Types[bin]; ok && tv.Value != nil {
+					return true
+				}
+				if isZeroConst(pkg, bin.X) || isZeroConst(pkg, bin.Y) {
+					return true
+				}
+				pass.Reportf(bin.OpPos, "float %s comparison; use a tolerance (exact comparisons diverge across runs and hosts)", bin.Op)
+				return true
+			})
 		}
-		ast.Inspect(f.AST, func(n ast.Node) bool {
-			bin, ok := n.(*ast.BinaryExpr)
-			if !ok || (bin.Op != token.EQL && bin.Op != token.NEQ) {
-				return true
-			}
-			if !isFloat(pkg.typeOf(bin.X)) && !isFloat(pkg.typeOf(bin.Y)) {
-				return true
-			}
-			// A comparison folded to a constant is decided at compile time.
-			if tv, ok := pkg.Info.Types[bin]; ok && tv.Value != nil {
-				return true
-			}
-			if isZeroConst(pkg, bin.X) || isZeroConst(pkg, bin.Y) {
-				return true
-			}
-			pass.Reportf(bin.OpPos, "float %s comparison; use a tolerance (exact comparisons diverge across runs and hosts)", bin.Op)
-			return true
-		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -52,23 +53,34 @@ func parseWants(t *testing.T, pkgs []*Package) []*expectation {
 	return out
 }
 
-func TestGoldenDiagnostics(t *testing.T) {
-	root := filepath.Join("testdata", "src")
-	pkgs, err := Load(root, []string{"./..."})
+// loadFixtures loads and type-checks testdata/src once per test binary;
+// the golden and call-graph tests share the Program.
+var loadFixtures = sync.OnceValues(func() (*Program, error) {
+	return Load(filepath.Join("testdata", "src"), []string{"./..."})
+})
+
+func fixtureProgram(t *testing.T) *Program {
+	t.Helper()
+	prog, err := loadFixtures()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkgs) == 0 {
+	return prog
+}
+
+func TestGoldenDiagnostics(t *testing.T) {
+	prog := fixtureProgram(t)
+	if len(prog.Pkgs) == 0 {
 		t.Fatal("no fixture packages loaded")
 	}
-	diags := Run(pkgs, Analyzers())
-	wants := parseWants(t, pkgs)
+	diags := Run(prog, Analyzers())
+	wants := parseWants(t, prog.Pkgs)
 
 	// Group by fixture directory so each analyzer's fixture is a named
-	// subtest, keeping one Load (and one shared importer) for all of them.
+	// subtest, keeping one Load for all of them.
 	byDir := func(file string) string { return filepath.Base(filepath.Dir(file)) }
 	fixtures := map[string]bool{}
-	for _, pkg := range pkgs {
+	for _, pkg := range prog.Pkgs {
 		fixtures[filepath.Base(pkg.Dir)] = true
 	}
 	for name := range fixtures {
@@ -111,11 +123,11 @@ func TestRepoIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := Load(root, []string{"./..."})
+	prog, err := Load(root, []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range Run(pkgs, Analyzers()) {
+	for _, d := range Run(prog, Analyzers()) {
 		t.Errorf("repo not lint-clean:\n  %s", d)
 	}
 }

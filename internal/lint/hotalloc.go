@@ -31,10 +31,9 @@ import (
 // The benchmark gate catches regressions at run time on one input; this
 // catches them at review time on every path.
 var HotAlloc = &Analyzer{
-	Name:       "hotalloc",
-	Doc:        "//maya:hotpath functions must not allocate (fmt, string building, interface boxing), transitively through their callee cone",
-	Run:        runHotAlloc,
-	RunProgram: runHotAllocProgram,
+	Name: "hotalloc",
+	Doc:  "//maya:hotpath functions must not allocate (fmt, string building, interface boxing), transitively through their callee cone",
+	Run:  runHotAlloc,
 }
 
 // allocKind classifies one allocation site for message rendering.
@@ -55,8 +54,7 @@ type allocSite struct {
 	a, b, c string
 }
 
-// direct renders the legacy intraprocedural message, reported when the
-// site sits in the annotated function itself.
+// direct renders the message for a site in the annotated function itself.
 func (s allocSite) direct(fn string) string {
 	switch s.kind {
 	case allocFmt:
@@ -80,59 +78,40 @@ func (s allocSite) short() string {
 	}
 }
 
+// runHotAlloc reports each //maya:hotpath function's own allocation sites,
+// then charges it for allocations in its callee cone. One diagnostic per
+// call edge leaving the hot function keeps the report readable: it names
+// the first allocation site (by BFS depth) with its blame chain and counts
+// the rest.
 func runHotAlloc(pass *Pass) {
-	pkg := pass.Pkg
-	for _, f := range pkg.Files {
-		for _, decl := range f.AST.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !pkg.funcDirective(fd, DirHotpath) {
-				continue
-			}
-			for _, site := range collectAllocs(pkg, fd) {
-				pass.Reportf(site.pos, "%s", site.direct(fd.Name.Name))
-			}
-		}
-	}
-}
-
-// runHotAllocProgram charges each //maya:hotpath function for allocations
-// in its callee cone. One diagnostic per call edge leaving the hot
-// function keeps the report readable: it names the first allocation site
-// (by BFS depth) with its blame chain and counts the rest.
-func runHotAllocProgram(pass *ProgramPass) {
 	g := pass.Prog.Graph()
 	for _, root := range g.Nodes {
 		if !root.Pkg.funcDirective(root.Decl, DirHotpath) {
 			continue
 		}
+		for _, site := range root.Facts().allocs {
+			pass.Reportf(site.pos, "%s", site.direct(root.Decl.Name.Name))
+		}
 		// Walk each out-edge's cone separately so blame lands on the edge.
-		reported := map[token.Pos]bool{}
 		for _, e := range root.Out {
-			if reported[e.Pos] || !followHot(g, e) {
+			if !followHot(e) {
 				continue
 			}
 			var first *Visit
 			var firstSite allocSite
 			count := 0
-			// A single-edge cone: seed the walk at the callee.
-			countNode := func(v *Visit) {
+			g.Cone(&Visit{Node: e.Callee, Via: e}, followHot, func(v *Visit) bool {
 				for _, site := range v.Node.Facts().allocs {
 					count++
 					if first == nil {
 						first, firstSite = v, site
 					}
 				}
-			}
-			start := &Visit{Node: e.Callee, Via: e}
-			countNode(start)
-			g.Cone(start, func(e2 *Edge) bool { return followHot(g, e2) }, func(v *Visit) bool {
-				countNode(v)
 				return true
 			})
 			if first == nil {
 				continue
 			}
-			reported[e.Pos] = true
 			more := ""
 			if count > 1 {
 				more = fmt.Sprintf(" (+%d more allocation sites in the cone)", count-1)
@@ -148,7 +127,7 @@ func runHotAllocProgram(pass *ProgramPass) {
 // edges are followed (interface and function-value dispatch over-
 // approximate too wildly to charge), and callees annotated //maya:hotpath
 // (audited on their own) or //maya:coldpath (asserted cold) stop the walk.
-func followHot(g *CallGraph, e *Edge) bool {
+func followHot(e *Edge) bool {
 	if e.Kind != KindStatic {
 		return false
 	}
@@ -157,10 +136,7 @@ func followHot(g *CallGraph, e *Edge) bool {
 		return false
 	}
 	// Test-only callees never run on the production tick.
-	if callee.File.Test {
-		return false
-	}
-	return true
+	return !callee.File.Test
 }
 
 // collectAllocs gathers the allocation sites in fd's body (closures

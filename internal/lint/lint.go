@@ -9,15 +9,14 @@ import (
 )
 
 // Analyzer is one project rule: a name (used in //nolint:maya/<name>
-// directives and -run filters), a one-line description, and up to two run
-// functions — Run inspects one type-checked package at a time; RunProgram
-// sees the whole program at once, with the call graph, for the
-// interprocedural rules. Either may be nil.
+// directives and -run filters), a one-line description, and a run function
+// that makes one pass over the whole Program — over its packages' syntax
+// for the per-package checks, and over its call graph for the
+// interprocedural ones.
 type Analyzer struct {
-	Name       string
-	Doc        string
-	Run        func(*Pass)
-	RunProgram func(*ProgramPass)
+	Name string
+	Doc  string
+	Run  func(*Pass)
 }
 
 // Diagnostic is one finding, positioned for editors and CI annotations.
@@ -34,34 +33,18 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.File, d.Line, d.Col, d.Analyzer, d.Message)
 }
 
-// Pass is one analyzer's view of one package.
+// Pass is one analyzer's view of the program.
 type Pass struct {
-	Analyzer *Analyzer
-	Pkg      *Package
-	diags    *[]Diagnostic
-}
-
-// Reportf records a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	report(p.Pkg.Fset, p.Analyzer.Name, p.diags, pos, format, args...)
-}
-
-// ProgramPass is one analyzer's view of the whole program.
-type ProgramPass struct {
 	Analyzer *Analyzer
 	Prog     *Program
 	diags    *[]Diagnostic
 }
 
 // Reportf records a finding at pos.
-func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
-	report(p.Prog.Fset, p.Analyzer.Name, p.diags, pos, format, args...)
-}
-
-func report(fset *token.FileSet, analyzer string, diags *[]Diagnostic, pos token.Pos, format string, args ...any) {
-	position := fset.Position(pos)
-	*diags = append(*diags, Diagnostic{
-		Analyzer: analyzer,
+func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	position := p.Prog.Fset.Position(pos)
+	*p.diags = append(*p.diags, Diagnostic{
+		Analyzer: p.Analyzer.Name,
 		File:     position.Filename,
 		Line:     position.Line,
 		Col:      position.Column,
@@ -90,51 +73,29 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// Run applies the analyzers to every package, resolves //nolint:maya/<name>
-// suppressions, reports unused, unknown or reason-less suppressions, and
-// returns the surviving diagnostics sorted by position. The whole-program
-// analyzers run over a Program built from the same packages; build one
-// explicitly with NewProgram and call RunProgram to amortize the call
-// graph across several invocations.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return RunProgram(NewProgram(pkgs), analyzers)
-}
-
-// RunProgram is Run over a pre-built Program.
-func RunProgram(prog *Program, analyzers []*Analyzer) []Diagnostic {
+// Run applies the analyzers to the program, routes each finding to the
+// package owning its file, resolves //nolint:maya/<name> suppressions
+// there, reports unused, unknown or reason-less suppressions, and returns
+// the surviving diagnostics sorted by position. Runs over one Program share
+// its call graph and function facts and give the same result.
+func Run(prog *Program, analyzers []*Analyzer) []Diagnostic {
 	known := make(map[string]bool, len(analyzers))
+	var raw []Diagnostic
 	for _, a := range analyzers {
 		known[a.Name] = true
+		a.Run(&Pass{Analyzer: a, Prog: prog, diags: &raw})
 	}
-	// Per-package passes.
-	rawByPkg := make(map[*Package][]Diagnostic, len(prog.Pkgs))
-	for _, pkg := range prog.Pkgs {
-		var raw []Diagnostic
-		for _, a := range analyzers {
-			if a.Run != nil {
-				a.Run(&Pass{Analyzer: a, Pkg: pkg, diags: &raw})
-			}
-		}
-		rawByPkg[pkg] = raw
-	}
-	// Whole-program passes; findings route to the package owning the file
-	// so the package's suppression index covers them.
-	var progDiags []Diagnostic
-	for _, a := range analyzers {
-		if a.RunProgram != nil {
-			a.RunProgram(&ProgramPass{Analyzer: a, Prog: prog, diags: &progDiags})
-		}
-	}
+	byPkg := make(map[*Package][]Diagnostic, len(prog.Pkgs))
 	var out []Diagnostic
-	for _, d := range progDiags {
+	for _, d := range raw {
 		if pkg := prog.owner[d.File]; pkg != nil {
-			rawByPkg[pkg] = append(rawByPkg[pkg], d)
+			byPkg[pkg] = append(byPkg[pkg], d)
 		} else {
 			out = append(out, d)
 		}
 	}
 	for _, pkg := range prog.Pkgs {
-		out = append(out, suppress(pkg, rawByPkg[pkg], known)...)
+		out = append(out, suppress(pkg, byPkg[pkg], known)...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -166,10 +127,13 @@ func suppress(pkg *Package, raw []Diagnostic, ran map[string]bool) []Diagnostic 
 		registered[a.Name] = true
 	}
 	dirs := pkg.directives()
+	// Marks stay local: the directive index is cached on the package and
+	// shared by every Run over it.
+	used := map[*nolintDirective]bool{}
 	var out []Diagnostic
 	for _, d := range raw {
 		if nd := dirs.suppressing(d); nd != nil {
-			nd.used = true
+			used[nd] = true
 			continue
 		}
 		out = append(out, d)
@@ -196,7 +160,7 @@ func suppress(pkg *Package, raw []Diagnostic, ran map[string]bool) []Diagnostic 
 				relevant = true
 			}
 		}
-		if !nd.used && relevant {
+		if !used[nd] && relevant {
 			out = append(out, Diagnostic{
 				Analyzer: NolintName, File: nd.file, Line: nd.line, Col: nd.col,
 				Message: "unused nolint suppression (no finding on this line)",

@@ -25,8 +25,8 @@ type File struct {
 // Package is one type-checked unit: either a package's compiled files plus
 // its in-package tests, or the external _test package of a directory.
 type Package struct {
-	// Path is the import path ("…/internal/core"); external test packages
-	// carry the conventional ".test" suffix.
+	// Path is the import path ("…/internal/core"); an external test
+	// package's path ends in "_test", as the go tool names it.
 	Path  string
 	Dir   string
 	Fset  *token.FileSet
@@ -44,12 +44,20 @@ type Package struct {
 }
 
 // Load parses and type-checks the packages matched by the go-style dir
-// patterns ("./...", "./internal/core", "."), resolved relative to dir.
-// testdata, hidden, and underscore-prefixed directories are skipped, as the
-// go tool does. Loading is lenient: type errors are collected on the
-// package, not fatal, so analyzers see as much of the tree as possible.
-func Load(dir string, patterns []string) ([]*Package, error) {
-	modRoot, modPath, err := findModule(dir)
+// patterns ("./...", "./internal/core", "."), resolved relative to dir, and
+// returns them as one Program. testdata, hidden, and underscore-prefixed
+// directories are skipped, as the go tool does.
+//
+// Each directory is type-checked once. A module import resolves to the
+// loader's own unit for that directory, so a declared function is one
+// *types.Func program-wide; a dependency outside the patterns is checked
+// on its first import but is not part of the Program, so nothing is
+// reported on it. The standard library goes through one shared source
+// importer. Loading is lenient: type errors, an import cycle among them,
+// are collected on the package, not fatal, so analyzers see as much of the
+// tree as possible.
+func Load(dir string, patterns []string) (*Program, error) {
+	root, modPath, err := findModule(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -58,28 +66,37 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	// One importer instance for the whole run so its source-level package
-	// cache is shared across every unit we check.
-	imp := importer.ForCompiler(fset, "source", nil)
-	var pkgs []*Package
-	for _, d := range dirs {
-		units, err := loadDir(fset, imp, d, modRoot, modPath)
+	l := &loader{
+		fset: fset, root: root, modPath: modPath,
+		std:   importer.ForCompiler(fset, "source", nil),
+		dirs:  map[string]string{},
+		units: map[string]*unit{},
+	}
+	paths := make([]string, len(dirs))
+	for i, d := range dirs {
+		paths[i] = l.importPath(d)
+		l.dirs[paths[i]] = d
+	}
+	prog := &Program{Fset: fset, Root: root, owner: map[string]*Package{}}
+	for _, path := range paths {
+		u, err := l.load(path)
 		if err != nil {
 			return nil, err
 		}
-		pkgs = append(pkgs, units...)
+		if u.ext != nil {
+			l.check(u.ext)
+		}
+		for _, pkg := range []*Package{u.pkg, u.ext} {
+			if pkg == nil {
+				continue
+			}
+			prog.Pkgs = append(prog.Pkgs, pkg)
+			for _, f := range pkg.Files {
+				prog.owner[f.Name] = pkg
+			}
+		}
 	}
-	return pkgs, nil
-}
-
-// ModuleRoot resolves the enclosing module root for dir, for rebasing
-// SARIF URIs and suppression-report paths.
-func ModuleRoot(dir string) (string, error) {
-	root, _, err := findModule(dir)
-	if err != nil {
-		return "", err
-	}
-	return root, nil
+	return prog, nil
 }
 
 // findModule walks up from dir to the enclosing go.mod and returns the
@@ -181,13 +198,87 @@ func hasGoFiles(dir string) bool {
 	return false
 }
 
-// loadDir parses one directory and type-checks it as up to two units: the
-// package (compiled sources plus in-package tests) and, when present, the
-// external _test package.
-func loadDir(fset *token.FileSet, imp types.Importer, dir, modRoot, modPath string) ([]*Package, error) {
-	ents, err := os.ReadDir(dir)
+// loader type-checks each directory of the module once, on its first
+// import or pattern match; it is also the type checker's importer.
+type loader struct {
+	fset          *token.FileSet
+	root, modPath string
+	std           types.Importer    // the standard library, shared by every unit
+	dirs          map[string]string // import path → directory as the patterns spell it
+	// units maps an import path to its directory's units. A nil entry is a
+	// unit being checked, so an import that reaches it again is a cycle.
+	units map[string]*unit
+}
+
+// unit is one parsed directory: its compiled package (with in-package
+// tests) and its external _test package, either of which may be absent.
+type unit struct {
+	pkg, ext *Package
+	err      error // the directory could not be read or parsed
+}
+
+// Import resolves the type checker's imports: module paths to the
+// loader's own units, everything else to the standard library.
+func (l *loader) Import(path string) (*types.Package, error) {
+	if path != l.modPath && !strings.HasPrefix(path, l.modPath+"/") {
+		return l.std.Import(path)
+	}
+	u, err := l.load(path)
 	if err != nil {
 		return nil, err
+	}
+	if u.pkg == nil {
+		return nil, fmt.Errorf("lint: no non-test Go files in %s", path)
+	}
+	return u.pkg.Types, nil
+}
+
+// load parses the directory of a module import path and type-checks its
+// compiled package, once. The external _test package is parsed with it
+// but left to Load, since only a pattern match checks it.
+func (l *loader) load(path string) (*unit, error) {
+	if u, seen := l.units[path]; seen {
+		if u == nil {
+			return nil, fmt.Errorf("lint: import cycle through %s", path)
+		}
+		return u, u.err
+	}
+	l.units[path] = nil
+	// A directory the patterns matched keeps their spelling, so its file
+	// names do not depend on whether an import reached it first.
+	dir, ok := l.dirs[path]
+	if !ok {
+		dir = filepath.Join(l.root, filepath.FromSlash(strings.TrimPrefix(path, l.modPath)))
+	}
+	u := &unit{}
+	u.pkg, u.ext, u.err = l.parseDir(path, dir)
+	if u.pkg != nil {
+		l.check(u.pkg)
+	}
+	l.units[path] = u
+	return u, u.err
+}
+
+// importPath maps a directory to its import path within the module.
+func (l *loader) importPath(dir string) string {
+	// root is absolute (findModule resolves it) but dir is whatever the
+	// caller passed; resolve it so Rel yields the real module-relative path
+	// and distinct directories never collapse onto the same import path.
+	if absDir, err := filepath.Abs(dir); err == nil {
+		if rel, err := filepath.Rel(l.root, absDir); err == nil && rel != "." && !strings.HasPrefix(rel, "..") {
+			return l.modPath + "/" + filepath.ToSlash(rel)
+		}
+	}
+	return l.modPath
+}
+
+// parseDir parses one directory into up to two units: the package
+// (compiled sources plus in-package tests) and, when present, the external
+// _test package.
+func (l *loader) parseDir(path, dir string) (pkg, ext *Package, err error) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, nil, err
 	}
 	var inPkg, extTest []*File
 	for _, e := range ents {
@@ -195,61 +286,47 @@ func loadDir(fset *token.FileSet, imp types.Importer, dir, modRoot, modPath stri
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 			continue
 		}
-		path := filepath.Join(dir, name)
-		src, err := os.ReadFile(path)
+		file := filepath.Join(dir, name)
+		src, err := os.ReadFile(file)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		af, err := parser.ParseFile(fset, path, src, parser.ParseComments)
+		af, err := parser.ParseFile(l.fset, file, src, parser.ParseComments)
 		if err != nil {
-			return nil, fmt.Errorf("lint: %w", err)
+			return nil, nil, fmt.Errorf("lint: %w", err)
 		}
-		f := &File{AST: af, Name: path, Test: strings.HasSuffix(name, "_test.go"), src: src}
+		f := &File{AST: af, Name: file, Test: strings.HasSuffix(name, "_test.go"), src: src}
 		if f.Test && strings.HasSuffix(af.Name.Name, "_test") {
 			extTest = append(extTest, f)
 		} else {
 			inPkg = append(inPkg, f)
 		}
 	}
-	// modRoot is absolute (findModule resolves it) but dir is whatever the
-	// caller passed; resolve it so Rel yields the real module-relative path
-	// and distinct directories never collapse onto the same import path.
-	importPath := modPath
-	if absDir, err := filepath.Abs(dir); err == nil {
-		if rel, err := filepath.Rel(modRoot, absDir); err == nil && rel != "." && !strings.HasPrefix(rel, "..") {
-			importPath = modPath + "/" + filepath.ToSlash(rel)
+	newPkg := func(path string, files []*File) *Package {
+		if len(files) == 0 {
+			return nil
 		}
+		return &Package{Path: path, Dir: dir, Fset: l.fset, Files: files}
 	}
-	var pkgs []*Package
-	if len(inPkg) > 0 {
-		pkgs = append(pkgs, check(fset, imp, importPath, dir, inPkg))
-	}
-	if len(extTest) > 0 {
-		pkgs = append(pkgs, check(fset, imp, importPath+".test", dir, extTest))
-	}
-	return pkgs, nil
+	return newPkg(path, inPkg), newPkg(path+"_test", extTest), nil
 }
 
 // check type-checks one unit leniently, recording rather than failing on
 // type errors.
-func check(fset *token.FileSet, imp types.Importer, path, dir string, files []*File) *Package {
-	pkg := &Package{Path: path, Dir: dir, Fset: fset, Files: files}
-	info := &types.Info{
+func (l *loader) check(pkg *Package) {
+	pkg.Info = &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	conf := types.Config{
-		Importer: imp,
+		Importer: l,
 		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
 	}
-	asts := make([]*ast.File, len(files))
-	for i, f := range files {
+	asts := make([]*ast.File, len(pkg.Files))
+	for i, f := range pkg.Files {
 		asts[i] = f.AST
 	}
-	tpkg, _ := conf.Check(strings.TrimSuffix(path, ".test"), fset, asts, info)
-	pkg.Types = tpkg
-	pkg.Info = info
-	return pkg
+	pkg.Types, _ = conf.Check(pkg.Path, l.fset, asts, pkg.Info)
 }

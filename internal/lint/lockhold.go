@@ -23,9 +23,9 @@ import (
 // tracked: an Unlock in a conditional branch keeps the lock held on the
 // fallthrough analysis, which errs on the reporting side.
 var LockHold = &Analyzer{
-	Name:       "lockhold",
-	Doc:        "mutex held across a channel operation, WaitGroup.Wait, sleep, or a transitively blocking call",
-	RunProgram: runLockHold,
+	Name: "lockhold",
+	Doc:  "mutex held across a channel operation, WaitGroup.Wait, sleep, or a transitively blocking call",
+	Run:  runLockHold,
 }
 
 // heldLock is one currently-held mutex, keyed by the rendered receiver
@@ -35,7 +35,7 @@ type heldLock struct {
 	pos  token.Pos // the Lock call
 }
 
-func runLockHold(pass *ProgramPass) {
+func runLockHold(pass *Pass) {
 	g := pass.Prog.Graph()
 	for _, n := range g.Nodes {
 		lh := &lockWalker{pass: pass, g: g, node: n}
@@ -44,7 +44,7 @@ func runLockHold(pass *ProgramPass) {
 }
 
 type lockWalker struct {
-	pass *ProgramPass
+	pass *Pass
 	g    *CallGraph
 	node *Node
 }
@@ -230,7 +230,7 @@ func (w *lockWalker) checkCall(call *ast.CallExpr, held map[string]heldLock) {
 	}
 	// Transitive: does the callee's cone contain a blocking operation on
 	// the calling goroutine?
-	callee := w.g.NodeOf(calleeFunc(pkg, call))
+	callee := w.g.NodeOf(pkg.calleeFunc(call))
 	if callee == nil || callee == w.node {
 		return
 	}
@@ -247,23 +247,19 @@ func (w *lockWalker) checkCall(call *ast.CallExpr, held map[string]heldLock) {
 func findBlocking(g *CallGraph, start *Visit) (*Visit, *blockSite) {
 	var found *Visit
 	var site *blockSite
-	check := func(v *Visit) bool {
+	g.Cone(start, func(e *Edge) bool {
+		return e.Kind == KindStatic && !e.Spawned && !e.Callee.File.Test
+	}, func(v *Visit) bool {
+		if found != nil {
+			return false
+		}
 		for i := range v.Node.Facts().blocks {
-			b := &v.Node.Facts().blocks[i]
-			if !b.spawned {
+			if b := &v.Node.Facts().blocks[i]; !b.spawned {
 				found, site = v, b
 				return false
 			}
 		}
 		return true
-	}
-	if !check(start) {
-		return found, site
-	}
-	g.Cone(start, func(e *Edge) bool {
-		return e.Kind == KindStatic && !e.Spawned && !e.Callee.File.Test
-	}, func(v *Visit) bool {
-		return found == nil && check(v)
 	})
 	return found, site
 }

@@ -2,14 +2,18 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
 // MapRange flags ranging over a map when the loop body does something
 // order-sensitive: appends to a slice, writes output (fmt/log calls, Write*
-// methods), encodes JSON, or records telemetry. Go randomizes map iteration
-// order per run, so any of these turns a byte-identical report into a
-// flaky one. Order-insensitive map loops (sums, max scans, set membership)
+// methods), encodes JSON, records telemetry, or accumulates into a float or
+// string declared outside the loop with +=, -=, *= or /=. Go randomizes map
+// iteration order per run, so any of these turns a byte-identical report
+// into a flaky one: string concatenation follows the order outright, and
+// float arithmetic is not associative, so a float sum's low bits do too.
+// Order-insensitive map loops (integer sums, max scans, set membership)
 // are fine and not flagged.
 //
 // The canonical fix — collect the keys, sort, iterate the sorted slice —
@@ -22,32 +26,28 @@ var MapRange = &Analyzer{
 }
 
 func runMapRange(pass *Pass) {
-	pkg := pass.Pkg
-	for _, f := range pkg.Files {
-		ast.Inspect(f.AST, func(n ast.Node) bool {
-			var list []ast.Stmt
-			switch v := n.(type) {
-			case *ast.BlockStmt:
-				list = v.List
-			case *ast.CaseClause:
-				list = v.Body
-			case *ast.CommClause:
-				list = v.Body
-			default:
+	for _, pkg := range pass.Prog.Pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f.AST, func(n ast.Node) bool {
+				var list []ast.Stmt
+				switch v := n.(type) {
+				case *ast.BlockStmt:
+					list = v.List
+				case *ast.CaseClause:
+					list = v.Body
+				case *ast.CommClause:
+					list = v.Body
+				default:
+					return true
+				}
+				for i, stmt := range list {
+					if rs := asRange(stmt); rs != nil && mapUnder(pkg.typeOf(rs.X)) {
+						checkMapRangeBody(pass, pkg, rs, list[i+1:])
+					}
+				}
 				return true
-			}
-			for i, stmt := range list {
-				rs := asRange(stmt)
-				if rs == nil {
-					continue
-				}
-				if !mapUnder(pkg.typeOf(rs.X)) {
-					continue
-				}
-				checkMapRangeBody(pass, rs, list[i+1:])
-			}
-			return true
-		})
+			})
+		}
 	}
 }
 
@@ -75,30 +75,53 @@ func mapUnder(t types.Type) bool {
 // checkMapRangeBody reports order-sensitive operations in the body of a
 // map-range statement; rest is the statement list following the loop in
 // the same block, scanned for the sort-after-append blessing.
-func checkMapRangeBody(pass *Pass, rs *ast.RangeStmt, rest []ast.Stmt) {
-	pkg := pass.Pkg
+func checkMapRangeBody(pass *Pass, pkg *Package, rs *ast.RangeStmt, rest []ast.Stmt) {
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		switch {
-		case pkg.isBuiltin(call, "append"):
-			if len(call.Args) == 0 {
-				return true
+		switch v := n.(type) {
+		case *ast.AssignStmt:
+			if kind := accumulation(pkg, rs, v); kind != "" {
+				pass.Reportf(v.TokPos, "%s %s inside a map range accumulates in randomized order; iterate sorted keys instead", kind, v.Tok)
 			}
-			dst := rootIdent(call.Args[0])
-			if dst != nil && sortedAfter(pkg, dst.Name, rest) {
-				return true
-			}
-			pass.Reportf(call.Pos(), "append inside a map range builds a slice in randomized order; collect keys and sort, or sort the result in the same block")
-		default:
-			if why := orderSensitiveCall(pkg, call); why != "" {
-				pass.Reportf(call.Pos(), "%s inside a map range happens in randomized order; iterate sorted keys instead", why)
+		case *ast.CallExpr:
+			if pkg.isBuiltin(v, "append") {
+				if len(v.Args) == 0 {
+					return true
+				}
+				dst := rootIdent(v.Args[0])
+				if dst != nil && sortedAfter(pkg, dst.Name, rest) {
+					return true
+				}
+				pass.Reportf(v.Pos(), "append inside a map range builds a slice in randomized order; collect keys and sort, or sort the result in the same block")
+			} else if why := orderSensitiveCall(pkg, v); why != "" {
+				pass.Reportf(v.Pos(), "%s inside a map range happens in randomized order; iterate sorted keys instead", why)
 			}
 		}
 		return true
 	})
+}
+
+// accumulation returns "float" or "string" when as is a +=, -=, *= or /=
+// into a float or string that outlives one iteration of rs: one declared
+// outside the loop, or reached through something that is. Integer
+// accumulation is exact in any order and returns "".
+func accumulation(pkg *Package, rs *ast.RangeStmt, as *ast.AssignStmt) string {
+	switch as.Tok {
+	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+	default:
+		return ""
+	}
+	if root := rootIdent(as.Lhs[0]); root != nil {
+		if obj := pkg.Info.Uses[root]; obj != nil && rs.Pos() <= obj.Pos() && obj.Pos() < rs.End() {
+			return "" // a per-iteration variable
+		}
+	}
+	switch t := pkg.typeOf(as.Lhs[0]); {
+	case isFloat(t):
+		return "float"
+	case isString(t):
+		return "string"
+	}
+	return ""
 }
 
 // orderSensitiveCall classifies calls whose per-iteration effect is visible

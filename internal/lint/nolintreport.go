@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // The nolint report is the audit surface for suppressions: every
 // //nolint:maya directive in the tree, with the analyzers it silences and
@@ -22,19 +19,10 @@ type Suppression struct {
 // sorted by position. root rebases file paths when non-empty.
 func NolintReport(pkgs []*Package, root string) []Suppression {
 	var entries []Suppression
-	seen := map[string]bool{}
 	for _, pkg := range pkgs {
 		for _, nd := range pkg.directives().nolints {
-			file := sarifURI(nd.file, root)
-			// In-package and external-test units of one directory parse the
-			// same files' neighbors; dedupe by position.
-			key := fmt.Sprintf("%s:%d", file, nd.line)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
 			entries = append(entries, Suppression{
-				File: file, Line: nd.line, Analyzers: nd.names, Reason: nd.reason,
+				File: sarifURI(nd.file, root), Line: nd.line, Analyzers: nd.names, Reason: nd.reason,
 			})
 		}
 	}

@@ -10,11 +10,11 @@ import (
 // reason-less one among them; rejecting it is Run's job
 // (TestGoldenDiagnostics).
 func TestNolintReport(t *testing.T) {
-	pkgs, err := Load(filepath.Join("testdata", "src"), []string{"./nolint"})
+	prog, err := Load(filepath.Join("testdata", "src"), []string{"./nolint"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := NolintReport(pkgs, "")
+	entries := NolintReport(prog.Pkgs, "")
 	if len(entries) != 5 {
 		t.Fatalf("entries = %d, want 5:\n%+v", len(entries), entries)
 	}

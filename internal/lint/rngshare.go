@@ -24,38 +24,38 @@ import (
 // Capturing a parent stream only to derive per-index children inside the
 // goroutine via ChildAt is the documented safe pattern and is allowed.
 var RNGShare = &Analyzer{
-	Name:       "rngshare",
-	Doc:        "a *rng.Stream crossing a goroutine boundary (directly, via a struct, or via a callee that leaks its parameter) must be a derived child stream",
-	Run:        runRNGShare,
-	RunProgram: runRNGShareProgram,
+	Name: "rngshare",
+	Doc:  "a *rng.Stream crossing a goroutine boundary (directly, via a struct, or via a callee that leaks its parameter) must be a derived child stream",
+	Run:  runRNGShare,
 }
 
 func runRNGShare(pass *Pass) {
-	pkg := pass.Pkg
-	for _, f := range pkg.Files {
-		ast.Inspect(f.AST, func(n ast.Node) bool {
-			switch v := n.(type) {
-			case *ast.SendStmt:
-				if isRNGStream(pkg.typeOf(v.Value)) {
-					pass.Reportf(v.Value.Pos(), "*rng.Stream sent over a channel; the receiver cannot know the stream's draw position — send a seed or derive a child stream")
+	for _, pkg := range pass.Prog.Pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f.AST, func(n ast.Node) bool {
+				switch v := n.(type) {
+				case *ast.SendStmt:
+					if isRNGStream(pkg.typeOf(v.Value)) {
+						pass.Reportf(v.Value.Pos(), "*rng.Stream sent over a channel; the receiver cannot know the stream's draw position — send a seed or derive a child stream")
+					}
+					reportStreamFields(pass, pkg, v.Value, "sent over a channel")
+				case *ast.GoStmt:
+					checkGoCall(pass, pkg, v.Call)
+					for _, arg := range v.Call.Args {
+						reportStreamFields(pass, pkg, arg, "passed to a goroutine")
+					}
 				}
-				reportStreamFields(pass, v.Value, "sent over a channel")
-			case *ast.GoStmt:
-				checkGoCall(pass, v.Call)
-				for _, arg := range v.Call.Args {
-					reportStreamFields(pass, arg, "passed to a goroutine")
-				}
-			}
-			return true
-		})
-		checkFieldStores(pass, f)
+				return true
+			})
+			checkFieldStores(pass, pkg, f)
+		}
 	}
+	reportParamEscapes(pass)
 }
 
 // reportStreamFields flags composite literals carrying a *rng.Stream field
 // inside an expression that crosses a goroutine boundary.
-func reportStreamFields(pass *Pass, expr ast.Expr, how string) {
-	pkg := pass.Pkg
+func reportStreamFields(pass *Pass, pkg *Package, expr ast.Expr, how string) {
 	ast.Inspect(expr, func(n ast.Node) bool {
 		lit, ok := n.(*ast.CompositeLit)
 		if !ok {
@@ -77,8 +77,7 @@ func reportStreamFields(pass *Pass, expr ast.Expr, how string) {
 // checkFieldStores flags storing a *rng.Stream into a field of a value
 // that is itself shared across a goroutine boundary in the same function:
 // the classic build-struct-then-hand-to-goroutine leak.
-func checkFieldStores(pass *Pass, f *File) {
-	pkg := pass.Pkg
+func checkFieldStores(pass *Pass, pkg *Package, f *File) {
 	for _, decl := range f.AST.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
 		if !ok || fd.Body == nil {
@@ -156,10 +155,10 @@ func markFreeIdents(pkg *Package, shared map[types.Object]bool, lit *ast.FuncLit
 	})
 }
 
-// runRNGShareProgram computes, as a fixpoint over the call graph, which
+// reportParamEscapes computes, as a fixpoint over the call graph, which
 // *rng.Stream parameters escape across a goroutine boundary inside each
 // function, then flags the call sites that feed streams into them.
-func runRNGShareProgram(pass *ProgramPass) {
+func reportParamEscapes(pass *Pass) {
 	g := pass.Prog.Graph()
 	esc := map[*Node]uint64{}
 	// Seed: direct escapes inside each body.
@@ -192,7 +191,7 @@ func runRNGShareProgram(pass *ProgramPass) {
 				if goCalls[v] {
 					return true
 				}
-				callee := g.NodeOf(calleeFunc(pkg, v))
+				callee := g.NodeOf(pkg.calleeFunc(v))
 				if callee == nil || esc[callee] == 0 {
 					return true
 				}
@@ -276,7 +275,7 @@ func forwardedEscapes(g *CallGraph, n *Node, esc map[*Node]uint64) uint64 {
 		if !ok {
 			return true
 		}
-		callee := g.NodeOf(calleeFunc(pkg, call))
+		callee := g.NodeOf(pkg.calleeFunc(call))
 		if callee == nil || esc[callee] == 0 {
 			return true
 		}
@@ -322,8 +321,7 @@ func paramObjects(n *Node) []types.Object {
 	return out
 }
 
-func checkGoCall(pass *Pass, call *ast.CallExpr) {
-	pkg := pass.Pkg
+func checkGoCall(pass *Pass, pkg *Package, call *ast.CallExpr) {
 	for _, arg := range call.Args {
 		if isRNGStream(pkg.typeOf(arg)) {
 			pass.Reportf(arg.Pos(), "*rng.Stream passed to a goroutine; draws would interleave with the owner — derive a child stream (rng.NewChild / ChildAt)")

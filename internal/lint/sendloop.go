@@ -19,12 +19,12 @@ import (
 // exempt: select makes the blocking explicit and usually pairs the send
 // with a cancellation case.
 var SendLoop = &Analyzer{
-	Name:       "sendloop",
-	Doc:        "send on a provably-unbuffered channel inside a //maya:hotpath loop or range-over-channel tick loop",
-	RunProgram: runSendLoop,
+	Name: "sendloop",
+	Doc:  "send on a provably-unbuffered channel inside a //maya:hotpath loop or range-over-channel tick loop",
+	Run:  runSendLoop,
 }
 
-func runSendLoop(pass *ProgramPass) {
+func runSendLoop(pass *Pass) {
 	g := pass.Prog.Graph()
 	for _, n := range g.Nodes {
 		unbuffered := unbufferedChans(n)
@@ -93,7 +93,7 @@ func isUnbufferedMake(pkg *Package, e ast.Expr) bool {
 // checkSendLoops walks the loops of n and flags unbuffered sends inside
 // loops that qualify as hot: any loop when the function is //maya:hotpath,
 // else only range-over-channel loops.
-func checkSendLoops(pass *ProgramPass, n *Node, unbuffered map[types.Object]bool, hot bool) {
+func checkSendLoops(pass *Pass, n *Node, unbuffered map[types.Object]bool, hot bool) {
 	pkg := n.Pkg
 	var walk func(node ast.Node, inHotLoop bool, loopKind string)
 	walk = func(node ast.Node, inHotLoop bool, loopKind string) {

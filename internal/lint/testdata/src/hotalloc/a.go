@@ -48,3 +48,15 @@ func cold(n int, name string) interface{} {
 	sink(name + "!")
 	return n
 }
+
+// label allocates; it is not a hot path itself.
+func label(n int) string { return fmt.Sprint(n) }
+
+// stepTwice calls label from two call sites, and each call edge carries
+// its own finding.
+//
+//maya:hotpath
+func stepTwice(n int) {
+	label(n)     // want "call to .*label in hot path stepTwice reaches an allocation: fmt.Sprint call at .*hotalloc/a.go:53 .*stepTwice → .*label.$"
+	label(n + 1) // want "call to .*label in hot path stepTwice reaches an allocation: fmt.Sprint call"
+}

@@ -50,11 +50,25 @@ func badTelemetry(m map[string]int, c *telemetry.Counter) {
 	}
 }
 
-// goodSum is order-insensitive and must not be flagged.
-func goodSum(m map[string]float64) float64 {
+// floatSum looks order-insensitive, but float addition is not associative:
+// the sum's low bits follow the randomized iteration order.
+func floatSum(m map[string]float64) float64 {
 	total := 0.0
 	for _, v := range m {
-		total += v
+		total += v // want "float \+= inside a map range accumulates in randomized order"
 	}
 	return total
+}
+
+// goodSum is exact in any order and must not be flagged, and neither must
+// arithmetic on a per-iteration variable.
+func goodSum(m map[string]int) (int, float64) {
+	total, peak := 0, 0.0
+	for _, v := range m {
+		total += v
+		scaled := float64(v)
+		scaled *= 2
+		peak = max(peak, scaled)
+	}
+	return total, peak
 }

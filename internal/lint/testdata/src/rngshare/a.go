@@ -52,3 +52,26 @@ func goodNewChild(seed uint64) {
 	}()
 	<-done
 }
+
+// spawnDraw leaks its stream parameter into a goroutine.
+func spawnDraw(r *rng.Stream, wg *sync.WaitGroup) {
+	go func() {
+		defer wg.Done()
+		_ = r.Float64() // want "goroutine closure captures"
+	}()
+}
+
+// forwardDraw leaks its parameter one call further down: the escape
+// fixpoint carries spawnDraw's leak up to it.
+func forwardDraw(r *rng.Stream, wg *sync.WaitGroup) {
+	spawnDraw(r, wg) // want "passing \*rng.Stream to .*spawnDraw, which leaks parameter 0 across a goroutine boundary"
+}
+
+func badLeak(seed uint64) {
+	r := rng.New(seed)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	spawnDraw(r, &wg)   // want "passing \*rng.Stream to .*spawnDraw, which leaks parameter 0"
+	forwardDraw(r, &wg) // want "passing \*rng.Stream to .*forwardDraw, which leaks parameter 0"
+	wg.Wait()
+}

@@ -5,25 +5,33 @@ import (
 	"go/types"
 )
 
-// calleeObject resolves a call's callee to its types.Object (function or
-// builtin), or nil when type information is missing.
-func (p *Package) calleeObject(call *ast.CallExpr) types.Object {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return p.Info.Uses[fun]
-	case *ast.SelectorExpr:
-		return p.Info.Uses[fun.Sel]
+// calleeFunc resolves a call's callee to the declared function or method
+// it invokes, unwrapping explicit generic instantiation (f[T](...)); nil
+// for builtins, conversions, function values, and missing type information.
+func (p *Package) calleeFunc(call *ast.CallExpr) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ast.Unparen(ix.X)
+	case *ast.IndexListExpr:
+		fun = ast.Unparen(ix.X)
 	}
-	return nil
+	var fn *types.Func
+	switch v := fun.(type) {
+	case *ast.Ident:
+		fn, _ = p.Info.Uses[v].(*types.Func)
+	case *ast.SelectorExpr:
+		fn, _ = p.Info.Uses[v.Sel].(*types.Func)
+	}
+	return fn
 }
 
 // callPkgFunc returns the package path and name of a called package-level
 // function ("time", "Now"), or "" when the call is not a direct package
 // function call (method calls return the receiver's package path).
 func (p *Package) callPkgFunc(call *ast.CallExpr) (pkgPath, name string) {
-	obj := p.calleeObject(call)
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil {
+	fn := p.calleeFunc(call)
+	if fn == nil || fn.Pkg() == nil {
 		return "", ""
 	}
 	return fn.Pkg().Path(), fn.Name()
