@@ -21,9 +21,11 @@ import (
 // held-out rest. The machine, classes, features and tap come from the
 // figure's experiments.AttackSetup.
 //
-// Collection and training fan out across -parallel workers; results are
-// identical for any worker count. With -folds K the MLP is additionally
-// k-fold cross-validated and the per-fold accuracies reported.
+// -parallel bounds the workers that collect traces and that train the
+// cross-validation folds; the MLP's two training restarts always run side
+// by side. Results are identical for any worker count. With -folds K (at
+// least 2) the MLP is additionally k-fold cross-validated and the per-fold
+// accuracies reported.
 // -debug-addr serves pprof and /metrics (collection counters, pool depth)
 // while the attack runs — collection at paper scale takes minutes, and the
 // endpoint is how you watch it.
@@ -37,8 +39,8 @@ func attackCmd(args []string, stdout io.Writer) error {
 	seed := fs.Uint64("seed", 1, "base seed")
 	epochs := fs.Int("epochs", 60, "MLP training epochs")
 	attacker := fs.String("attacker", "mlp", "classifier: mlp, template, knn")
-	parallel := fs.Int("parallel", 0, "worker count for collection and training (0 = GOMAXPROCS)")
-	folds := fs.Int("folds", 0, "additionally k-fold cross-validate the MLP (0 = off)")
+	parallel := fs.Int("parallel", 0, "worker count for collection and the cross-validation folds (0 = GOMAXPROCS)")
+	folds := fs.Int("folds", 0, "additionally k-fold cross-validate the MLP, k >= 2 (0 = off)")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof and /metrics on this address during the run")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -47,13 +49,17 @@ func attackCmd(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// defense.Collect would clamp -runs to 1, and attack.Run would train
-	// the default epochs for a 0 and Train's own default for a negative.
+	// defense.Collect would clamp -runs to 1, attack.Run would train the
+	// default epochs for a 0 and Train's own default for a negative, and
+	// any -folds under 2 would skip cross-validation without a word.
 	if *runs < 1 {
 		return fmt.Errorf("runs %d: want at least 1 trace per class", *runs)
 	}
 	if *epochs < 1 {
 		return fmt.Errorf("epochs %d: want at least 1", *epochs)
+	}
+	if *folds != 0 && *folds < 2 {
+		return fmt.Errorf("folds %d: want 0 (off) or at least 2", *folds)
 	}
 	kind, err := defenseKind(*defName)
 	if err != nil {
@@ -111,7 +117,7 @@ func attackCmd(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "examples: %d (input dim %d)\n", res.Examples, res.InputDim)
 		fmt.Fprintf(stdout, "chance:   %.1f%%\n\n", 100*res.Chance)
 		fmt.Fprint(stdout, res.Confusion.String())
-		if *folds >= 2 {
+		if *folds != 0 {
 			log.Printf("cross-validating across %d folds...", *folds)
 			cv, err := attack.CrossValidate(ds, s.Spec, *folds, *parallel)
 			if err != nil {

@@ -81,12 +81,15 @@ func TestCommandsBoundSeconds(t *testing.T) {
 }
 
 // TestAttackBoundsRunsAndEpochs pins that attack refuses -runs and -epochs
-// under 1 before collecting: defense.Collect would record one run per
-// class for -runs 0, and attack.Run would train the default 60 epochs for
-// -epochs 0 and Train's default 40 for a negative count.
+// under 1, and a -folds other than 0 under 2, before collecting:
+// defense.Collect would record one run per class for -runs 0, attack.Run
+// would train the default 60 epochs for -epochs 0 and Train's default 40
+// for a negative count, and -folds 1 or a negative count would skip
+// cross-validation and exit 0.
 func TestAttackBoundsRunsAndEpochs(t *testing.T) {
 	for _, tc := range []struct{ flag, value string }{
 		{"runs", "0"}, {"runs", "-3"}, {"epochs", "0"}, {"epochs", "-1"},
+		{"folds", "1"}, {"folds", "-2"},
 	} {
 		args := []string{"attack", "-defense", "random", "-runs", "2", "-seconds", "1", "-epochs", "1", "-" + tc.flag, tc.value}
 		var out bytes.Buffer

@@ -267,14 +267,12 @@ func (m *MLP) forwardBatch(bb *batch, rows int) {
 }
 
 // forwardDense computes one layer's pre-activations out = inTᵀ·W + b for
-// rows rows of the feature-major input inT. Each weight row is streamed
-// once per minibatch and reused across all rows — the matrix-matrix form
-// of the scalar forward pass — in 4×2 tiles: four input features by two
-// batch rows, so each weight load feeds two independent accumulators
-// (wider tiles spill registers and run slower). Per output element the
-// unrolled accumulation `o + x0·r0 + x1·r1 + x2·r2 + x3·r3` associates
-// left-to-right, which is exactly the scalar path's sequential order, so
-// results are bit-identical; the two rows never mix.
+// rows rows of the feature-major input inT. Each group of four weight rows
+// is reused across all batch rows — the matrix-matrix form of the scalar
+// forward pass — and added into each output row by axpy4Skip. Per output
+// element `o + x0·r0 + x1·r1 + x2·r2 + x3·r3` associates left to right,
+// with zero terms skipped, which is exactly the scalar path's sequential
+// order, so results are bit-identical.
 //
 //maya:hotpath
 func forwardDense(out []float64, w *dense, b, inT []float64, rows int) {
@@ -284,16 +282,10 @@ func forwardDense(out []float64, w *dense, b, inT []float64, rows int) {
 	}
 	i := 0
 	for ; i+4 <= inW; i += 4 {
-		// Two-step reslices pin every row's length so the compiler
-		// proves all the inner-loop indexing in bounds.
 		r0 := w.w[i*cols:]
-		r0 = r0[:cols]
 		r1 := w.w[(i+1)*cols:]
-		r1 = r1[:cols]
 		r2 := w.w[(i+2)*cols:]
-		r2 = r2[:cols]
 		r3 := w.w[(i+3)*cols:]
-		r3 = r3[:cols]
 		xa := inT[i*rows:]
 		xa = xa[:rows]
 		xb := inT[(i+1)*rows:]
@@ -302,29 +294,9 @@ func forwardDense(out []float64, w *dense, b, inT []float64, rows int) {
 		xc = xc[:rows]
 		xd := inT[(i+3)*rows:]
 		xd = xd[:rows]
-		bi := 0
-		for ; bi+2 <= rows; bi += 2 {
-			x0, x1, x2, x3 := xa[bi], xb[bi], xc[bi], xd[bi]
-			y0, y1, y2, y3 := xa[bi+1], xb[bi+1], xc[bi+1], xd[bi+1]
-			oa := out[bi*cols:]
-			oa = oa[:cols]
-			ob := out[(bi+1)*cols:]
-			ob = ob[:cols]
-			if x0 != 0 && x1 != 0 && x2 != 0 && x3 != 0 && y0 != 0 && y1 != 0 && y2 != 0 && y3 != 0 {
-				for j := range oa {
-					rv0, rv1, rv2, rv3 := r0[j], r1[j], r2[j], r3[j]
-					oa[j] = oa[j] + x0*rv0 + x1*rv1 + x2*rv2 + x3*rv3
-					ob[j] = ob[j] + y0*rv0 + y1*rv1 + y2*rv2 + y3*rv3
-				}
-				continue
-			}
-			forwardRow4(oa, x0, x1, x2, x3, r0, r1, r2, r3)
-			forwardRow4(ob, y0, y1, y2, y3, r0, r1, r2, r3)
-		}
-		for ; bi < rows; bi++ {
+		for bi := range xa {
 			o := out[bi*cols:]
-			o = o[:cols]
-			forwardRow4(o, xa[bi], xb[bi], xc[bi], xd[bi], r0, r1, r2, r3)
+			axpy4Skip(o[:cols], xa[bi], xb[bi], xc[bi], xd[bi], r0, r1, r2, r3)
 		}
 	}
 	for ; i < inW; i++ {
@@ -333,13 +305,9 @@ func forwardDense(out []float64, w *dense, b, inT []float64, rows int) {
 		xcol := inT[i*rows:]
 		xcol = xcol[:rows]
 		for bi, xi := range xcol {
-			if xi == 0 {
-				continue
-			}
-			o := out[bi*cols:]
-			o = o[:cols]
-			for j, wv := range row {
-				o[j] += xi * wv
+			if xi != 0 {
+				o := out[bi*cols:]
+				axpy1(o[:cols], xi, row)
 			}
 		}
 	}
@@ -347,7 +315,7 @@ func forwardDense(out []float64, w *dense, b, inT []float64, rows int) {
 
 // forwardSparse computes layer 0's pre-activations from sparse rows: row
 // bi's output starts at the bias and adds its nonzero features in
-// ascending order, four weight rows per pass. The unrolled
+// ascending order, four weight rows per axpy4. Its
 // `o + x0·r0 + x1·r1 + x2·r2 + x3·r3` associates left to right, so each
 // output element sums the scalar path's terms in the scalar path's order;
 // the zeros it skips are simply absent.
@@ -363,25 +331,14 @@ func forwardSparse(out []float64, w *dense, b []float64, idx [][]int32, val [][]
 		xv = xv[:len(ix)]
 		for ; len(ix) >= 4; ix, xv = ix[4:], xv[4:] {
 			r0 := w.w[int(ix[0])*cols:]
-			r0 = r0[:cols]
 			r1 := w.w[int(ix[1])*cols:]
-			r1 = r1[:cols]
 			r2 := w.w[int(ix[2])*cols:]
-			r2 = r2[:cols]
 			r3 := w.w[int(ix[3])*cols:]
-			r3 = r3[:cols]
-			x0, x1, x2, x3 := xv[0], xv[1], xv[2], xv[3]
-			for j := range o {
-				o[j] = o[j] + x0*r0[j] + x1*r1[j] + x2*r2[j] + x3*r3[j]
-			}
+			axpy4(o, xv[0], xv[1], xv[2], xv[3], r0[:cols], r1[:cols], r2[:cols], r3[:cols])
 		}
 		for k, f := range ix {
 			r := w.w[int(f)*cols:]
-			r = r[:cols]
-			x := xv[k]
-			for j, wv := range r {
-				o[j] += x * wv
-			}
+			axpy1(o, xv[k], r[:cols])
 		}
 	}
 }
@@ -506,78 +463,32 @@ func (m *MLP) backwardBatch(bb *batch, rows int, gw []*dense, gb [][]float64) {
 }
 
 // gradDense accumulates one layer's weight gradient G += Xᵀ·D for rows
-// rows of the feature-major input inT, in 4×2 tiles: four batch rows by
-// two gradient rows, so each delta load feeds two independent gradient
-// accumulators (wider tiles spill registers and run slower). The unrolled
-// `g + x0·d0 + x1·d1 + x2·d2 + x3·d3` associates left-to-right — batch-row
-// order, exactly the scalar path's summation order per gradient element;
-// the two rows never mix.
+// rows of the feature-major input inT: each gradient row takes the batch's
+// delta rows four at a time through axpy4Skip. Its
+// `g + x0·d0 + x1·d1 + x2·d2 + x3·d3` associates left to right, with zero
+// terms skipped — batch-row order, exactly the scalar path's summation
+// order per gradient element.
 //
 //maya:hotpath
 func gradDense(g *dense, d, inT []float64, rows int) {
 	inW, cols := g.rows, g.cols
-	i := 0
-	for ; i+2 <= inW; i += 2 {
-		grow0 := g.w[i*cols:]
-		grow0 = grow0[:cols]
-		grow1 := g.w[(i+1)*cols:]
-		grow1 = grow1[:cols]
-		xc0 := inT[i*rows:]
-		xc0 = xc0[:rows]
-		xc1 := inT[(i+1)*rows:]
-		xc1 = xc1[:rows]
-		bi := 0
-		for ; bi+4 <= rows; bi += 4 {
-			x0, x1, x2, x3 := xc0[bi], xc0[bi+1], xc0[bi+2], xc0[bi+3]
-			y0, y1, y2, y3 := xc1[bi], xc1[bi+1], xc1[bi+2], xc1[bi+3]
-			d0 := d[bi*cols:]
-			d0 = d0[:cols]
-			d1 := d[(bi+1)*cols:]
-			d1 = d1[:cols]
-			d2 := d[(bi+2)*cols:]
-			d2 = d2[:cols]
-			d3 := d[(bi+3)*cols:]
-			d3 = d3[:cols]
-			if x0 != 0 && x1 != 0 && x2 != 0 && x3 != 0 && y0 != 0 && y1 != 0 && y2 != 0 && y3 != 0 {
-				for j := range grow0 {
-					dv0, dv1, dv2, dv3 := d0[j], d1[j], d2[j], d3[j]
-					grow0[j] = grow0[j] + x0*dv0 + x1*dv1 + x2*dv2 + x3*dv3
-					grow1[j] = grow1[j] + y0*dv0 + y1*dv1 + y2*dv2 + y3*dv3
-				}
-				continue
-			}
-			gradRow4(grow0, x0, x1, x2, x3, d0, d1, d2, d3)
-			gradRow4(grow1, y0, y1, y2, y3, d0, d1, d2, d3)
-		}
-		for ; bi < rows; bi++ {
-			drow := d[bi*cols:]
-			drow = drow[:cols]
-			if xi := xc0[bi]; xi != 0 {
-				for j, dv := range drow {
-					grow0[j] += xi * dv
-				}
-			}
-			if yi := xc1[bi]; yi != 0 {
-				for j, dv := range drow {
-					grow1[j] += yi * dv
-				}
-			}
-		}
-	}
-	for ; i < inW; i++ {
+	for i := 0; i < inW; i++ {
 		grow := g.w[i*cols:]
 		grow = grow[:cols]
 		xcol := inT[i*rows:]
 		xcol = xcol[:rows]
-		for bi := 0; bi < rows; bi++ {
-			xi := xcol[bi]
-			if xi == 0 {
-				continue
-			}
-			drow := d[bi*cols:]
-			drow = drow[:cols]
-			for j, dv := range drow {
-				grow[j] += xi * dv
+		bi := 0
+		for ; bi+4 <= rows; bi += 4 {
+			d0 := d[bi*cols:]
+			d1 := d[(bi+1)*cols:]
+			d2 := d[(bi+2)*cols:]
+			d3 := d[(bi+3)*cols:]
+			axpy4Skip(grow, xcol[bi], xcol[bi+1], xcol[bi+2], xcol[bi+3], d0, d1, d2, d3)
+		}
+		for ; bi < rows; bi++ {
+			if xi := xcol[bi]; xi != 0 {
+				drow := d[bi*cols:]
+				axpy1(grow, xi, drow[:cols])
 			}
 		}
 	}
@@ -586,9 +497,10 @@ func gradDense(g *dense, d, inT []float64, rows int) {
 // gradSparse accumulates layer 0's weight gradient G += Xᵀ·D from the
 // batch's sparse rows. It first copies the rows' pairs feature-major, a
 // counting sort by feature that keeps each feature's rows ascending; then
-// each feature's gradient row takes its rows four at a time. The unrolled
-// `g + x0·d0 + x1·d1 + x2·d2 + x3·d3` associates left to right, so each
-// gradient element sums in ascending row order, the scalar path's order.
+// each feature's gradient row takes its rows four at a time through
+// axpy4. Its `g + x0·d0 + x1·d1 + x2·d2 + x3·d3` associates left to
+// right, so each gradient element sums in ascending row order, the scalar
+// path's order.
 //
 //maya:hotpath
 func (bb *batch) gradSparse(g *dense, d []float64, rows int) {
@@ -627,104 +539,45 @@ func (bb *batch) gradSparse(g *dense, d []float64, rows int) {
 		lo = hi
 		for ; len(rs) >= 4; rs, xs = rs[4:], xs[4:] {
 			d0 := d[int(rs[0])*cols:]
-			d0 = d0[:cols]
 			d1 := d[int(rs[1])*cols:]
-			d1 = d1[:cols]
 			d2 := d[int(rs[2])*cols:]
-			d2 = d2[:cols]
 			d3 := d[int(rs[3])*cols:]
-			d3 = d3[:cols]
-			x0, x1, x2, x3 := xs[0], xs[1], xs[2], xs[3]
-			for j := range grow {
-				grow[j] = grow[j] + x0*d0[j] + x1*d1[j] + x2*d2[j] + x3*d3[j]
-			}
+			axpy4(grow, xs[0], xs[1], xs[2], xs[3], d0[:cols], d1[:cols], d2[:cols], d3[:cols])
 		}
 		for k, r := range rs {
 			drow := d[int(r)*cols:]
-			drow = drow[:cols]
-			x := xs[k]
-			for j, dv := range drow {
-				grow[j] += x * dv
-			}
+			axpy1(grow, xs[k], drow[:cols])
 		}
 	}
 }
 
-// forwardRow4 accumulates one output row's contributions from four input
-// features, skipping exact zeros term by term in feature order — the scalar
-// path's summation order. It is the fallback for rows that fail the dense
-// all-nonzero tile check.
+// axpy4Skip adds four scaled rows into o as axpy4 does, except that a
+// term whose scale is exactly zero is skipped: when any of x0..x3 is zero
+// the nonzero ones are added one row at a time, in order. This is the
+// scalar path's zero skip, and its summation order, for the dense kernels,
+// whose inputs (ReLU activations, dense features) may hold exact zeros.
 //
 //maya:hotpath
-func forwardRow4(o []float64, x0, x1, x2, x3 float64, r0, r1, r2, r3 []float64) {
+func axpy4Skip(o []float64, x0, x1, x2, x3 float64, r0, r1, r2, r3 []float64) {
 	r0 = r0[:len(o)]
 	r1 = r1[:len(o)]
 	r2 = r2[:len(o)]
 	r3 = r3[:len(o)]
 	if x0 != 0 && x1 != 0 && x2 != 0 && x3 != 0 {
-		for j := range o {
-			o[j] = o[j] + x0*r0[j] + x1*r1[j] + x2*r2[j] + x3*r3[j]
-		}
+		axpy4(o, x0, x1, x2, x3, r0, r1, r2, r3)
 		return
 	}
 	if x0 != 0 {
-		for j, v := range r0 {
-			o[j] += x0 * v
-		}
+		axpy1(o, x0, r0)
 	}
 	if x1 != 0 {
-		for j, v := range r1 {
-			o[j] += x1 * v
-		}
+		axpy1(o, x1, r1)
 	}
 	if x2 != 0 {
-		for j, v := range r2 {
-			o[j] += x2 * v
-		}
+		axpy1(o, x2, r2)
 	}
 	if x3 != 0 {
-		for j, v := range r3 {
-			o[j] += x3 * v
-		}
-	}
-}
-
-// gradRow4 accumulates one weight-gradient row's contributions from four
-// batch rows, skipping exact zeros term by term in batch-row order — the
-// scalar path's summation order. It is the fallback for gradient rows that
-// fail the dense all-nonzero tile check.
-//
-//maya:hotpath
-func gradRow4(grow []float64, x0, x1, x2, x3 float64, d0, d1, d2, d3 []float64) {
-	d0 = d0[:len(grow)]
-	d1 = d1[:len(grow)]
-	d2 = d2[:len(grow)]
-	d3 = d3[:len(grow)]
-	if x0 != 0 && x1 != 0 && x2 != 0 && x3 != 0 {
-		for j := range grow {
-			grow[j] = grow[j] + x0*d0[j] + x1*d1[j] + x2*d2[j] + x3*d3[j]
-		}
-		return
-	}
-	if x0 != 0 {
-		for j, dv := range d0 {
-			grow[j] += x0 * dv
-		}
-	}
-	if x1 != 0 {
-		for j, dv := range d1 {
-			grow[j] += x1 * dv
-		}
-	}
-	if x2 != 0 {
-		for j, dv := range d2 {
-			grow[j] += x2 * dv
-		}
-	}
-	if x3 != 0 {
-		for j, dv := range d3 {
-			grow[j] += x3 * dv
-		}
+		axpy1(o, x3, r3)
 	}
 }
 
@@ -756,7 +609,8 @@ func (m *MLP) predictBatches(examples []Example, visit func(i, pred int)) {
 
 // predictWithBatch is predictBatches over a caller-provided batch buffer
 // and examples' sparse form (nil on a dense batch); Train uses it to
-// evaluate validation accuracy each epoch without reallocating.
+// score the validation set after each epoch, when it scores it, without
+// reallocating.
 // Predictions do not depend on the buffer's row capacity — rows are
 // independent.
 func (m *MLP) predictWithBatch(bb *batch, examples []Example, sp *sparseRows, visit func(i, pred int)) {

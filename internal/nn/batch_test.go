@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/maya-defense/maya/internal/rng"
@@ -85,10 +86,24 @@ func scalarAccuracy(m *MLP, examples []Example) float64 {
 	return float64(correct) / float64(len(examples))
 }
 
+// scalarAdamStep is adamStep over the Go reference loop, so that a
+// wrong Adam kernel cannot pass for the reference it is compared against.
+func scalarAdamStep(params, grads []float64, st *adamState, lr, scale, decay float64) {
+	im, isq := st.step(lr)
+	adamUpdateGeneric(params, grads, st.m, st.v, scale, decay, im, isq)
+}
+
+func zero(x []float64) {
+	for i := range x {
+		x[i] = 0
+	}
+}
+
 // scalarTrain is the historical per-example training loop, kept verbatim
-// (modulo the extracted backward/accuracy helpers above) as the reference
-// for the batched Train.
-func scalarTrain(m *MLP, r *rng.Stream, train, val []Example, cfg TrainConfig) float64 {
+// (modulo the extracted backward/accuracy/Adam helpers above) as the
+// reference for the batched Train. It scores val after every epoch and
+// returns those accuracies in epoch order.
+func scalarTrain(m *MLP, r *rng.Stream, train, val []Example, cfg TrainConfig) []float64 {
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 40
 	}
@@ -118,6 +133,7 @@ func scalarTrain(m *MLP, r *rng.Stream, train, val []Example, cfg TrainConfig) f
 	for i := range order {
 		order[i] = i
 	}
+	var valAccs []float64
 	bestVal := math.Inf(-1)
 	sinceBest := 0
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -141,11 +157,12 @@ func scalarTrain(m *MLP, r *rng.Stream, train, val []Example, cfg TrainConfig) f
 			}
 			scale := 1 / float64(end-start)
 			for l := range gw {
-				adamStep(m.weights[l].w, gw[l].w, aw[l], cfg.LR, scale, cfg.WeightDecay)
-				adamStep(m.biases[l], gb[l], ab[l], cfg.LR, scale, 0)
+				scalarAdamStep(m.weights[l].w, gw[l].w, aw[l], cfg.LR, scale, cfg.WeightDecay)
+				scalarAdamStep(m.biases[l], gb[l], ab[l], cfg.LR, scale, 0)
 			}
 		}
 		valAcc := scalarAccuracy(m, val)
+		valAccs = append(valAccs, valAcc)
 		_ = totalLoss
 		if valAcc > bestVal {
 			bestVal = valAcc
@@ -157,10 +174,14 @@ func scalarTrain(m *MLP, r *rng.Stream, train, val []Example, cfg TrainConfig) f
 			}
 		}
 	}
-	if len(val) == 0 {
-		return 0
-	}
-	return bestVal
+	return valAccs
+}
+
+// logValAcc returns cfg with a Log that appends each epoch's validation
+// accuracy to *accs, the sequence scalarTrain returns.
+func logValAcc(cfg TrainConfig, accs *[]float64) TrainConfig {
+	cfg.Log = func(_ int, _, valAcc float64) { *accs = append(*accs, valAcc) }
+	return cfg
 }
 
 // trainSets builds a dataset with both dense and exactly-zero features (the
@@ -192,11 +213,12 @@ func TestBatchedTrainMatchesScalarBitForBit(t *testing.T) {
 
 	a := NewMLP(rng.New(seed), 12, 16, 8, 3)
 	b := NewMLP(rng.New(seed), 12, 16, 8, 3)
-	valA := a.Train(rng.New(seed+1), train, val, cfg)
+	var valA []float64
+	a.Train(rng.New(seed+1), train, val, logValAcc(cfg, &valA))
 	valB := scalarTrain(b, rng.New(seed+1), train, val, cfg)
 
-	if valA != valB {
-		t.Fatalf("best validation accuracy differs: batched %v scalar %v", valA, valB)
+	if len(valB) != cfg.Epochs || !slices.Equal(valA, valB) {
+		t.Fatalf("per-epoch validation accuracy differs: batched %v scalar %v", valA, valB)
 	}
 	for l := range a.weights {
 		for i, w := range a.weights[l].w {
@@ -209,6 +231,28 @@ func TestBatchedTrainMatchesScalarBitForBit(t *testing.T) {
 			if bv != b.biases[l][j] {
 				t.Fatalf("layer %d bias %d differs: batched %x scalar %x",
 					l, j, math.Float64bits(bv), math.Float64bits(b.biases[l][j]))
+			}
+		}
+	}
+}
+
+// TestEarlyStoppingMatchesScalar pins that Train still scores its
+// validation set when only Patience reads the score: without cfg.Log it
+// must stop at the reference's epoch, or the weights differ.
+func TestEarlyStoppingMatchesScalar(t *testing.T) {
+	train, val := trainSets(7, 70, 12, 3)
+	cfg := TrainConfig{Epochs: 30, BatchSize: 32, LR: 3e-3, WeightDecay: 1e-5, Patience: 2}
+	a := NewMLP(rng.New(42), 12, 16, 8, 3)
+	b := NewMLP(rng.New(42), 12, 16, 8, 3)
+	a.Train(rng.New(43), train, val, cfg)
+	if accs := scalarTrain(b, rng.New(43), train, val, cfg); len(accs) >= cfg.Epochs {
+		t.Fatalf("the reference trained all %d epochs; the case does not stop early", len(accs))
+	}
+	for l := range a.weights {
+		for i, w := range a.weights[l].w {
+			if math.Float64bits(w) != math.Float64bits(b.weights[l].w[i]) {
+				t.Fatalf("layer %d weight %d differs: batched %x scalar %x",
+					l, i, math.Float64bits(w), math.Float64bits(b.weights[l].w[i]))
 			}
 		}
 	}
@@ -308,10 +352,11 @@ func TestSparseTrainMatchesScalar(t *testing.T) {
 		cfg := TrainConfig{Epochs: 4, BatchSize: bs, LR: 3e-3, WeightDecay: 1e-5}
 		a := NewMLP(rng.New(23), dim, 16, 8, classes)
 		b := NewMLP(rng.New(23), dim, 16, 8, classes)
-		valA := a.Train(rng.New(24), train, val, cfg)
+		var valA []float64
+		a.Train(rng.New(24), train, val, logValAcc(cfg, &valA))
 		valB := scalarTrain(b, rng.New(24), train, val, cfg)
-		if valA != valB {
-			t.Fatalf("batch=%d: best validation accuracy differs: sparse %v scalar %v", bs, valA, valB)
+		if len(valB) != cfg.Epochs || !slices.Equal(valA, valB) {
+			t.Fatalf("batch=%d: per-epoch validation accuracy differs: sparse %v scalar %v", bs, valA, valB)
 		}
 		for l := range a.weights {
 			for i, w := range a.weights[l].w {

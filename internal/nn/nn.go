@@ -4,9 +4,14 @@
 // for its hidden layers and the output layer uses Logsoftmax"), trained
 // with minibatch gradient descent on a negative log-likelihood loss.
 //
-// The implementation is a plain feed-forward network over float64 slices —
-// no external dependencies — sized for the one-hot-encoded power windows
-// and FFT feature vectors the attacks produce.
+// The implementation is a feed-forward network over float64 slices — no
+// external dependencies — sized for the one-hot-encoded power windows and
+// FFT feature vectors the attacks produce. Training's innermost loops are
+// three kernels: the Adam update and two row updates (axpy4, axpy1). On
+// amd64 they are SSE2 assembly (kernels_amd64.s); their Go loops
+// (kernels.go) are the implementation on every other GOARCH and, on amd64,
+// the reference that FuzzAdamUpdate, FuzzAxpy and the scalar training loop
+// in batch_test.go pin the assembly to, bit for bit.
 package nn
 
 import (

@@ -25,7 +25,8 @@ type TrainConfig struct {
 	// Patience stops training after this many epochs without validation
 	// improvement (0 disables early stopping).
 	Patience int
-	// Verbose emits per-epoch progress via the Log callback.
+	// Log, when set, receives each epoch's mean training loss and
+	// validation accuracy.
 	Log func(epoch int, trainLoss, valAcc float64)
 }
 
@@ -44,19 +45,20 @@ type adamState struct {
 	t    int
 }
 
-// Train fits the network on train, monitoring accuracy on val for early
-// stopping. It returns the best validation accuracy observed.
+// Train fits the network on train. Only early stopping and cfg.Log read
+// the accuracy on val, so Train scores val after each epoch only when
+// cfg.Patience or cfg.Log is set.
 //
 // Optimization runs on the batched kernels: each minibatch is gathered
 // into row-major matrices and pushed through forwardBatch/backwardBatch,
 // which stream every weight row once per minibatch instead of once per
-// example. When at most a quarter of the train and val inputs are nonzero
-// (the attack's one-hot windows), layer 0 reads each example's nonzero
-// pairs instead of every feature. Gradient elements accumulate example
+// example. When at most a quarter of the inputs it reads are nonzero (the
+// attack's one-hot windows), layer 0 reads each example's nonzero pairs
+// instead of every feature. Gradient elements accumulate example
 // contributions in the same order as the historical per-example loop, so
 // for a fixed rng.Stream the final weights are bit-for-bit identical to
 // the scalar path it replaced.
-func (m *MLP) Train(r *rng.Stream, train, val []Example, cfg TrainConfig) float64 {
+func (m *MLP) Train(r *rng.Stream, train, val []Example, cfg TrainConfig) {
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 40
 	}
@@ -66,9 +68,14 @@ func (m *MLP) Train(r *rng.Stream, train, val []Example, cfg TrainConfig) float6
 	if cfg.LR <= 0 {
 		cfg.LR = 1e-3
 	}
+	validate := cfg.Patience > 0 || cfg.Log != nil
+	if !validate {
+		val = nil
+	}
 	nLayers := len(m.weights)
 
-	// Gradient buffers and Adam state per layer.
+	// Gradient buffers and Adam state per layer. adamStep clears each
+	// gradient as it consumes it, so every minibatch starts from zero.
 	gw := make([]*dense, nLayers)
 	gb := make([][]float64, nLayers)
 	aw := make([]*adamState, nLayers)
@@ -103,10 +110,6 @@ func (m *MLP) Train(r *rng.Stream, train, val []Example, cfg TrainConfig) float6
 			if end > len(order) {
 				end = len(order)
 			}
-			for l := range gw {
-				zero(gw[l].w)
-				zero(gb[l])
-			}
 			rows := bb.load(train, sp[0], order[start:end])
 			m.forwardBatch(bb, rows)
 			for bi := 0; bi < rows; bi++ {
@@ -118,6 +121,9 @@ func (m *MLP) Train(r *rng.Stream, train, val []Example, cfg TrainConfig) float6
 				adamStep(m.weights[l].w, gw[l].w, aw[l], cfg.LR, scale, cfg.WeightDecay)
 				adamStep(m.biases[l], gb[l], ab[l], cfg.LR, scale, 0)
 			}
+		}
+		if !validate {
+			continue
 		}
 		valAcc := 0.0
 		if len(val) > 0 {
@@ -142,46 +148,33 @@ func (m *MLP) Train(r *rng.Stream, train, val []Example, cfg TrainConfig) float6
 			}
 		}
 	}
-	if len(val) == 0 {
-		return 0
-	}
-	return bestVal
-}
-
-func zero(x []float64) {
-	for i := range x {
-		x[i] = 0
-	}
 }
 
 // adamStep applies one Adam update to params given summed gradients and the
-// batch scale factor. The bias-correction divisions are hoisted out of the
-// element loop as reciprocals (lr/c1 and 1/√c2 are per-step constants), so
-// each element costs one divide and one square root instead of three divides
-// and a square root — the divider unit dominates this loop. The hoisted form
+// batch scale factor, and clears grads for the next minibatch. The
+// bias-correction divisions are hoisted out of the element loop as
+// reciprocals (lr/c1 and 1/√c2 are per-step constants), so each element
+// costs one divide and one square root instead of three divides and a
+// square root — the divider unit dominates this loop. The hoisted form
 // rounds differently from the textbook lr·(m̂)/(√v̂+ε) in the last bits but
 // is the same function of the same state, applied identically everywhere, so
-// training remains fully deterministic for a fixed rng.Stream.
+// training remains fully deterministic for a fixed rng.Stream. The element
+// loop is adamUpdate, two weights per instruction on amd64.
 //
 //maya:hotpath
 func adamStep(params, grads []float64, st *adamState, lr, scale, decay float64) {
-	const beta1, beta2, eps = 0.9, 0.999, 1e-8
+	im, isq := st.step(lr)
+	n := len(params)
+	adamUpdate(params, grads[:n], st.m[:n], st.v[:n], scale, decay, im, isq)
+}
+
+// step advances st to its next step and returns that step's bias-corrected
+// step size lr/c1 and 1/√c2.
+func (st *adamState) step(lr float64) (im, isq float64) {
 	st.t++
-	c1 := 1 - math.Pow(beta1, float64(st.t))
-	c2 := 1 - math.Pow(beta2, float64(st.t))
-	im := lr / c1
-	isq := 1 / math.Sqrt(c2)
-	mm := st.m[:len(params)]
-	vv := st.v[:len(params)]
-	gs := grads[:len(params)]
-	for i, p := range params {
-		g := gs[i]*scale + decay*p
-		mi := beta1*mm[i] + (1-beta1)*g
-		vi := beta2*vv[i] + (1-beta2)*g*g
-		mm[i] = mi
-		vv[i] = vi
-		params[i] = p - im*mi/(math.Sqrt(vi)*isq+eps)
-	}
+	c1 := 1 - math.Pow(adamBeta1, float64(st.t))
+	c2 := 1 - math.Pow(adamBeta2, float64(st.t))
+	return lr / c1, 1 / math.Sqrt(c2)
 }
 
 // Accuracy returns the fraction of examples classified correctly. The
