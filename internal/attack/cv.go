@@ -29,6 +29,11 @@ type CVResult struct {
 // a permutation drawn from rng.NewNamed(spec.Seed, "attack/cv"), and each
 // fold trains on the other k-1 folds and reports accuracy on its own.
 //
+// A fold trains without a validation set: its test fold is the only
+// held-out data, and early stopping on it would choose the epoch by the
+// accuracy the fold reports. CrossValidate therefore refuses a positive
+// spec.Train.Patience.
+//
 // Folds run in parallel across workers (<= 0: GOMAXPROCS). Every fold's
 // training stream is a pure function of (spec.Seed, fold), and the fold
 // assignment is fixed before any fold runs, so the result is identical for
@@ -36,6 +41,9 @@ type CVResult struct {
 func CrossValidate(ds *trace.Dataset, spec Spec, folds, workers int) (*CVResult, error) {
 	if folds < 2 {
 		return nil, fmt.Errorf("attack: need at least 2 folds, got %d", folds)
+	}
+	if spec.Train.Patience > 0 {
+		return nil, fmt.Errorf("attack: cross-validation has no validation set for early stopping (patience %d)", spec.Train.Patience)
 	}
 	examples, _, err := Featurize(ds, spec)
 	if err != nil {
@@ -85,7 +93,7 @@ func CrossValidate(ds *trace.Dataset, spec Spec, folds, workers int) (*CVResult,
 			// separated from the restart streams used by Run.
 			rr := rng.NewNamed(spec.Seed+uint64(fold)*104_729, "attack/cv/fold")
 			m := nn.NewMLP(rr, sizes...)
-			m.Train(rr, trainSets[fold], testSets[fold], cfg)
+			m.Train(rr, trainSets[fold], nil, cfg)
 			return m.Accuracy(testSets[fold]), nil
 		})
 	if err != nil {

@@ -2,6 +2,7 @@ package attack
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/maya-defense/maya/internal/rng"
@@ -92,6 +93,18 @@ func TestCrossValidateRejectsBadFoldCounts(t *testing.T) {
 	}
 	if _, err := CrossValidate(ds, cvSpec(), 100, 0); err == nil {
 		t.Fatal("more folds than examples should error")
+	}
+}
+
+// TestCrossValidateRefusesEarlyStopping pins that cross-validation does
+// not stop early: a fold's only held-out data is its test fold, and
+// stopping on it would choose the epoch by the accuracy the fold reports.
+func TestCrossValidateRefusesEarlyStopping(t *testing.T) {
+	spec := cvSpec()
+	spec.Train.Patience = 2
+	_, err := CrossValidate(cvDataset(6, 40), spec, 4, 1)
+	if err == nil || !strings.Contains(err.Error(), "patience") {
+		t.Fatalf("CrossValidate with Patience 2: err %v, want a refusal naming patience", err)
 	}
 }
 

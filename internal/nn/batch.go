@@ -4,33 +4,35 @@ import "math"
 
 // batch holds reusable row-major minibatch buffers for the network's
 // batched kernels: acts[l] and deltas[l] are rows×sizes[l] matrices stored
-// row-major, labels carries each row's class. actsT[l] additionally keeps
-// the transposed (feature-major) copy of each layer's input activations:
-// the matrix kernels walk input features column-wise, and the transposed
-// copy turns those walks into sequential streams for one cheap transpose
-// pass per layer. One batch is allocated per Train/Accuracy/Confusion call
-// and reused across every minibatch, so the kernels themselves never
-// allocate.
+// row-major, labels carries each row's class. A batch built for training
+// also keeps actsT[l], the transposed (feature-major) copy of each layer's
+// input activations, which the backward pass rebuilds before it walks the
+// layer's input features. One batch is allocated per Train/Accuracy/
+// Confusion call and reused across every minibatch, so the kernels
+// themselves never allocate.
 //
 // Layer 0 reads its input one of two ways, fixed when the batch is built.
-// Dense inputs are gathered into actsT[0]. Sparse inputs (see sparseInputs)
+// Dense inputs are read from each example's feature slice, and gathered
+// into actsT[0] for the backward pass. Sparse inputs (see sparseInputs)
 // stay as each row's nonzero (feature, value) pairs, and the backward pass
 // copies a minibatch's pairs feature-major into colRow/colVal. acts[0] and
-// deltas[0] are never allocated: no kernel reads the input row-major, and
-// no layer consumes the input's delta.
+// deltas[0] are never allocated: no kernel reads the input through them,
+// and no layer consumes the input's delta.
 //
-// The kernels accumulate each output element in exactly the order the
-// original per-example loops did (example-index order per accumulator), so
-// training is bit-for-bit identical to the scalar path for a fixed
-// rng.Stream — only faster: weight rows are loaded once per minibatch
-// instead of once per example.
+// Every forward and weight-gradient kernel is one gatherAxpy call per
+// output row, over that row's nonzero terms in ascending order, so each
+// output row is loaded and stored once while all of its terms are added
+// in registers. Each output element accumulates in exactly the order the
+// original per-example loops did (example-index order per gradient
+// element), so training is bit-for-bit identical to the scalar path for a
+// fixed rng.Stream.
 type batch struct {
 	cap    int // allocated row capacity
 	acts   [][]float64
 	actsT  [][]float64 // actsT[l]: sizes[l]×rows transpose of acts[l], l < len(weights)
 	deltas [][]float64
 	labels []int
-	tRows  int // row count the input buffers were last loaded for
+	tRows  int // row count last loaded
 
 	sparse bool
 	xsrc   [][]float64 // dense: the rows' example feature slices
@@ -42,33 +44,52 @@ type batch struct {
 	colEnd []int
 	colRow []int32
 	colVal []float64
+	// nzVal and nzIdx receive the nonzero entries, and their positions, of
+	// one input row (forwardDense) or one input feature's column
+	// (gradDense): the terms of one gatherAxpy call.
+	nzVal []float64
+	nzIdx []int32
 }
 
 // newBatch allocates minibatch buffers for up to rows examples. With sp
-// nil, layer 0 reads dense inputs; otherwise it reads sparse rows, and
-// with grads the backward pass's feature-major copy is sized for rows
-// examples of sp (at most sp.maxNNZ pairs each).
+// nil, layer 0 reads dense inputs; otherwise it reads sparse rows. With
+// grads the batch also holds what the backward pass needs: the deltas,
+// the transposed activations and, on sparse rows, the feature-major copy
+// sized for rows examples of sp (at most sp.maxNNZ pairs each).
 func (m *MLP) newBatch(rows int, sp *sparseRows, grads bool) *batch {
 	if rows < 1 {
 		rows = 1
 	}
+	L := len(m.weights)
 	bb := &batch{
 		cap:    rows,
 		acts:   make([][]float64, len(m.sizes)),
-		actsT:  make([][]float64, len(m.sizes)-1),
 		deltas: make([][]float64, len(m.sizes)),
 		labels: make([]int, rows),
 		sparse: sp != nil,
 	}
-	for i, s := range m.sizes[1:] {
-		bb.acts[i+1] = make([]float64, rows*s)
-		bb.deltas[i+1] = make([]float64, rows*s)
-		if i+1 < len(bb.actsT) {
-			bb.actsT[i+1] = make([]float64, rows*s)
+	for l, s := range m.sizes[1:] {
+		bb.acts[l+1] = make([]float64, rows*s)
+	}
+	nz := 0 // the longest input row forwardDense compacts
+	for l, s := range m.sizes[:L] {
+		if l > 0 || sp == nil {
+			nz = max(nz, s)
 		}
 	}
+	if grads {
+		nz = max(nz, rows) // gradDense compacts a column of rows entries
+		bb.actsT = make([][]float64, L)
+		for l, s := range m.sizes[:L] {
+			if l > 0 || sp == nil {
+				bb.actsT[l] = make([]float64, rows*s)
+			}
+			bb.deltas[l+1] = make([]float64, rows*m.sizes[l+1])
+		}
+	}
+	bb.nzVal = make([]float64, nz)
+	bb.nzIdx = make([]int32, nz)
 	if sp == nil {
-		bb.actsT[0] = make([]float64, rows*m.sizes[0])
 		bb.xsrc = make([][]float64, rows)
 		return bb
 	}
@@ -181,7 +202,7 @@ func (bb *batch) load(examples []Example, sp *sparseRows, idx []int) int {
 	for bi, e := range idx {
 		bb.stage(bi, examples, sp, e)
 	}
-	bb.finishLoad(rows)
+	bb.tRows = rows
 	return rows
 }
 
@@ -191,7 +212,7 @@ func (bb *batch) loadRange(examples []Example, sp *sparseRows, from, rows int) {
 	for bi := 0; bi < rows; bi++ {
 		bb.stage(bi, examples, sp, from+bi)
 	}
-	bb.finishLoad(rows)
+	bb.tRows = rows
 }
 
 // stage makes example e batch row bi.
@@ -203,16 +224,6 @@ func (bb *batch) stage(bi int, examples []Example, sp *sparseRows, e int) {
 	}
 	lo, hi := sp.start[e], sp.start[e+1]
 	bb.spIdx[bi], bb.spVal[bi] = sp.idx[lo:hi], sp.val[lo:hi]
-}
-
-// finishLoad completes loading rows staged rows. The kernels only ever
-// read a dense input layer feature-major, so its features go straight
-// from each example into actsT[0] without a row-major staging copy.
-func (bb *batch) finishLoad(rows int) {
-	if !bb.sparse {
-		bb.gather(rows)
-	}
-	bb.tRows = rows
 }
 
 // gather writes the first rows staged feature slices into actsT[0], which
@@ -247,7 +258,7 @@ func (m *MLP) forwardBatch(bb *batch, rows int) {
 		if l == 0 && bb.sparse {
 			forwardSparse(out, w, m.biases[0], bb.spIdx[:rows], bb.spVal[:rows])
 		} else {
-			forwardDense(out, w, m.biases[l], bb.actsT[l], rows)
+			bb.forwardDense(out, w, m.biases[l], l, rows)
 		}
 		if l != last {
 			hot := out[:rows*w.cols]
@@ -256,7 +267,6 @@ func (m *MLP) forwardBatch(bb *batch, rows int) {
 					hot[j] = 0 // ReLU
 				}
 			}
-			bb.transpose(l+1, w.cols, rows)
 		}
 	}
 	outW := m.sizes[len(m.sizes)-1]
@@ -266,59 +276,36 @@ func (m *MLP) forwardBatch(bb *batch, rows int) {
 	}
 }
 
-// forwardDense computes one layer's pre-activations out = inTᵀ·W + b for
-// rows rows of the feature-major input inT. Each group of four weight rows
-// is reused across all batch rows — the matrix-matrix form of the scalar
-// forward pass — and added into each output row by axpy4Skip. Per output
-// element `o + x0·r0 + x1·r1 + x2·r2 + x3·r3` associates left to right,
-// with zero terms skipped, which is exactly the scalar path's sequential
-// order, so results are bit-identical.
+// forwardDense computes layer l's pre-activations out = X·W + b for rows
+// rows of its input X: the staged examples' features for layer 0, acts[l]
+// otherwise. Each output row starts at the bias and takes the weight rows
+// of its input row's nonzero entries, in ascending order, through one
+// gatherAxpy: the scalar path's terms in the scalar path's order, with
+// the zeros it skips simply absent.
 //
 //maya:hotpath
-func forwardDense(out []float64, w *dense, b, inT []float64, rows int) {
+func (bb *batch) forwardDense(out []float64, w *dense, b []float64, l, rows int) {
 	inW, cols := w.rows, w.cols
 	for bi := 0; bi < rows; bi++ {
-		copy(out[bi*cols:(bi+1)*cols], b)
-	}
-	i := 0
-	for ; i+4 <= inW; i += 4 {
-		r0 := w.w[i*cols:]
-		r1 := w.w[(i+1)*cols:]
-		r2 := w.w[(i+2)*cols:]
-		r3 := w.w[(i+3)*cols:]
-		xa := inT[i*rows:]
-		xa = xa[:rows]
-		xb := inT[(i+1)*rows:]
-		xb = xb[:rows]
-		xc := inT[(i+2)*rows:]
-		xc = xc[:rows]
-		xd := inT[(i+3)*rows:]
-		xd = xd[:rows]
-		for bi := range xa {
-			o := out[bi*cols:]
-			axpy4Skip(o[:cols], xa[bi], xb[bi], xc[bi], xd[bi], r0, r1, r2, r3)
+		var x []float64
+		if l == 0 {
+			x = bb.xsrc[bi]
+		} else {
+			x = bb.acts[l][bi*inW:]
 		}
-	}
-	for ; i < inW; i++ {
-		row := w.w[i*cols:]
-		row = row[:cols]
-		xcol := inT[i*rows:]
-		xcol = xcol[:rows]
-		for bi, xi := range xcol {
-			if xi != 0 {
-				o := out[bi*cols:]
-				axpy1(o[:cols], xi, row)
-			}
-		}
+		n := nonzeros(bb.nzVal, bb.nzIdx, x[:inW])
+		o := out[bi*cols:]
+		o = o[:cols]
+		copy(o, b)
+		gatherAxpy(o, bb.nzVal[:n], bb.nzIdx[:n], w.w)
 	}
 }
 
 // forwardSparse computes layer 0's pre-activations from sparse rows: row
-// bi's output starts at the bias and adds its nonzero features in
-// ascending order, four weight rows per axpy4. Its
-// `o + x0·r0 + x1·r1 + x2·r2 + x3·r3` associates left to right, so each
-// output element sums the scalar path's terms in the scalar path's order;
-// the zeros it skips are simply absent.
+// bi's output starts at the bias and takes the weight rows of its nonzero
+// features, in ascending order, through one gatherAxpy. Each output
+// element sums the scalar path's terms in the scalar path's order; the
+// zeros it skips are simply absent.
 //
 //maya:hotpath
 func forwardSparse(out []float64, w *dense, b []float64, idx [][]int32, val [][]float64) {
@@ -327,20 +314,28 @@ func forwardSparse(out []float64, w *dense, b []float64, idx [][]int32, val [][]
 		o := out[bi*cols:]
 		o = o[:cols]
 		copy(o, b)
-		xv := val[bi]
-		xv = xv[:len(ix)]
-		for ; len(ix) >= 4; ix, xv = ix[4:], xv[4:] {
-			r0 := w.w[int(ix[0])*cols:]
-			r1 := w.w[int(ix[1])*cols:]
-			r2 := w.w[int(ix[2])*cols:]
-			r3 := w.w[int(ix[3])*cols:]
-			axpy4(o, xv[0], xv[1], xv[2], xv[3], r0[:cols], r1[:cols], r2[:cols], r3[:cols])
-		}
-		for k, f := range ix {
-			r := w.w[int(f)*cols:]
-			axpy1(o, xv[k], r[:cols])
+		gatherAxpy(o, val[bi][:len(ix)], ix, w.w)
+	}
+}
+
+// nonzeros writes x's nonzero entries (NaN and Inf included, ±0 left out,
+// as the scalar path's zero skip treats them) and their positions to the
+// front of xs and ix, in order, and returns their count. xs and ix must
+// hold len(x) elements. Every entry is written and only the count is
+// conditional, so ReLU's unpredictable zeros cost no branch.
+//
+//maya:hotpath
+func nonzeros(xs []float64, ix []int32, x []float64) int {
+	xs = xs[:len(x)]
+	ix = ix[:len(x)]
+	n := 0
+	for i, v := range x {
+		xs[n], ix[n] = v, int32(i)
+		if v != 0 {
+			n++
 		}
 	}
+	return n
 }
 
 // backwardBatch accumulates gradients for the first rows rows into gw/gb.
@@ -373,12 +368,16 @@ func (m *MLP) backwardBatch(bb *batch, rows int, gw []*dense, gb [][]float64) {
 	for l := L - 1; l >= 0; l-- {
 		w := m.weights[l]
 		inW, cols := w.rows, w.cols
-		inT := bb.actsT[l]
 		d := bb.deltas[l+1]
 		if l == 0 && bb.sparse {
 			bb.gradSparse(gw[0], d, rows)
 		} else {
-			gradDense(gw[l], d, inT, rows)
+			if l > 0 {
+				bb.transpose(l, inW, rows)
+			} else {
+				bb.gather(rows)
+			}
+			bb.gradDense(gw[l], d, bb.actsT[l], rows)
 		}
 		bg := gb[l]
 		for bi := 0; bi < rows; bi++ {
@@ -395,6 +394,7 @@ func (m *MLP) backwardBatch(bb *batch, rows int, gw []*dense, gb [][]float64) {
 		// dot product keeps the scalar path's j order. Dots for ReLU-dead
 		// units are computed and discarded — the stored value is 0 either
 		// way, so results are unchanged and the loop stays branch-light.
+		inT := bb.actsT[l]
 		dPrev := bb.deltas[l]
 		i := 0
 		for ; i+4 <= inW; i += 4 {
@@ -463,44 +463,28 @@ func (m *MLP) backwardBatch(bb *batch, rows int, gw []*dense, gb [][]float64) {
 }
 
 // gradDense accumulates one layer's weight gradient G += Xᵀ·D for rows
-// rows of the feature-major input inT: each gradient row takes the batch's
-// delta rows four at a time through axpy4Skip. Its
-// `g + x0·d0 + x1·d1 + x2·d2 + x3·d3` associates left to right, with zero
-// terms skipped — batch-row order, exactly the scalar path's summation
-// order per gradient element.
+// rows of the feature-major input inT: gradient row i takes the delta rows
+// of the batch rows where input i is nonzero, in ascending row order,
+// through one gatherAxpy — exactly the scalar path's summation order per
+// gradient element, with the zero terms it skips absent.
 //
 //maya:hotpath
-func gradDense(g *dense, d, inT []float64, rows int) {
+func (bb *batch) gradDense(g *dense, d, inT []float64, rows int) {
 	inW, cols := g.rows, g.cols
 	for i := 0; i < inW; i++ {
-		grow := g.w[i*cols:]
-		grow = grow[:cols]
 		xcol := inT[i*rows:]
-		xcol = xcol[:rows]
-		bi := 0
-		for ; bi+4 <= rows; bi += 4 {
-			d0 := d[bi*cols:]
-			d1 := d[(bi+1)*cols:]
-			d2 := d[(bi+2)*cols:]
-			d3 := d[(bi+3)*cols:]
-			axpy4Skip(grow, xcol[bi], xcol[bi+1], xcol[bi+2], xcol[bi+3], d0, d1, d2, d3)
-		}
-		for ; bi < rows; bi++ {
-			if xi := xcol[bi]; xi != 0 {
-				drow := d[bi*cols:]
-				axpy1(grow, xi, drow[:cols])
-			}
-		}
+		n := nonzeros(bb.nzVal, bb.nzIdx, xcol[:rows])
+		grow := g.w[i*cols:]
+		gatherAxpy(grow[:cols], bb.nzVal[:n], bb.nzIdx[:n], d)
 	}
 }
 
 // gradSparse accumulates layer 0's weight gradient G += Xᵀ·D from the
 // batch's sparse rows. It first copies the rows' pairs feature-major, a
 // counting sort by feature that keeps each feature's rows ascending; then
-// each feature's gradient row takes its rows four at a time through
-// axpy4. Its `g + x0·d0 + x1·d1 + x2·d2 + x3·d3` associates left to
-// right, so each gradient element sums in ascending row order, the scalar
-// path's order.
+// each feature's gradient row takes the delta rows of its rows through
+// one gatherAxpy, so each gradient element sums in ascending row order,
+// the scalar path's order.
 //
 //maya:hotpath
 func (bb *batch) gradSparse(g *dense, d []float64, rows int) {
@@ -534,55 +518,13 @@ func (bb *batch) gradSparse(g *dense, d []float64, rows int) {
 			continue
 		}
 		grow := g.w[f*cols:]
-		grow = grow[:cols]
-		rs, xs := colRow[lo:hi], colVal[lo:hi]
+		gatherAxpy(grow[:cols], colVal[lo:hi], colRow[lo:hi], d)
 		lo = hi
-		for ; len(rs) >= 4; rs, xs = rs[4:], xs[4:] {
-			d0 := d[int(rs[0])*cols:]
-			d1 := d[int(rs[1])*cols:]
-			d2 := d[int(rs[2])*cols:]
-			d3 := d[int(rs[3])*cols:]
-			axpy4(grow, xs[0], xs[1], xs[2], xs[3], d0[:cols], d1[:cols], d2[:cols], d3[:cols])
-		}
-		for k, r := range rs {
-			drow := d[int(r)*cols:]
-			axpy1(grow, xs[k], drow[:cols])
-		}
 	}
 }
 
-// axpy4Skip adds four scaled rows into o as axpy4 does, except that a
-// term whose scale is exactly zero is skipped: when any of x0..x3 is zero
-// the nonzero ones are added one row at a time, in order. This is the
-// scalar path's zero skip, and its summation order, for the dense kernels,
-// whose inputs (ReLU activations, dense features) may hold exact zeros.
-//
-//maya:hotpath
-func axpy4Skip(o []float64, x0, x1, x2, x3 float64, r0, r1, r2, r3 []float64) {
-	r0 = r0[:len(o)]
-	r1 = r1[:len(o)]
-	r2 = r2[:len(o)]
-	r3 = r3[:len(o)]
-	if x0 != 0 && x1 != 0 && x2 != 0 && x3 != 0 {
-		axpy4(o, x0, x1, x2, x3, r0, r1, r2, r3)
-		return
-	}
-	if x0 != 0 {
-		axpy1(o, x0, r0)
-	}
-	if x1 != 0 {
-		axpy1(o, x1, r1)
-	}
-	if x2 != 0 {
-		axpy1(o, x2, r2)
-	}
-	if x3 != 0 {
-		axpy1(o, x3, r3)
-	}
-}
-
-// checkBatchRows panics when a kernel is invoked for a row count the
-// transposed activation buffers were not built for. It lives outside the
+// checkBatchRows panics when a kernel is invoked for a row count other
+// than the one last loaded into the batch. It lives outside the
 // hot kernels so the panic's string boxing stays off the //maya:hotpath
 // allocation budget.
 func checkBatchRows(ok bool) {

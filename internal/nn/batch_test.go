@@ -207,6 +207,10 @@ func trainSets(seed uint64, n, dim, classes int) (train, val []Example) {
 }
 
 func TestBatchedTrainMatchesScalarBitForBit(t *testing.T) {
+	eachGatherKernel(t, batchedTrainMatchesScalar)
+}
+
+func batchedTrainMatchesScalar(t *testing.T) {
 	const seed = 42
 	train, val := trainSets(7, 70, 12, 3) // 52 train rows: one full batch of 32, one partial of 20
 	cfg := TrainConfig{Epochs: 6, BatchSize: 32, LR: 3e-3, WeightDecay: 1e-5}
@@ -240,6 +244,10 @@ func TestBatchedTrainMatchesScalarBitForBit(t *testing.T) {
 // validation set when only Patience reads the score: without cfg.Log it
 // must stop at the reference's epoch, or the weights differ.
 func TestEarlyStoppingMatchesScalar(t *testing.T) {
+	eachGatherKernel(t, earlyStoppingMatchesScalar)
+}
+
+func earlyStoppingMatchesScalar(t *testing.T) {
 	train, val := trainSets(7, 70, 12, 3)
 	cfg := TrainConfig{Epochs: 30, BatchSize: 32, LR: 3e-3, WeightDecay: 1e-5, Patience: 2}
 	a := NewMLP(rng.New(42), 12, 16, 8, 3)
@@ -252,6 +260,28 @@ func TestEarlyStoppingMatchesScalar(t *testing.T) {
 		for i, w := range a.weights[l].w {
 			if math.Float64bits(w) != math.Float64bits(b.weights[l].w[i]) {
 				t.Fatalf("layer %d weight %d differs: batched %x scalar %x",
+					l, i, math.Float64bits(w), math.Float64bits(b.weights[l].w[i]))
+			}
+		}
+	}
+}
+
+// TestPatienceWithoutValidationTrainsAllEpochs pins that early stopping
+// needs a validation set: with none, Train runs every epoch, exactly as
+// with early stopping off, instead of scoring a constant 0 and stopping
+// after Patience+1 epochs.
+func TestPatienceWithoutValidationTrainsAllEpochs(t *testing.T) {
+	train, _ := trainSets(7, 70, 12, 3)
+	cfg := TrainConfig{Epochs: 6, BatchSize: 32, LR: 3e-3, WeightDecay: 1e-5}
+	a := NewMLP(rng.New(42), 12, 16, 8, 3)
+	b := NewMLP(rng.New(42), 12, 16, 8, 3)
+	a.Train(rng.New(43), train, nil, cfg)
+	cfg.Patience = 2
+	b.Train(rng.New(43), train, nil, cfg)
+	for l := range a.weights {
+		for i, w := range a.weights[l].w {
+			if math.Float64bits(w) != math.Float64bits(b.weights[l].w[i]) {
+				t.Fatalf("layer %d weight %d: Patience 0 %x, Patience 2 without validation %x",
 					l, i, math.Float64bits(w), math.Float64bits(b.weights[l].w[i]))
 			}
 		}
@@ -279,6 +309,10 @@ func TestBatchedTrainMatchesScalarTinyBatches(t *testing.T) {
 }
 
 func TestBatchedEvalMatchesScalar(t *testing.T) {
+	eachGatherKernel(t, batchedEvalMatchesScalar)
+}
+
+func batchedEvalMatchesScalar(t *testing.T) {
 	// Accuracy and Confusion run on the batched forward; their per-example
 	// decisions must match the scalar forward exactly, including across the
 	// evalBatchSize boundary.
@@ -342,6 +376,10 @@ func oneHotSets(seed uint64, n, groups, classes int) (train, val []Example) {
 }
 
 func TestSparseTrainMatchesScalar(t *testing.T) {
+	eachGatherKernel(t, sparseTrainMatchesScalar)
+}
+
+func sparseTrainMatchesScalar(t *testing.T) {
 	const groups, classes = 6, 3
 	dim := groups * oneHotLevels
 	train, val := oneHotSets(19, 100, groups, classes) // 75 train rows

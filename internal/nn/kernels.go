@@ -2,14 +2,21 @@ package nn
 
 import "math"
 
-// The training loop's three innermost kernels, as plain Go. On amd64,
-// adamUpdate, axpy4 and axpy1 are SSE2 versions of these loops
-// (kernels_amd64.s) and these are the reference the tests and fuzzers pin
-// them to bit for bit; on every other GOARCH they are the implementation
-// (kernels_other.go). SSE2's packed add, multiply, divide and square root
-// round each lane exactly as the scalar instructions the Go compiler emits
-// for these loops, and the assembly applies them in the same order, so the
-// two agree on every bit except a NaN's payload, which Go leaves undefined.
+// The training loop's two innermost kernels, as plain Go. adamUpdate
+// applies one Adam step; gatherAxpy adds a list of scaled matrix rows into
+// one output row, and every forward and gradient kernel in batch.go is one
+// gatherAxpy call per output row.
+//
+// On amd64 both are assembly (kernels_amd64.s), and these loops are the
+// reference the tests and fuzzers pin them to bit for bit: adamUpdate is
+// SSE2, and gatherAxpy is an AVX2 kernel where the CPU and OS support it,
+// chosen once at package init by a CPUID check, or an SSE2 kernel
+// otherwise. On every other GOARCH these loops are the implementation
+// (kernels_other.go). SSE2's and AVX's packed add, multiply, divide and
+// square root round each lane exactly as the scalar instructions the Go
+// compiler emits for these loops, the assembly applies them in the same
+// order with no fused multiply-add, and so the two agree on every bit
+// except a NaN's payload, which Go leaves undefined.
 
 // Adam's hyperparameters. Go folds 1-beta1 and 1-beta2 exactly and rounds
 // once, to 0x3fb999999999999a and 0x3f50624dd2f1a9fc; the assembly loads
@@ -39,29 +46,21 @@ func adamUpdateGeneric(p, g, m, v []float64, scale, decay, im, isq float64) {
 	}
 }
 
-// axpy4Generic adds four scaled rows into o:
-// o[j] = o[j] + x0·r0[j] + x1·r1[j] + x2·r2[j] + x3·r3[j], associated left
-// to right, which is the order a loop adding the four rows one at a time
-// sums them in. Each row must hold at least len(o) elements.
+// gatherAxpyGeneric adds len(xs) scaled rows of the row-major matrix m,
+// whose rows are len(o) wide, into o: for every j,
+// o[j] = o[j] + xs[0]·m[idx[0]·len(o)+j] + xs[1]·m[idx[1]·len(o)+j] + …,
+// associated left to right. Indices may repeat and come in any order. idx
+// must hold at least len(xs) elements, and m every row they name.
 //
 //maya:hotpath
-func axpy4Generic(o []float64, x0, x1, x2, x3 float64, r0, r1, r2, r3 []float64) {
-	r0 = r0[:len(o)]
-	r1 = r1[:len(o)]
-	r2 = r2[:len(o)]
-	r3 = r3[:len(o)]
-	for j := range o {
-		o[j] = o[j] + x0*r0[j] + x1*r1[j] + x2*r2[j] + x3*r3[j]
-	}
-}
-
-// axpy1Generic adds one scaled row into o: o[j] += x·r[j]. r must hold at
-// least len(o) elements.
-//
-//maya:hotpath
-func axpy1Generic(o []float64, x float64, r []float64) {
-	r = r[:len(o)]
-	for j, rv := range r {
-		o[j] += x * rv
+func gatherAxpyGeneric(o, xs []float64, idx []int32, m []float64) {
+	idx = idx[:len(xs)]
+	n := len(o)
+	for k, x := range xs {
+		r := m[int(idx[k])*n:]
+		r = r[:n]
+		for j, rv := range r {
+			o[j] += x * rv
+		}
 	}
 }

@@ -1,11 +1,12 @@
 #include "textflag.h"
 
-// SSE2 versions of the loops in kernels.go, two float64 lanes per
-// instruction with a scalar tail for an odd length. SSE2 is part of
-// amd64's baseline, so no CPU-feature check guards them. Each lane applies
-// the Go loop's operations in the Go loop's order, with no fused
-// multiply-add (the Go compiler fuses only an explicit math.FMA on amd64),
-// so every result rounds exactly as the Go loop's does.
+// Assembly versions of the loops in kernels.go. adamUpdate and
+// gatherAxpySSE2 use SSE2, part of amd64's baseline; gatherAxpyAVX2 runs
+// only where detectAVX2 (kernels_amd64.go) found AVX2 and YMM state saved
+// by the OS. Each lane applies the Go loop's operations in the Go loop's
+// order, with no fused multiply-add (the Go compiler fuses only an
+// explicit math.FMA on amd64), so every result rounds exactly as the Go
+// loop's does.
 
 // func adamUpdate(p, g, m, v []float64, scale, decay, im, isq float64)
 TEXT ·adamUpdate(SB), NOSPLIT, $0-128
@@ -112,99 +113,351 @@ adamtail:
 adamdone:
 	RET
 
-// func axpy4(o []float64, x0, x1, x2, x3 float64, r0, r1, r2, r3 []float64)
-TEXT ·axpy4(SB), NOSPLIT, $0-152
-	MOVQ o_base+0(FP), DI
-	MOVQ o_len+8(FP), CX
-	MOVQ r0_base+56(FP), R8
-	MOVQ r1_base+80(FP), R9
-	MOVQ r2_base+104(FP), R10
-	MOVQ r3_base+128(FP), R11
-	MOVSD    x0+24(FP), X4
-	UNPCKLPD X4, X4
-	MOVSD    x1+32(FP), X5
-	UNPCKLPD X5, X5
-	MOVSD    x2+40(FP), X6
-	UNPCKLPD X6, X6
-	MOVSD    x3+48(FP), X7
-	UNPCKLPD X7, X7
 
-	XORQ BX, BX
-	MOVQ CX, DX
-	ANDQ $-2, DX
-	JZ   axpy4tail
+// The gather kernels add xs[k]·(row idx[k] of m) into o for k = 0, 1, …,
+// in order, one block of output columns at a time: the block's columns of
+// o are loaded into registers, every term is added into them, and they
+// are stored once, so each block reads every named row of m once and o
+// once. Blocks run widest first, then narrower ones, then a scalar tail.
+//
+// Registers: DI o, CX len(o), SI xs, DX len(xs), R8 idx, R9 m, R10 the
+// row stride len(o)·8, BX the block's first column, AX the column after
+// it, R11 the term k, R13 &m[BX] and R12 that column of row idx[k].
 
-axpy4loop:
-	MOVUPD (DI)(BX*8), X0
-	MOVUPD (R8)(BX*8), X1
-	MULPD  X4, X1
-	ADDPD  X1, X0
-	MOVUPD (R9)(BX*8), X1
-	MULPD  X5, X1
-	ADDPD  X1, X0
-	MOVUPD (R10)(BX*8), X1
-	MULPD  X6, X1
-	ADDPD  X1, X0
-	MOVUPD (R11)(BX*8), X1
-	MULPD  X7, X1
-	ADDPD  X1, X0
-	MOVUPD X0, (DI)(BX*8)
-	ADDQ   $2, BX
-	CMPQ   BX, DX
-	JB     axpy4loop
+// GATHER_ROW points R12 at column BX of row idx[k] of m.
+#define GATHER_ROW \
+	MOVLQSX (R8)(R11*4), R12; \
+	IMULQ   R10, R12; \
+	ADDQ    R13, R12
 
-axpy4tail:
-	CMPQ BX, CX
-	JAE  axpy4done
+// SSE_TERM broadcasts xs[k] into both lanes of X8 and points R12 at the
+// block in row idx[k]; SSE_ADD adds x·(two columns at off) into acc.
+#define SSE_TERM \
+	MOVSD    (SI)(R11*8), X8; \
+	UNPCKLPD X8, X8; \
+	GATHER_ROW
+
+#define SSE_ADD(off, acc) \
+	MOVUPD off(R12), X9; \
+	MULPD  X8, X9; \
+	ADDPD  X9, acc
+
+// func gatherAxpySSE2(o, xs []float64, idx []int32, m []float64)
+TEXT ·gatherAxpySSE2(SB), NOSPLIT, $0-96
+	MOVQ  o_base+0(FP), DI
+	MOVQ  o_len+8(FP), CX
+	MOVQ  xs_base+24(FP), SI
+	MOVQ  xs_len+32(FP), DX
+	MOVQ  idx_base+48(FP), R8
+	MOVQ  m_base+72(FP), R9
+	TESTQ DX, DX
+	JZ    ssedone
+	MOVQ  CX, R10
+	SHLQ  $3, R10
+	XORQ  BX, BX
+
+sse16: // 16 columns in X0-X7
+	LEAQ   16(BX), AX
+	CMPQ   AX, CX
+	JGT    sse8
+	MOVUPD 0(DI)(BX*8), X0
+	MOVUPD 16(DI)(BX*8), X1
+	MOVUPD 32(DI)(BX*8), X2
+	MOVUPD 48(DI)(BX*8), X3
+	MOVUPD 64(DI)(BX*8), X4
+	MOVUPD 80(DI)(BX*8), X5
+	MOVUPD 96(DI)(BX*8), X6
+	MOVUPD 112(DI)(BX*8), X7
+	LEAQ   (R9)(BX*8), R13
+	XORQ   R11, R11
+
+sse16term:
+	SSE_TERM
+	SSE_ADD(0, X0)
+	SSE_ADD(16, X1)
+	SSE_ADD(32, X2)
+	SSE_ADD(48, X3)
+	SSE_ADD(64, X4)
+	SSE_ADD(80, X5)
+	SSE_ADD(96, X6)
+	SSE_ADD(112, X7)
+	INCQ   R11
+	CMPQ   R11, DX
+	JB     sse16term
+	MOVUPD X0, 0(DI)(BX*8)
+	MOVUPD X1, 16(DI)(BX*8)
+	MOVUPD X2, 32(DI)(BX*8)
+	MOVUPD X3, 48(DI)(BX*8)
+	MOVUPD X4, 64(DI)(BX*8)
+	MOVUPD X5, 80(DI)(BX*8)
+	MOVUPD X6, 96(DI)(BX*8)
+	MOVUPD X7, 112(DI)(BX*8)
+	MOVQ   AX, BX
+	JMP    sse16
+
+sse8: // 8 columns in X0-X3
+	LEAQ   8(BX), AX
+	CMPQ   AX, CX
+	JGT    sse4
+	MOVUPD 0(DI)(BX*8), X0
+	MOVUPD 16(DI)(BX*8), X1
+	MOVUPD 32(DI)(BX*8), X2
+	MOVUPD 48(DI)(BX*8), X3
+	LEAQ   (R9)(BX*8), R13
+	XORQ   R11, R11
+
+sse8term:
+	SSE_TERM
+	SSE_ADD(0, X0)
+	SSE_ADD(16, X1)
+	SSE_ADD(32, X2)
+	SSE_ADD(48, X3)
+	INCQ   R11
+	CMPQ   R11, DX
+	JB     sse8term
+	MOVUPD X0, 0(DI)(BX*8)
+	MOVUPD X1, 16(DI)(BX*8)
+	MOVUPD X2, 32(DI)(BX*8)
+	MOVUPD X3, 48(DI)(BX*8)
+	MOVQ   AX, BX
+
+sse4: // 4 columns in X0-X1
+	LEAQ   4(BX), AX
+	CMPQ   AX, CX
+	JGT    sse2
+	MOVUPD 0(DI)(BX*8), X0
+	MOVUPD 16(DI)(BX*8), X1
+	LEAQ   (R9)(BX*8), R13
+	XORQ   R11, R11
+
+sse4term:
+	SSE_TERM
+	SSE_ADD(0, X0)
+	SSE_ADD(16, X1)
+	INCQ   R11
+	CMPQ   R11, DX
+	JB     sse4term
+	MOVUPD X0, 0(DI)(BX*8)
+	MOVUPD X1, 16(DI)(BX*8)
+	MOVQ   AX, BX
+
+sse2: // 2 columns in X0
+	LEAQ   2(BX), AX
+	CMPQ   AX, CX
+	JGT    sse1
+	MOVUPD 0(DI)(BX*8), X0
+	LEAQ   (R9)(BX*8), R13
+	XORQ   R11, R11
+
+sse2term:
+	SSE_TERM
+	SSE_ADD(0, X0)
+	INCQ   R11
+	CMPQ   R11, DX
+	JB     sse2term
+	MOVUPD X0, 0(DI)(BX*8)
+	MOVQ   AX, BX
+
+sse1: // the last column, if len(o) is odd
+	CMPQ  BX, CX
+	JAE   ssedone
 	MOVSD (DI)(BX*8), X0
-	MOVSD (R8)(BX*8), X1
-	MULSD X4, X1
-	ADDSD X1, X0
-	MOVSD (R9)(BX*8), X1
-	MULSD X5, X1
-	ADDSD X1, X0
-	MOVSD (R10)(BX*8), X1
-	MULSD X6, X1
-	ADDSD X1, X0
-	MOVSD (R11)(BX*8), X1
-	MULSD X7, X1
-	ADDSD X1, X0
+	LEAQ  (R9)(BX*8), R13
+	XORQ  R11, R11
+
+sse1term:
+	GATHER_ROW
+	MOVSD (R12), X9
+	MULSD (SI)(R11*8), X9
+	ADDSD X9, X0
+	INCQ  R11
+	CMPQ  R11, DX
+	JB    sse1term
 	MOVSD X0, (DI)(BX*8)
 
-axpy4done:
+ssedone:
 	RET
 
-// func axpy1(o []float64, x float64, r []float64)
-TEXT ·axpy1(SB), NOSPLIT, $0-56
-	MOVQ o_base+0(FP), DI
-	MOVQ o_len+8(FP), CX
-	MOVQ r_base+32(FP), R8
-	MOVSD    x+24(FP), X4
-	UNPCKLPD X4, X4
+// AVX_TERM broadcasts xs[k] into the four lanes of Y8 and points R12 at
+// the block in row idx[k]; AVX_ADD adds x·(four columns at off) into acc.
+#define AVX_TERM \
+	VBROADCASTSD (SI)(R11*8), Y8; \
+	GATHER_ROW
 
-	XORQ BX, BX
-	MOVQ CX, DX
-	ANDQ $-2, DX
-	JZ   axpy1tail
+#define AVX_ADD(off, acc) \
+	VMULPD off(R12), Y8, Y9; \
+	VADDPD Y9, acc, acc
 
-axpy1loop:
-	MOVUPD (DI)(BX*8), X0
-	MOVUPD (R8)(BX*8), X1
-	MULPD  X4, X1
-	ADDPD  X1, X0
-	MOVUPD X0, (DI)(BX*8)
-	ADDQ   $2, BX
-	CMPQ   BX, DX
-	JB     axpy1loop
+// func gatherAxpyAVX2(o, xs []float64, idx []int32, m []float64)
+TEXT ·gatherAxpyAVX2(SB), NOSPLIT, $0-96
+	MOVQ  o_base+0(FP), DI
+	MOVQ  o_len+8(FP), CX
+	MOVQ  xs_base+24(FP), SI
+	MOVQ  xs_len+32(FP), DX
+	MOVQ  idx_base+48(FP), R8
+	MOVQ  m_base+72(FP), R9
+	TESTQ DX, DX
+	JZ    avxdone
+	MOVQ  CX, R10
+	SHLQ  $3, R10
+	XORQ  BX, BX
 
-axpy1tail:
-	CMPQ BX, CX
-	JAE  axpy1done
-	MOVSD (DI)(BX*8), X0
-	MOVSD (R8)(BX*8), X1
-	MULSD X4, X1
-	ADDSD X1, X0
-	MOVSD X0, (DI)(BX*8)
+avx32: // 32 columns in Y0-Y7
+	LEAQ    32(BX), AX
+	CMPQ    AX, CX
+	JGT     avx16
+	VMOVUPD 0(DI)(BX*8), Y0
+	VMOVUPD 32(DI)(BX*8), Y1
+	VMOVUPD 64(DI)(BX*8), Y2
+	VMOVUPD 96(DI)(BX*8), Y3
+	VMOVUPD 128(DI)(BX*8), Y4
+	VMOVUPD 160(DI)(BX*8), Y5
+	VMOVUPD 192(DI)(BX*8), Y6
+	VMOVUPD 224(DI)(BX*8), Y7
+	LEAQ    (R9)(BX*8), R13
+	XORQ    R11, R11
 
-axpy1done:
+avx32term:
+	AVX_TERM
+	AVX_ADD(0, Y0)
+	AVX_ADD(32, Y1)
+	AVX_ADD(64, Y2)
+	AVX_ADD(96, Y3)
+	AVX_ADD(128, Y4)
+	AVX_ADD(160, Y5)
+	AVX_ADD(192, Y6)
+	AVX_ADD(224, Y7)
+	INCQ    R11
+	CMPQ    R11, DX
+	JB      avx32term
+	VMOVUPD Y0, 0(DI)(BX*8)
+	VMOVUPD Y1, 32(DI)(BX*8)
+	VMOVUPD Y2, 64(DI)(BX*8)
+	VMOVUPD Y3, 96(DI)(BX*8)
+	VMOVUPD Y4, 128(DI)(BX*8)
+	VMOVUPD Y5, 160(DI)(BX*8)
+	VMOVUPD Y6, 192(DI)(BX*8)
+	VMOVUPD Y7, 224(DI)(BX*8)
+	MOVQ    AX, BX
+	JMP     avx32
+
+avx16: // 16 columns in Y0-Y3
+	LEAQ    16(BX), AX
+	CMPQ    AX, CX
+	JGT     avx8
+	VMOVUPD 0(DI)(BX*8), Y0
+	VMOVUPD 32(DI)(BX*8), Y1
+	VMOVUPD 64(DI)(BX*8), Y2
+	VMOVUPD 96(DI)(BX*8), Y3
+	LEAQ    (R9)(BX*8), R13
+	XORQ    R11, R11
+
+avx16term:
+	AVX_TERM
+	AVX_ADD(0, Y0)
+	AVX_ADD(32, Y1)
+	AVX_ADD(64, Y2)
+	AVX_ADD(96, Y3)
+	INCQ    R11
+	CMPQ    R11, DX
+	JB      avx16term
+	VMOVUPD Y0, 0(DI)(BX*8)
+	VMOVUPD Y1, 32(DI)(BX*8)
+	VMOVUPD Y2, 64(DI)(BX*8)
+	VMOVUPD Y3, 96(DI)(BX*8)
+	MOVQ    AX, BX
+
+avx8: // 8 columns in Y0-Y1
+	LEAQ    8(BX), AX
+	CMPQ    AX, CX
+	JGT     avx4
+	VMOVUPD 0(DI)(BX*8), Y0
+	VMOVUPD 32(DI)(BX*8), Y1
+	LEAQ    (R9)(BX*8), R13
+	XORQ    R11, R11
+
+avx8term:
+	AVX_TERM
+	AVX_ADD(0, Y0)
+	AVX_ADD(32, Y1)
+	INCQ    R11
+	CMPQ    R11, DX
+	JB      avx8term
+	VMOVUPD Y0, 0(DI)(BX*8)
+	VMOVUPD Y1, 32(DI)(BX*8)
+	MOVQ    AX, BX
+
+avx4: // 4 columns in Y0
+	LEAQ    4(BX), AX
+	CMPQ    AX, CX
+	JGT     avx2
+	VMOVUPD 0(DI)(BX*8), Y0
+	LEAQ    (R9)(BX*8), R13
+	XORQ    R11, R11
+
+avx4term:
+	AVX_TERM
+	AVX_ADD(0, Y0)
+	INCQ    R11
+	CMPQ    R11, DX
+	JB      avx4term
+	VMOVUPD Y0, 0(DI)(BX*8)
+	MOVQ    AX, BX
+
+avx2: // 2 columns in X0, the low half of Y0
+	LEAQ    2(BX), AX
+	CMPQ    AX, CX
+	JGT     avx1
+	VMOVUPD 0(DI)(BX*8), X0
+	LEAQ    (R9)(BX*8), R13
+	XORQ    R11, R11
+
+avx2term:
+	AVX_TERM
+	VMULPD  (R12), X8, X9
+	VADDPD  X9, X0, X0
+	INCQ    R11
+	CMPQ    R11, DX
+	JB      avx2term
+	VMOVUPD X0, 0(DI)(BX*8)
+	MOVQ    AX, BX
+
+avx1: // the last column, if len(o) is odd
+	CMPQ   BX, CX
+	JAE    avxdone
+	VMOVSD (DI)(BX*8), X0
+	LEAQ   (R9)(BX*8), R13
+	XORQ   R11, R11
+
+avx1term:
+	GATHER_ROW
+	VMOVSD (R12), X9
+	VMULSD (SI)(R11*8), X9, X9
+	VADDSD X9, X0, X0
+	INCQ   R11
+	CMPQ   R11, DX
+	JB     avx1term
+	VMOVSD X0, (DI)(BX*8)
+
+avxdone:
+	VZEROUPPER
+	RET
+
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
 	RET

@@ -3,20 +3,41 @@ package nn
 import (
 	"encoding/binary"
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/maya-defense/maya/internal/rng"
 )
 
 // The fuzzers pin each training kernel to its Go loop in kernels.go over
-// arbitrary float64 bit patterns and lengths 0–67, odd ones reaching the
-// assembly's scalar tail. On amd64 they compare the SSE2 kernels with the
-// Go loops; elsewhere the kernels are the Go loops and the comparison is
-// trivially equal.
+// arbitrary float64 bit patterns. On amd64 they compare the assembly
+// kernels with the Go loops: the SSE2 ones always, and the AVX2 gather
+// kernel where the CPU runs it. Elsewhere the kernels are the Go loops and
+// the comparison is trivially equal.
 
-// maxFuzzLen bounds the kernels' operand length: 67 covers many packed
-// iterations and both tail parities.
+// maxFuzzLen bounds the Adam kernel's operand length: 67 covers many
+// packed iterations and both tail parities.
 const maxFuzzLen = 67
+
+// gatherKernel is one gatherAxpy implementation.
+type gatherKernel struct {
+	name string
+	fn   func(o, xs []float64, idx []int32, m []float64)
+}
+
+// eachGatherKernel runs f as one subtest per implementation gatherKernels
+// lists, with the package's kernel selection swapped to it, so a host
+// that picks AVX2 also trains through the SSE2 kernel.
+func eachGatherKernel(t *testing.T, f func(t *testing.T)) {
+	for _, k := range gatherKernels() {
+		t.Run(k.name, func(t *testing.T) {
+			picked := gatherAxpy
+			defer func() { gatherAxpy = picked }()
+			gatherAxpy = k.fn
+			f(t)
+		})
+	}
+}
 
 // fuzzOperands decodes count operands of n float64s each from data, eight
 // little-endian bytes per element, read cyclically so that a short input
@@ -102,36 +123,45 @@ func FuzzAdamUpdate(f *testing.F) {
 	})
 }
 
-func FuzzAxpy(f *testing.F) {
+// The gather fuzzer's shapes: up to 80 columns reach every block width of
+// both gather kernels, each remainder below it and the scalar tail; up to
+// 40 terms; indices into a matrix of gatherRows rows, so that they repeat
+// and come in any order.
+const maxFuzzCols, maxFuzzTerms, gatherRows = 80, 40, 7
+
+func FuzzGatherAxpy(f *testing.F) {
 	r := rng.New(81)
 	var plausible []float64
-	for i := 0; i < 5*maxFuzzLen; i++ {
+	for i := 0; i < (gatherRows+2)*maxFuzzCols; i++ {
 		plausible = append(plausible, r.NormFloat64())
 	}
-	bits := math.Float64bits
-	f.Add(uint8(64), bits(1), bits(0.5), bits(-2), bits(1e-3), floatBytes(plausible...))
-	f.Add(uint8(maxFuzzLen), bits(0.1), bits(0.2), bits(0.3), bits(0.7), floatBytes(plausible...))
-	f.Add(uint8(11), bits(1), bits(math.Copysign(0, -1)), bits(math.NaN()), bits(math.Inf(-1)), specialBits)
-	f.Add(uint8(5), bits(math.MaxFloat64), bits(math.SmallestNonzeroFloat64), bits(-1), bits(0), specialBits)
+	everyRow := []byte{0, 1, 2, 3, 4, 5, 6} // in turn, then again
+	f.Add(uint8(64), uint8(maxFuzzTerms), everyRow, floatBytes(plausible...))
+	f.Add(uint8(maxFuzzCols), uint8(maxFuzzTerms), []byte{6, 2, 2, 0, 5, 1, 6, 3}, floatBytes(plausible...))
+	f.Add(uint8(maxFuzzCols-1), uint8(3), []byte{5, 5, 1}, floatBytes(plausible...))
+	f.Add(uint8(11), uint8(9), []byte{3, 0, 4, 1, 6}, specialBits)
+	f.Add(uint8(37), uint8(1), []byte{2}, specialBits)
+	f.Add(uint8(64), uint8(0), []byte(nil), floatBytes(plausible...))
 	for n := uint8(0); n < 3; n++ {
-		f.Add(n, bits(1), bits(2), bits(3), bits(4), []byte(nil))
+		f.Add(n, uint8(2), []byte(nil), []byte(nil))
 	}
-	f.Fuzz(func(t *testing.T, n uint8, x0, x1, x2, x3 uint64, data []byte) {
-		ops := fuzzOperands(data, 5, int(n)%(maxFuzzLen+1))
-		o, r0, r1, r2, r3 := ops[0], ops[1], ops[2], ops[3], ops[4]
-		a, b, c, d := math.Float64frombits(x0), math.Float64frombits(x1), math.Float64frombits(x2), math.Float64frombits(x3)
-
-		got := append([]float64(nil), o...)
+	f.Fuzz(func(t *testing.T, cols, terms uint8, rows, data []byte) {
+		n, k := int(cols)%(maxFuzzCols+1), int(terms)%(maxFuzzTerms+1)
+		vals := fuzzOperands(data, 1, n+k+gatherRows*n)[0]
+		o, xs, m := vals[:n], vals[n:n+k], vals[n+k:]
+		idx := make([]int32, k)
+		for i := range idx {
+			if len(rows) > 0 {
+				idx[i] = int32(rows[i%len(rows)] % gatherRows)
+			}
+		}
 		want := append([]float64(nil), o...)
-		axpy4(got, a, b, c, d, r0, r1, r2, r3)
-		axpy4Generic(want, a, b, c, d, r0, r1, r2, r3)
-		checkSame(t, "axpy4 o", got, want)
-
-		got = append(got[:0], o...)
-		want = append(want[:0], o...)
-		axpy1(got, a, r0)
-		axpy1Generic(want, a, r0)
-		checkSame(t, "axpy1 o", got, want)
+		gatherAxpyGeneric(want, xs, idx, m)
+		for _, kern := range gatherKernels() {
+			got := append([]float64(nil), o...)
+			kern.fn(got, xs, idx, m)
+			checkSame(t, kern.name+" o", got, want)
+		}
 	})
 }
 
@@ -151,5 +181,52 @@ func BenchmarkAdamStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		adamStep(params, grads, st, 3e-3, 1.0/32, 1e-5)
+	}
+}
+
+// BenchmarkGatherAxpy times each gatherAxpy implementation at two shapes
+// of Fig 6's attack: a forward row of layer 0, 240 weight rows (one per
+// one-hot group) added into 64 hidden units, and a typical gradSparse
+// feature, three of a 32-row minibatch's delta rows added into one
+// 64-wide gradient row. On amd64 the Go loop runs as well, for scale.
+func BenchmarkGatherAxpy(b *testing.B) {
+	const cols, batchRows = 64, 32
+	r := rng.New(83)
+	w := make([]float64, benchDim*cols)
+	for i := range w {
+		w[i] = r.NormFloat64() * 0.03
+	}
+	fwdIdx := make([]int32, benchDim/oneHotLevels)
+	fwdX := make([]float64, len(fwdIdx))
+	for g := range fwdIdx {
+		fwdIdx[g] = int32(g*oneHotLevels + r.Intn(oneHotLevels))
+		fwdX[g] = 1
+	}
+	d := make([]float64, batchRows*cols)
+	for i := range d {
+		d[i] = r.NormFloat64() * 0.1
+	}
+	gradIdx, gradX := []int32{4, 17, 29}, []float64{1, 1, 1}
+	kernels := gatherKernels()
+	if runtime.GOARCH == "amd64" {
+		kernels = append(kernels, gatherKernel{"go", gatherAxpyGeneric})
+	}
+	o := make([]float64, cols)
+	for _, k := range kernels {
+		for _, s := range []struct {
+			name string
+			xs   []float64
+			idx  []int32
+			m    []float64
+		}{
+			{"240x64", fwdX, fwdIdx, w},
+			{"3x64", gradX, gradIdx, d},
+		} {
+			b.Run(k.name+"/"+s.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.fn(o, s.xs, s.idx, s.m)
+				}
+			})
+		}
 	}
 }

@@ -7,11 +7,16 @@
 // The implementation is a feed-forward network over float64 slices — no
 // external dependencies — sized for the one-hot-encoded power windows and
 // FFT feature vectors the attacks produce. Training's innermost loops are
-// three kernels: the Adam update and two row updates (axpy4, axpy1). On
-// amd64 they are SSE2 assembly (kernels_amd64.s); their Go loops
+// two kernels: the Adam update, and gatherAxpy, which adds a list of
+// scaled matrix rows into one output row while that row stays in
+// registers; every forward and weight-gradient kernel is one gatherAxpy
+// call per output row. On amd64 both are assembly (kernels_amd64.s): Adam
+// is SSE2, and gatherAxpy is AVX2 where a CPUID check at package init
+// finds the CPU and OS support it, SSE2 otherwise. Their Go loops
 // (kernels.go) are the implementation on every other GOARCH and, on amd64,
-// the reference that FuzzAdamUpdate, FuzzAxpy and the scalar training loop
-// in batch_test.go pin the assembly to, bit for bit.
+// the reference that FuzzAdamUpdate, FuzzGatherAxpy and the scalar
+// training loop in batch_test.go pin every kernel the CPU runs to, bit for
+// bit.
 package nn
 
 import (

@@ -23,7 +23,8 @@ type TrainConfig struct {
 	// WeightDecay is the L2 penalty coefficient.
 	WeightDecay float64
 	// Patience stops training after this many epochs without validation
-	// improvement (0 disables early stopping).
+	// improvement (0 disables early stopping). With no validation
+	// examples there is nothing to score, and training runs all Epochs.
 	Patience int
 	// Log, when set, receives each epoch's mean training loss and
 	// validation accuracy.
@@ -47,7 +48,7 @@ type adamState struct {
 
 // Train fits the network on train. Only early stopping and cfg.Log read
 // the accuracy on val, so Train scores val after each epoch only when
-// cfg.Patience or cfg.Log is set.
+// cfg.Log is set, or cfg.Patience is and val holds examples.
 //
 // Optimization runs on the batched kernels: each minibatch is gathered
 // into row-major matrices and pushed through forwardBatch/backwardBatch,
@@ -68,7 +69,8 @@ func (m *MLP) Train(r *rng.Stream, train, val []Example, cfg TrainConfig) {
 	if cfg.LR <= 0 {
 		cfg.LR = 1e-3
 	}
-	validate := cfg.Patience > 0 || cfg.Log != nil
+	stopEarly := cfg.Patience > 0 && len(val) > 0
+	validate := stopEarly || cfg.Log != nil
 	if !validate {
 		val = nil
 	}
@@ -143,7 +145,7 @@ func (m *MLP) Train(r *rng.Stream, train, val []Example, cfg TrainConfig) {
 			sinceBest = 0
 		} else {
 			sinceBest++
-			if cfg.Patience > 0 && sinceBest >= cfg.Patience {
+			if stopEarly && sinceBest >= cfg.Patience {
 				break
 			}
 		}
