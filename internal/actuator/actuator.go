@@ -129,8 +129,10 @@ func (k Knob) FromNormInfo(x float64) (v float64, clipped bool) {
 }
 
 // FromNormsInfo quantizes like FromNorms and reports, per input, whether
-// the normalized command was clipped to [0, 1].
-func (s Set) FromNormsInfo(u [3]float64) (dvfs, idle, balloon float64, clipped [3]bool) {
+// the normalized command was clipped to [0, 1]. It reads the set through
+// a pointer: the engine calls it on every control decision, and a value
+// receiver would copy all three knobs each time.
+func (s *Set) FromNormsInfo(u [3]float64) (dvfs, idle, balloon float64, clipped [3]bool) {
 	dvfs, clipped[0] = s.DVFS.FromNormInfo(u[0])
 	idle, clipped[1] = s.Idle.FromNormInfo(u[1])
 	balloon, clipped[2] = s.Balloon.FromNormInfo(u[2])

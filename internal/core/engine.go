@@ -201,12 +201,20 @@ type StepPre struct {
 // BeginStep runs the pre-controller phases of one engine step: mask draw,
 // dither draw, target bookkeeping, and the measurement guard. The caller
 // must follow with exactly one controller step on pre.DeltaY and one
-// FinishStep. Decide composes the three; calling them apart lets a caller
-// time each half.
+// FinishStep. Decide runs the same two halves on one StepPre in place;
+// calling them apart lets a caller time each half.
 //
 //maya:hotpath
 func (e *Engine) BeginStep(step int, powerW float64) StepPre {
 	var pre StepPre
+	e.beginStep(&pre, step, powerW)
+	return pre
+}
+
+// beginStep is BeginStep filling *pre, which the caller has zeroed.
+//
+//maya:hotpath
+func (e *Engine) beginStep(pre *StepPre, step int, powerW float64) {
 	// Phase timestamps for the sampled-tick trace. All reads go through the
 	// tracer's clock (blessed inside telemetry); when the tick is not
 	// sampled the whole path is zero-assignments and one branch.
@@ -242,7 +250,6 @@ func (e *Engine) BeginStep(step int, powerW float64) StepPre {
 	if step > 0 {
 		pre.DeltaY = pre.Target - powerW
 	}
-	return pre
 }
 
 // FinishStep runs the post-controller phases of one engine step: blow-up
@@ -252,6 +259,13 @@ func (e *Engine) BeginStep(step int, powerW float64) StepPre {
 //
 //maya:hotpath
 func (e *Engine) FinishStep(step int, pre StepPre, u []float64, ctl *control.Controller) sim.Inputs {
+	return e.finishStep(step, &pre, u, ctl)
+}
+
+// finishStep is FinishStep reading *pre.
+//
+//maya:hotpath
+func (e *Engine) finishStep(step int, pre *StepPre, u []float64, ctl *control.Controller) sim.Inputs {
 	// Blow-up recovery: re-initialize the controller at the identified
 	// operating point when its state norm diverges (sustained saturation
 	// or fault bursts). The emitted u buffer survives Reset.
@@ -350,27 +364,26 @@ func (e *Engine) FinishStep(step int, pre StepPre, u []float64, ctl *control.Con
 		e.metrics.StateNorm.Set(ctl.StateNorm())
 	}
 	if e.flight != nil {
-		rec := telemetry.FlightRecord{
-			Step:      step,
-			TargetW:   pre.Target + pre.DitherW,
-			MeasuredW: powerW,
-			ErrorW:    pre.Target + pre.DitherW - powerW,
-			U:         uq,
-			Applied:   [3]float64{d, idle, b},
-			Saturated: ctl.Saturated(),
-			Clipped:   clipped,
-			StateNorm: ctl.StateNorm(),
+		// JSON cannot carry NaN/±Inf; a rejected non-finite raw reading is
+		// recorded as 0 (the Rejected flag still marks it).
+		var rawW float64
+		if pre.Rejected && !math.IsNaN(pre.RawW) && !math.IsInf(pre.RawW, 0) {
+			rawW = pre.RawW
 		}
-		if pre.Rejected {
-			rec.Rejected = true
-			// JSON cannot carry NaN/±Inf; non-finite raw readings are
-			// recorded as 0 (the Rejected flag still marks them).
-			if !math.IsNaN(pre.RawW) && !math.IsInf(pre.RawW, 0) {
-				rec.RawW = pre.RawW
-			}
-		}
-		rec.StateReinit = reinit
-		e.flight.Record(rec)
+		e.flight.Record(telemetry.FlightRecord{
+			Step:        step,
+			TargetW:     pre.Target + pre.DitherW,
+			MeasuredW:   powerW,
+			ErrorW:      pre.Target + pre.DitherW - powerW,
+			U:           uq,
+			Applied:     [3]float64{d, idle, b},
+			Saturated:   ctl.Saturated(),
+			Clipped:     clipped,
+			StateNorm:   ctl.StateNorm(),
+			Rejected:    pre.Rejected,
+			RawW:        rawW,
+			StateReinit: reinit,
+		})
 	}
 	return sim.Inputs{FreqGHz: d, Idle: idle, Balloon: b}
 }
@@ -382,9 +395,10 @@ func (e *Engine) FinishStep(step int, pre StepPre, u []float64, ctl *control.Con
 //
 //maya:hotpath
 func (e *Engine) Decide(step int, powerW float64) sim.Inputs {
-	pre := e.BeginStep(step, powerW)
+	var pre StepPre
+	e.beginStep(&pre, step, powerW)
 	u := e.ctl.Step(pre.DeltaY)
-	return e.FinishStep(step, pre, u, e.ctl)
+	return e.finishStep(step, &pre, u, e.ctl)
 }
 
 // MaskTargets returns the targets issued so far (one per Decide call).

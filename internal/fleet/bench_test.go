@@ -1,6 +1,7 @@
 package fleet_test
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"github.com/maya-defense/maya/internal/control"
@@ -10,6 +11,7 @@ import (
 	"github.com/maya-defense/maya/internal/fleet/difftest"
 	"github.com/maya-defense/maya/internal/rng"
 	"github.com/maya-defense/maya/internal/sim"
+	"github.com/maya-defense/maya/internal/telemetry"
 	"github.com/maya-defense/maya/internal/workload"
 )
 
@@ -108,5 +110,55 @@ func BenchmarkFleetTickScalar(b *testing.B) {
 		for t := 0; t < benchTenants; t++ {
 			sim.Run(machines[t], works[t], pols[t], sim.RunSpec{ControlPeriodTicks: 20, MaxTicks: 200})
 		}
+	}
+}
+
+// BenchmarkFleetBankOfOne steps banks of one tenant the way mayad's pass
+// steps fleet-mixed: GOMAXPROCS goroutines, each stepping its own Maya GS
+// bank (sys1, blackscholes at scale 0.2, 500 periods, then a fresh bank),
+// with every bank counting into one shared fleet.Metrics ("attached") or
+// into none ("detached"). One op is one tenant-period, so the gap between
+// the two is what the fleet's own accounting costs a bank of one.
+func BenchmarkFleetBankOfOne(b *testing.B) {
+	art := benchDesign(b)
+	cfg := sim.Sys1()
+	for _, attach := range []bool{true, false} {
+		name := "detached"
+		if attach {
+			name = "attached"
+		}
+		b.Run(name, func(b *testing.B) {
+			var m *fleet.Metrics
+			if attach {
+				m = fleet.NewMetrics(telemetry.NewRegistry())
+			}
+			var seeds atomic.Uint64
+			bank := func() *fleet.Engine {
+				eng := fleet.New(fleet.Spec{
+					Config:         cfg,
+					Kind:           defense.MayaGS,
+					Art:            art,
+					PeriodTicks:    20,
+					Tenants:        1,
+					BaseSeed:       seeds.Add(1),
+					NewWorkload:    func() workload.Workload { return workload.NewApp("blackscholes").Scale(0.2) },
+					MaxTicks:       500 * 20,
+					SkipTickTraces: true,
+				})
+				eng.SetMetrics(m)
+				eng.Start()
+				return eng
+			}
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				eng := bank()
+				for pb.Next() {
+					if !eng.StepPeriod() {
+						eng.Results()
+						eng = bank()
+					}
+				}
+			})
+		})
 	}
 }

@@ -119,6 +119,8 @@ type Engine struct {
 	step int
 
 	metrics *Metrics
+	// tally is counted every period and published into metrics in batches.
+	tally tally
 
 	started  bool
 	finished bool
@@ -218,8 +220,12 @@ func New(spec Spec) *Engine {
 	return e
 }
 
-// SetMetrics attaches fleet telemetry (nil detaches).
-func (e *Engine) SetMetrics(m *Metrics) { e.metrics = m }
+// SetMetrics attaches fleet telemetry (nil detaches). What the engine has
+// counted and not yet published goes to the metrics attached before.
+func (e *Engine) SetMetrics(m *Metrics) {
+	e.publish()
+	e.metrics = m
+}
 
 // Run executes the fleet to MaxTicks and returns one result per tenant.
 // Run is Start + StepPeriod-to-exhaustion + Results; incremental callers
@@ -269,12 +275,14 @@ const blockTenants = 16
 // trailing partial period when MaxTicks is not a period multiple) and
 // reports whether ticks remain. It must follow Start.
 //
-// The period runs as four phases, each across every tenant and each timed
-// by one clock read: the machine ticks up to the period boundary, a block
-// of tenants at a time, then Sense, Decide and Actuate. Every tenant
-// shares the spec, so all of them reach the boundary, or the end of the
-// run, on the same tick; a tenant touches only its own loop, so neither
-// the blocking nor the phase order shows in a result.
+// The period runs as four phases, each across every tenant: the machine
+// ticks up to the period boundary, a block of tenants at a time, then
+// Sense, Decide and Actuate. Every tenant shares the spec, so all of them
+// reach the boundary, or the end of the run, on the same tick; a tenant
+// touches only its own loop, so neither the blocking nor the phase order
+// shows in a result. With metrics attached, a period that starts from a
+// step divisible by sampleSteps publishes the engine's tally, and a timed
+// period reads the clock once per phase (see Metrics).
 func (e *Engine) StepPeriod() bool {
 	if !e.started {
 		panic("fleet: Engine.StepPeriod before Start")
@@ -282,7 +290,23 @@ func (e *Engine) StepPeriod() bool {
 	if len(e.tenants) == 0 || e.tenants[0].loop.Done() {
 		return false
 	}
-	tPhase := e.clock()
+	sampled := e.step%sampleSteps == 0
+	// weight is how many periods this one's phase times stand for: 1 when
+	// the bank times every period, sampleSteps on a small bank's sampled
+	// period, and 0 when the period is not timed.
+	var weight uint64
+	switch {
+	case e.metrics == nil:
+	case len(e.tenants) >= sampleSteps:
+		weight = 1
+	case sampled:
+		weight = sampleSteps
+	}
+	timed := weight > 0
+	var tPhase int64
+	if timed {
+		tPhase = clock()
+	}
 	boundary, ticks := false, 0
 	for lo := 0; lo < len(e.tenants); lo += blockTenants {
 		block := e.tenants[lo:min(lo+blockTenants, len(e.tenants))]
@@ -300,40 +324,38 @@ func (e *Engine) StepPeriod() bool {
 			ticks += len(block)
 		}
 	}
-	if e.metrics != nil {
-		e.metrics.Ticks.Add(uint64(ticks))
-		tNow := e.clock()
-		e.metrics.MachineNs.Add(uint64(tNow - tPhase))
-		tPhase = tNow
+	e.tally.ticks += uint64(ticks)
+	if timed {
+		tPhase = lap(&e.tally.machineNs, tPhase, weight)
 	}
 	if boundary {
 		for i := range e.tenants {
 			tn := &e.tenants[i]
 			e.pw[tn.slot] = tn.loop.Sense()
 		}
-		if e.metrics != nil {
-			tNow := e.clock()
-			e.metrics.SenseNs.Add(uint64(tNow - tPhase))
-			tPhase = tNow
+		if timed {
+			tPhase = lap(&e.tally.senseNs, tPhase, weight)
 		}
 		for i := range e.tenants {
 			e.tenants[i].loop.Decide()
 		}
 		e.step++
-		if e.metrics != nil {
-			e.metrics.Periods.Inc()
-			tNow := e.clock()
-			e.metrics.ControlNs.Add(uint64(tNow - tPhase))
-			tPhase = tNow
+		e.tally.periods++
+		if timed {
+			tPhase = lap(&e.tally.controlNs, tPhase, weight)
 		}
 		for i := range e.tenants {
 			e.tenants[i].loop.Actuate()
 		}
-		if e.metrics != nil {
-			e.metrics.ActuateNs.Add(uint64(e.clock() - tPhase))
+		if timed {
+			lap(&e.tally.actuateNs, tPhase, weight)
 		}
 	}
-	return !e.tenants[0].loop.Done()
+	more := !e.tenants[0].loop.Done()
+	if sampled || !more {
+		e.publish()
+	}
+	return more
 }
 
 // Readings returns the latest period boundary's sensor readings, one per
@@ -356,6 +378,7 @@ func (e *Engine) Results() []TenantResult {
 		panic("fleet: Engine.Results called twice")
 	}
 	e.finished = true
+	e.publish()
 	res := make([]TenantResult, e.spec.Tenants)
 	for _, tn := range e.tenants {
 		r := &res[tn.slot]
@@ -376,13 +399,16 @@ func (e *Engine) Results() []TenantResult {
 // its buffers are released. Tenants are fully independent, so the
 // survivors' traces are unchanged. Evicting a slot twice is a no-op; an
 // engine with every slot evicted steps nothing, and its owner should drop
-// it.
+// it: evicting the last slot publishes the engine's tally.
 func (e *Engine) Evict(t int) {
 	i, ok := slices.BinarySearchFunc(e.tenants, t, func(tn tenant, slot int) int {
 		return cmp.Compare(tn.slot, slot)
 	})
 	if ok {
 		e.tenants = slices.Delete(e.tenants, i, i+1)
+		if len(e.tenants) == 0 {
+			e.publish()
+		}
 	}
 }
 

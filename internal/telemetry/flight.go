@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"reflect"
+	"strconv"
 )
 
 // FlightRecord is one control-loop tick as the flight recorder stores it:
@@ -126,14 +129,142 @@ func (f *FlightRecorder) Snapshot() []FlightRecord {
 	return out
 }
 
+// flushChunk is how many bytes of JSONL Flush collects before each write;
+// the record that crosses it ends the chunk.
+const flushChunk = 64 << 10
+
+// flightRecordMax bounds one record's JSONL line: eleven floats of at most
+// 24 characters each, the step, the flags and the keys.
+const flightRecordMax = 640
+
 // Flush writes every record not yet spilled to w as JSONL and marks it
 // spilled. Call it between runs (or periodically during long ones) to
 // capture the full trace beyond the ring's capacity.
+//
+// Each line is byte for byte what encoding/json's Encoder writes for the
+// record (FuzzFlightJSON pins it), appended with strconv instead of
+// reflection and written in chunks of about 64 KiB. A record with a NaN or
+// ±Inf field fails with the error Encoder returns for it; the records
+// before it are written and marked spilled, and it stays unspilled. A
+// failed write leaves its chunk's records unspilled.
 func (f *FlightRecorder) Flush(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for ; f.flushed < f.total; f.flushed++ {
-		if err := enc.Encode(f.ring[f.flushed%uint64(len(f.ring))]); err != nil {
+	n := f.total - f.flushed
+	if n == 0 {
+		return nil
+	}
+	// A Maya GS record's line is about 260 bytes.
+	buf := make([]byte, 0, min(n*256, flushChunk)+flightRecordMax)
+	for f.flushed < f.total {
+		buf = buf[:0]
+		next := f.flushed
+		var err error
+		for ; next < f.total && len(buf) < flushChunk; next++ {
+			r := &f.ring[next%uint64(len(f.ring))]
+			if err = r.unsupported(); err != nil {
+				break
+			}
+			buf = appendFlightJSON(buf, r)
+		}
+		if len(buf) > 0 {
+			if _, werr := w.Write(buf); werr != nil {
+				return werr
+			}
+		}
+		f.flushed = next
+		if err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// appendFlightJSON appends r's JSONL line as encoding/json encodes it: the
+// fields in struct order under their tags, the omitempty fields only when
+// set (a −0 RawW counts as empty, as it does for encoding/json), and the
+// floats in encoding/json's format. r's floats must be finite.
+func appendFlightJSON(b []byte, r *FlightRecord) []byte {
+	b = append(b, `{"step":`...)
+	b = strconv.AppendInt(b, int64(r.Step), 10)
+	b = append(b, `,"target_w":`...)
+	b = appendJSONFloat(b, r.TargetW)
+	b = append(b, `,"measured_w":`...)
+	b = appendJSONFloat(b, r.MeasuredW)
+	b = append(b, `,"error_w":`...)
+	b = appendJSONFloat(b, r.ErrorW)
+	b = append(b, `,"u":[`...)
+	b = appendJSONFloats(b, &r.U)
+	b = append(b, `],"applied":[`...)
+	b = appendJSONFloats(b, &r.Applied)
+	b = append(b, ']')
+	if r.Saturated {
+		b = append(b, `,"saturated":true`...)
+	}
+	// Clipped is an array, which omitempty never omits.
+	b = append(b, `,"clipped":[`...)
+	for i, c := range r.Clipped {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendBool(b, c)
+	}
+	b = append(b, `],"state_norm":`...)
+	b = appendJSONFloat(b, r.StateNorm)
+	if r.Rejected {
+		b = append(b, `,"rejected":true`...)
+	}
+	if r.RawW != 0 {
+		b = append(b, `,"raw_w":`...)
+		b = appendJSONFloat(b, r.RawW)
+	}
+	if r.StateReinit {
+		b = append(b, `,"state_reinit":true`...)
+	}
+	return append(b, "}\n"...)
+}
+
+func appendJSONFloats(b []byte, xs *[3]float64) []byte {
+	for i, x := range xs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONFloat(b, x)
+	}
+	return b
+}
+
+// appendJSONFloat appends a finite x as encoding/json writes a float64:
+// the shortest representation that reads back exactly, in 'e' format
+// below 1e-6 and from 1e21 in magnitude and with no leading zero in a
+// negative exponent (e-7, not e-07), in 'f' format otherwise.
+func appendJSONFloat(b []byte, x float64) []byte {
+	abs := math.Abs(x)
+	format := byte('f')
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, x, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+// unsupported returns the error encoding/json's Encoder returns for r: a
+// *json.UnsupportedValueError for its first NaN or ±Inf float in field
+// order, or nil when every float is finite. RawW is checked although it
+// is omitempty, because only a zero is omitted.
+func (r *FlightRecord) unsupported() error {
+	for _, x := range [...]float64{
+		r.TargetW, r.MeasuredW, r.ErrorW,
+		r.U[0], r.U[1], r.U[2],
+		r.Applied[0], r.Applied[1], r.Applied[2],
+		r.StateNorm, r.RawW,
+	} {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return &json.UnsupportedValueError{Value: reflect.ValueOf(x), Str: strconv.FormatFloat(x, 'g', -1, 64)}
 		}
 	}
 	return nil
